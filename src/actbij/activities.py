@@ -13,13 +13,17 @@ acyclic ("internal").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 
 from .core import (
     OrientedMatroid,
+    _mask,
+    _elements,
+    _fundamentals,
+    _positions,
+    _supports,
     bases,
-    fundamental_circuit,
-    fundamental_cocircuit,
     is_connected_matroid,
     positive_circuits,
     positive_cocircuits,
@@ -95,24 +99,26 @@ class Filtration:
         return cls(tuple(chain), cyclic_index)
 
 
+def _activity_masks(m: OrientedMatroid, basis: int) -> tuple[int, int]:
+    """(Int(B), Ext(B)) as masks, for a basis given as a mask."""
+    active = 0
+    for e, (pos, neg) in enumerate(_fundamentals(m, basis)):
+        if not (pos | neg) & ((1 << e) - 1):
+            active |= 1 << e
+    return active & basis, active & ~basis
+
+
 def basis_activities(m: OrientedMatroid, b: frozenset[int]) -> tuple[frozenset[int], frozenset[int]]:
     """(Int(B), Ext(B)): elements that are the minimum of their own
     fundamental cocircuit, resp. circuit.  Depends only on supports."""
-    internal = frozenset(
-        e for e in b if e == min(fundamental_cocircuit(m, b, e).support)
-    )
-    external = frozenset(
-        e
-        for e in m.ground_set - b
-        if e == min(fundamental_circuit(m, b, e).support)
-    )
-    return internal, external
+    internal, external = _activity_masks(m, _mask(b))
+    return _elements(internal), _elements(external)
 
 
 def orientation_activities(m: OrientedMatroid) -> tuple[frozenset[int], frozenset[int]]:
     """(O*(M), O(M)): minima of positive cocircuits, resp. circuits."""
-    ostar = frozenset(min(d.support) for d in positive_cocircuits(m))
-    o = frozenset(min(c.support) for c in positive_circuits(m))
+    ostar = frozenset((s & -s).bit_length() for s in _supports(positive_cocircuits(m)))
+    o = frozenset((s & -s).bit_length() for s in _supports(positive_circuits(m)))
     return ostar, o
 
 
@@ -124,22 +130,24 @@ def active_filtration_orientation(m: OrientedMatroid) -> Filtration:
     collects positive circuits by decreasing threshold on their minima,
     and the upper chain dually removes positive cocircuits.
     """
-    pos_c = [c.support for c in positive_circuits(m)]
-    pos_d = [d.support for d in positive_cocircuits(m)]
-    active = sorted({min(s) for s in pos_c})
-    dual_active = sorted({min(s) for s in pos_d})
-    ground = m.ground_set
-    chain: list[frozenset[int]] = [frozenset()]
-    for a in reversed(active):
-        chain.append(frozenset().union(*(s for s in pos_c if min(s) >= a)))
+    pos_c = _supports(positive_circuits(m))
+    pos_d = _supports(positive_cocircuits(m))
+
+    def union_from(supports, low: int) -> int:
+        """Union of the supports whose lowest bit is at least ``low``."""
+        return reduce(or_, (s for s in supports if s & -s >= low), 0)
+
+    active = sorted({s & -s for s in pos_c})
+    dual_active = sorted({s & -s for s in pos_d})
+    full = (1 << m.n) - 1
+    chain = [0] + [union_from(pos_c, a) for a in reversed(active)]
     cyclic_index = len(chain) - 1
-    for a in dual_active[1:]:
-        chain.append(ground - frozenset().union(*(s for s in pos_d if min(s) >= a)))
+    chain += [full & ~union_from(pos_d, a) for a in dual_active[1:]]
     if dual_active:
-        chain.append(ground)
-    if chain[-1] != ground:
+        chain.append(full)
+    if chain[-1] != full:
         raise AssertionError("active filtration does not reach the ground set")
-    return Filtration(tuple(chain), cyclic_index)
+    return Filtration(tuple(_elements(c) for c in chain), cyclic_index)
 
 
 def active_minors(m: OrientedMatroid, f: Filtration) -> list[OrientedMatroid]:
@@ -158,14 +166,12 @@ def active_minors(m: OrientedMatroid, f: Filtration) -> list[OrientedMatroid]:
 def is_connected_filtration(m: OrientedMatroid, f: Filtration) -> bool:
     """Every minor above the cyclic flat is connected and not a loop;
     every minor below is connected and not an isthmus."""
-    for i, minor in enumerate(active_minors(m, f)):
-        if not is_connected_matroid(minor):
-            return False
-        if minor.n == 1:
-            is_loop = len(minor.circuits) == 1
-            if f.part_is_cyclic(i) != is_loop:
-                return False
-    return True
+    return all(_connected_step(minor, f.part_is_cyclic(i)) for i, minor in enumerate(active_minors(m, f)))
+
+
+def _connected_step(minor: OrientedMatroid, cyclic: bool) -> bool:
+    """Connected, and a single element is a loop exactly when ``cyclic``."""
+    return is_connected_matroid(minor) and (minor.n != 1 or (len(minor.circuits) == 1) == cyclic)
 
 
 def basis_pass(
@@ -187,22 +193,16 @@ def basis_pass(
     """
     part: dict[int, int] = {}
     external: dict[int, bool] = {}
-    flipped: set[int] = set()
-    for e in range(1, m.n + 1):
-        in_basis = e in b
-        fund = (
-            fundamental_cocircuit(m, b, e)
-            if in_basis
-            else fundamental_circuit(m, b, e)
-        )
-        support = fund.support
-        if min(support) == e:
+    basis, active, flipped = _mask(b), _mask(flip_active), 0
+    for e, (pos, neg) in enumerate(_fundamentals(m, basis), start=1):
+        bit = 1 << (e - 1)
+        in_basis = bool(basis & bit)
+        earlier = _positions((pos | neg) & (bit - 1))
+        if not earlier:
             part[e] = e
             external[e] = not in_basis
-            if e in flip_active:
-                flipped.add(e)
+            flipped |= bit & active
             continue
-        earlier = [c for c in support if c < e]
         cross = [c for c in earlier if external[c] == in_basis]
         if cross:
             external[e] = in_basis
@@ -210,20 +210,24 @@ def basis_pass(
         else:
             external[e] = not in_basis
             part[e] = min(part[c] for c in earlier)
-        anchor = min(c for c in earlier if part[c] == part[e])
-        sign = fund.sign(e) * fund.sign(anchor)
-        if anchor in flipped:
-            sign = -sign
-        if sign > 0:
-            flipped.add(e)
-    return part, external, frozenset(flipped)
+        anchor = 1 << (min(c for c in earlier if part[c] == part[e]) - 1)
+        # e is positive in its fundamental set: flip e iff the anchor has
+        # the same sign there, unless the anchor itself was flipped
+        if bool(pos & anchor) != bool(flipped & anchor):
+            flipped |= bit
+    return part, external, _elements(flipped)
 
 
-def _parts_of(part: dict[int, int]) -> dict[int, frozenset[int]]:
+def _filtration_of(part: dict[int, int], external: dict[int, bool]) -> Filtration:
+    """The filtration whose parts are the label classes of ``part``,
+    cyclic where the label is external."""
     groups: dict[int, set[int]] = {}
     for e, label in part.items():
         groups.setdefault(label, set()).add(e)
-    return {label: frozenset(group) for label, group in groups.items()}
+    return Filtration.from_parts(
+        [g for label, g in groups.items() if external[label]],
+        [g for label, g in groups.items() if not external[label]],
+    )
 
 
 def active_filtration_basis(m: OrientedMatroid, b: frozenset[int]) -> Filtration:
@@ -231,10 +235,17 @@ def active_filtration_basis(m: OrientedMatroid, b: frozenset[int]) -> Filtration
     single-pass part mapping; the part minima are Int(B) ∪ Ext(B) and the
     cyclic flat is the union of the external parts."""
     part, external, _ = basis_pass(m, b)
-    groups = _parts_of(part)
-    cyclic = [g for label, g in groups.items() if external[label]]
-    acyclic = [g for label, g in groups.items() if not external[label]]
-    return Filtration.from_parts(cyclic, acyclic)
+    return _filtration_of(part, external)
+
+
+def _flips(base: frozenset[int], parts) -> list[frozenset[int]]:
+    """``base`` flipped on every union of parts, in subset-rank order over
+    the parts sorted by their minima."""
+    parts = sorted(parts, key=min)
+    return [
+        base ^ frozenset().union(*(p for i, p in enumerate(parts) if selector >> i & 1))
+        for selector in range(1 << len(parts))
+    ]
 
 
 def activity_class(m_ref: OrientedMatroid, a) -> list[frozenset[int]]:
@@ -242,33 +253,30 @@ def activity_class(m_ref: OrientedMatroid, a) -> list[frozenset[int]]:
     parts of the active partition of -_A M, ordered by subset rank over
     the parts sorted by their minima."""
     a = frozenset(a)
-    f = active_filtration_orientation(reorient(m_ref, a))
-    parts = sorted(f.parts, key=min)
-    members = []
-    for selector in range(1 << len(parts)):
-        flip = frozenset().union(
-            *(parts[i] for i in range(len(parts)) if selector >> i & 1)
-        )
-        members.append(a ^ flip)
-    return members
+    return _flips(a, active_filtration_orientation(reorient(m_ref, a)).parts)
 
 
 @lru_cache(maxsize=2048)
 def _interval_table(m: OrientedMatroid):
+    """(B, Int(B), Ext(B), B∖Int(B), B∪Ext(B)) per basis, all but B as masks."""
     table = []
     for b in bases(m):
-        internal, external_ = basis_activities(m, b)
-        table.append((b, internal, external_, b - internal, b | external_))
+        basis = _mask(b)
+        internal, external = _activity_masks(m, basis)
+        table.append((b, internal, external, basis & ~internal, basis | external))
     return tuple(table)
+
+
+def _owner(m: OrientedMatroid, a: int):
+    for row in _interval_table(m):
+        if not row[3] & ~a and not a & ~row[4]:
+            return row
+    raise AssertionError(f"interval partition of 2^E misses {_positions(a)}")
 
 
 def basis_of_subset(m: OrientedMatroid, a) -> frozenset[int]:
     """The unique basis whose interval [B∖Int(B), B∪Ext(B)] contains A."""
-    a = frozenset(a)
-    for b, _, _, lo, hi in _interval_table(m):
-        if lo <= a <= hi:
-            return b
-    raise AssertionError(f"interval partition of 2^E misses {sorted(a)}")
+    return _owner(m, _mask(a))[0]
 
 
 def interval_of_basis(m: OrientedMatroid, b: frozenset[int]):
@@ -280,11 +288,9 @@ def interval_of_basis(m: OrientedMatroid, b: frozenset[int]):
 def subset_params(m: OrientedMatroid, a):
     """(Int(A), P(A), Ext(A), Q(A)) for the owning basis B of A:
     Int(B)∩A, Int(B)∖A, Ext(B)∖A, Ext(B)∩A."""
-    a = frozenset(a)
-    for b, internal, external, lo, hi in _interval_table(m):
-        if lo <= a <= hi:
-            return internal & a, internal - a, external - a, external & a
-    raise AssertionError(f"interval partition of 2^E misses {sorted(a)}")
+    a = _mask(a)
+    _, internal, external, _, _ = _owner(m, a)
+    return tuple(_elements(x) for x in (internal & a, internal & ~a, external & ~a, external & a))
 
 
 def reorientation_params(m_ref: OrientedMatroid, a):
@@ -316,17 +322,12 @@ class ActivityReport:
 def subsets_by_rank(n: int):
     """All subsets of 1..n ordered by bitmask rank (element i = bit i-1)."""
     for mask in range(1 << n):
-        yield frozenset(i for i in range(1, n + 1) if mask >> (i - 1) & 1)
+        yield _elements(mask)
 
 
 @lru_cache(maxsize=300000)
 def _minor_step_ok(m: OrientedMatroid, small: frozenset[int], large: frozenset[int], cyclic: bool) -> bool:
-    minor = restrict_contract(m, large, small)
-    if not is_connected_matroid(minor):
-        return False
-    if minor.n == 1:
-        return (len(minor.circuits) == 1) == cyclic
-    return True
+    return _connected_step(restrict_contract(m, large, small), cyclic)
 
 
 def all_connected_filtrations(m: OrientedMatroid) -> list[Filtration]:

@@ -13,9 +13,10 @@ from functools import lru_cache
 
 from .activities import (
     Filtration,
+    _filtration_of,
+    _flips,
     active_filtration_orientation,
     ActivityReport,
-    basis_activities,
     basis_pass,
     orientation_activities,
     reorientation_params,
@@ -24,11 +25,12 @@ from .activities import (
 from .core import (
     OrientedMatroid,
     SignedSubset,
+    _mask,
+    _fundamentals,
     bases,
     compose,
     dual,
-    fundamental_circuit,
-    fundamental_cocircuit,
+    is_basis,
     is_bounded,
     is_dual_bounded,
     positive_circuits,
@@ -48,50 +50,37 @@ class ReorientationClassResult:
     filtration: Filtration
 
 
-def _sign_opposition_criterion(m: OrientedMatroid, b: frozenset[int], p: int, bounded: bool) -> bool:
-    basis_side = b - {p} if bounded else b
-    for elt in basis_side:
-        d = fundamental_cocircuit(m, b, elt)
-        if d.sign(min(d.support)) * d.sign(elt) != -1:
-            return False
-    outside = m.ground_set - b
-    if not bounded:
-        outside -= {p}
-    for e in outside:
-        c = fundamental_circuit(m, b, e)
-        if c.sign(min(c.support)) * c.sign(e) != -1:
+def _sign_opposition_criterion(funds, basis: int, bounded: bool) -> bool:
+    # every fundamental set but that of p (in B when bounded, outside B
+    # when dual-bounded) has its smallest element opposite to its own one
+    for e, (pos, neg) in enumerate(funds):
+        if e == 0 and basis & 1 == bounded:
+            continue
+        support = pos | neg
+        if not neg & support & -support:
             return False
     return True
 
 
-def _composition_criterion(m: OrientedMatroid, b: frozenset[int], p: int, bounded: bool) -> bool:
+def _composition_criterion(funds, basis: int, bounded: bool) -> bool:
     # Adjacency/Dual-Adjacency characterize the fully optimal basis only
     # among uniactive bases; activities come from unsigned data alone.
-    internal, external = basis_activities(m, b)
-    if bounded:
-        if internal != frozenset({p}) or external:
-            return False
-    elif external != frozenset({p}) or internal:
+    full = (1 << len(funds)) - 1
+    active = 0
+    covector = vector = SignedSubset.from_masks(0, 0)
+    for e, x in enumerate(funds):
+        support = x.pos | x.neg
+        if support & -support == 1 << e:
+            active |= 1 << e
+        if basis >> e & 1:
+            covector = compose(covector, x)
+        else:
+            vector = compose(vector, x)
+    if active != 1 or basis & 1 != bounded:
         return False
-    zero = SignedSubset(frozenset(), frozenset())
-    covector = zero
-    for elt in sorted(b):
-        covector = compose(covector, fundamental_cocircuit(m, b, elt))
-    vector = zero
-    for e in sorted(m.ground_set - b):
-        vector = compose(vector, fundamental_circuit(m, b, e))
-    ground = m.ground_set
-
-    def all_positive(x: SignedSubset) -> bool:
-        return x.support == ground and not x.negative
-
-    def negative_exactly_on_p(x: SignedSubset) -> bool:
-        return x.support == ground and x.negative == frozenset({p})
-
-    cov_ok = not b or (all_positive(covector) if bounded else negative_exactly_on_p(covector))
-    vec_ok = b == ground or (
-        negative_exactly_on_p(vector) if bounded else all_positive(vector)
-    )
+    all_positive, negative_exactly_on_p = (full, 0), (full & ~1, 1)
+    cov_ok = not basis or covector == (all_positive if bounded else negative_exactly_on_p)
+    vec_ok = basis == full or vector == (negative_exactly_on_p if bounded else all_positive)
     return cov_ok and vec_ok
 
 
@@ -108,8 +97,10 @@ def is_fully_optimal(m: OrientedMatroid, b: frozenset[int], p: int) -> bool:
     bounded = is_bounded(m, p)
     if not bounded and not is_dual_bounded(m, p):
         raise ValueError("oriented matroid is neither bounded nor dual-bounded w.r.t. p")
-    by_signs = _sign_opposition_criterion(m, b, p, bounded)
-    by_composition = _composition_criterion(m, b, p, bounded)
+    basis = _mask(b)
+    funds = _fundamentals(m, basis)
+    by_signs = _sign_opposition_criterion(funds, basis, bounded)
+    by_composition = _composition_criterion(funds, basis, bounded)
     if by_signs != by_composition:
         raise AssertionError(
             f"full optimality criteria disagree on basis {sorted(b)}: "
@@ -149,13 +140,10 @@ def active_basis(m: OrientedMatroid) -> frozenset[int]:
     if m.n == 0:
         return frozenset()
     f = active_filtration_orientation(m)
-    result: set[int] = set()
-    for small, large in zip(f.chain, f.chain[1:]):
-        back = sorted(large - small)
-        minor = restrict_contract(m, large, small)
-        for i in fully_optimal_basis(minor, 1):
-            result.add(back[i - 1])
-    return frozenset(result)
+    return frozenset().union(*(
+        _translated(fully_optimal_basis(restrict_contract(m, large, small), 1), sorted(large - small))
+        for small, large in zip(f.chain, f.chain[1:])
+    ))
 
 
 def _translated(sub: frozenset[int], back: list[int]) -> frozenset[int]:
@@ -229,23 +217,11 @@ def alpha_inverse_class(m_ref: OrientedMatroid, b: frozenset[int]) -> Reorientat
     reoriented; the rest follow in subset-rank order over the parts
     (ordered by their minima) that were flipped.
     """
+    if not is_basis(m_ref, b):
+        raise ValueError(f"{sorted(b)} is not a basis of the oriented matroid")
     part, external, base_point = basis_pass(m_ref, b)
-    groups: dict[int, set[int]] = {}
-    for e, label in part.items():
-        groups.setdefault(label, set()).add(e)
-    frozen = {label: frozenset(g) for label, g in groups.items()}
-    f = Filtration.from_parts(
-        [g for label, g in frozen.items() if external[label]],
-        [g for label, g in frozen.items() if not external[label]],
-    )
-    parts_sorted = sorted(frozen.values(), key=min)
-    members = []
-    for selector in range(1 << len(parts_sorted)):
-        flip = frozenset().union(
-            *(parts_sorted[i] for i in range(len(parts_sorted)) if selector >> i & 1)
-        )
-        members.append(base_point ^ flip)
-    return ReorientationClassResult(b, tuple(members), f)
+    f = _filtration_of(part, external)
+    return ReorientationClassResult(b, tuple(_flips(base_point, f.parts)), f)
 
 
 def refined_alpha(m_ref: OrientedMatroid, a) -> frozenset[int]:

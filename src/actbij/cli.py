@@ -19,13 +19,14 @@ from .activities import (
     reorientation_params,
     subsets_by_rank,
 )
-from .bijection import active_basis, alpha_inverse_class
+from .bijection import active_basis, alpha_inverse_class, refined_alpha
 from .core import (
     GroundSetTooLarge,
     InvalidOrientedMatroid,
     OrientedMatroid,
     bases,
     check_enumeration_cap,
+    is_basis,
     reorient,
 )
 from .graphs import ParseError, format_elements, parse_file, parse_reorientation
@@ -104,6 +105,8 @@ def _cmd_alpha(m: OrientedMatroid, args, out) -> int:
 
 def _cmd_alpha_inverse(m: OrientedMatroid, args, out) -> int:
     b = parse_reorientation(args.basis, m.n)
+    if not is_basis(m, b):
+        raise ParseError(f"{format_elements(b)} is not a basis of the oriented matroid")
     result = alpha_inverse_class(m, b)
     for member in result.class_members:
         print(format_elements(member), file=out)
@@ -125,8 +128,6 @@ def _cmd_table(m: OrientedMatroid, args, out) -> int:
 
 
 def _cmd_refined(m: OrientedMatroid, args, out) -> int:
-    from .bijection import refined_alpha
-
     check_enumeration_cap(m.n)
     print("A\talpha_M(A)\ttheta*\ttheta*bar\ttheta\tthetabar", file=out)
     for a in subsets_by_rank(m.n):

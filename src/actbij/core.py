@@ -1,11 +1,18 @@
 """Signed sets and oriented matroids on a linearly ordered ground set.
 
 Elements are the integers 1..n and the linear order is numeric order.
+A signed set is two disjoint int masks ``pos`` and ``neg``, bit e-1
+standing for element e: the support is ``pos | neg``, reorientation is
+an XOR and X ⊆ Y is ``X & ~Y == 0``.  Its element sets (``positive``,
+``negative``, ``support``) are derived on demand, and every public
+function takes and returns element sets.
+
 An oriented matroid is stored by its full lists of signed circuits and
 signed cocircuits, one canonical representative per opposite pair (the
-smallest element of the support is positive).  Minors are re-indexed on
-1..m; the i-th new element is the i-th smallest kept original element,
-so the original identities are always recoverable via ``sorted(kept)``.
+smallest element of the support is positive).  A minor is built in one
+pass over the masks and re-indexed on 1..m by compressing bits: the
+i-th new element is the i-th smallest kept original element, so the
+original identities are always recoverable via ``sorted(kept)``.
 
 All values are immutable; every operation is a pure function of its
 inputs and safe for unrestricted concurrent use.
@@ -14,12 +21,15 @@ inputs and safe for unrestricted concurrent use.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 # Exhaustive operations are meant for desk-scale instances (soft cap
 # n <= 16); 2^n enumeration entry points refuse anything above this.
 ENUMERATION_CAP = 24
+
+_new = tuple.__new__
 
 
 class InvalidOrientedMatroid(ValueError):
@@ -37,145 +47,154 @@ def check_enumeration_cap(n: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class SignedSubset:
-    """A pair of disjoint element sets (positive part, negative part)."""
+def _mask(elements) -> int:
+    """The mask of an element set."""
+    mask = 0
+    for e in elements:
+        mask |= 1 << (e - 1)
+    return mask
 
-    positive: frozenset[int]
-    negative: frozenset[int]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "positive", frozenset(self.positive))
-        object.__setattr__(self, "negative", frozenset(self.negative))
-        if self.positive & self.negative:
+def _positions(mask: int) -> list[int]:
+    """The elements of a mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return out
+
+
+def _elements(mask: int) -> frozenset[int]:
+    return frozenset(_positions(mask))
+
+
+class SignedSubset(namedtuple("_Masks", ["pos", "neg"])):
+    """A pair of disjoint element sets (positive part, negative part),
+    stored as the int masks ``pos`` and ``neg``."""
+
+    __slots__ = ()
+
+    def __new__(cls, positive, negative) -> SignedSubset:
+        return cls.from_masks(_mask(positive), _mask(negative))
+
+    def __getnewargs__(self):
+        return self.positive, self.negative
+
+    @classmethod
+    def from_masks(cls, pos: int, neg: int) -> SignedSubset:
+        if pos & neg:
             raise ValueError("positive and negative parts must be disjoint")
+        return _new(cls, (pos, neg))
+
+    @property
+    def positive(self) -> frozenset[int]:
+        return _elements(self.pos)
+
+    @property
+    def negative(self) -> frozenset[int]:
+        return _elements(self.neg)
 
     @property
     def support(self) -> frozenset[int]:
-        return self.positive | self.negative
+        return _elements(self.pos | self.neg)
 
     def sign(self, e: int) -> int:
         """+1, -1 or 0."""
-        if e in self.positive:
-            return 1
-        if e in self.negative:
-            return -1
-        return 0
+        bit = 1 << (e - 1)
+        return 1 if self.pos & bit else -1 if self.neg & bit else 0
 
     def negated(self) -> SignedSubset:
-        return SignedSubset(self.negative, self.positive)
+        return _new(SignedSubset, (self.neg, self.pos))
 
     def canonical(self) -> SignedSubset:
         """The representative of {X, -X} whose smallest support element is positive."""
-        if not self.support:
-            return self
-        return self if min(self.support) in self.positive else self.negated()
+        support = self.pos | self.neg
+        return self.negated() if self.neg & support & -support else self
 
-    def reoriented(self, flipped: frozenset[int]) -> SignedSubset:
+    def reoriented(self, flipped) -> SignedSubset:
         """Swap the sign of every element of ``flipped``."""
-        pos = (self.positive - flipped) | (self.negative & flipped)
-        neg = (self.negative - flipped) | (self.positive & flipped)
-        return SignedSubset(pos, neg)
+        flip = (self.pos | self.neg) & _mask(flipped)
+        return _new(SignedSubset, (self.pos ^ flip, self.neg ^ flip))
 
-    def restricted(self, kept: frozenset[int]) -> SignedSubset:
-        return SignedSubset(self.positive & kept, self.negative & kept)
-
-    def relabeled(self, mapping: dict[int, int]) -> SignedSubset:
-        return SignedSubset(
-            frozenset(mapping[e] for e in self.positive),
-            frozenset(mapping[e] for e in self.negative),
-        )
+    def restricted(self, kept) -> SignedSubset:
+        kept = _mask(kept)
+        return _new(SignedSubset, (self.pos & kept, self.neg & kept))
 
     def is_positive_pair(self) -> bool:
         """True when either representative of {X, -X} is all-positive."""
-        return bool(self.support) and (not self.negative or not self.positive)
+        return bool(self.pos | self.neg) and not (self.pos and self.neg)
 
     @classmethod
     def from_string(cls, s: str) -> SignedSubset:
         """Build from a sign string over ``+ - 0``; position i is element i (1-based)."""
-        pos, neg = set(), set()
-        for i, c in enumerate(s, start=1):
-            if c == "+":
-                pos.add(i)
-            elif c == "-":
-                neg.add(i)
-            elif c != "0":
-                raise ValueError(f"invalid sign character {c!r}")
-        return cls(frozenset(pos), frozenset(neg))
+        bad = [c for c in s if c not in "+-0"]
+        if bad:
+            raise ValueError(f"invalid sign character {bad[0]!r}")
+        return cls.from_masks(*(sum(1 << i for i, c in enumerate(s) if c == sign) for sign in "+-"))
 
     def to_string(self, n: int) -> str:
-        return "".join(
-            "+" if i in self.positive else "-" if i in self.negative else "0"
-            for i in range(1, n + 1)
-        )
+        return "".join("0+-"[self.sign(i)] for i in range(1, n + 1))
 
     def __repr__(self) -> str:
-        def fmt(x: frozenset[int], mark: str) -> list[str]:
-            return [f"{mark}{e}" for e in sorted(x)]
-
-        body = ",".join(
-            sorted(fmt(self.positive, "+") + fmt(self.negative, "-"), key=lambda t: int(t[1:]))
-        )
+        body = ",".join(f"{'+-'[self.sign(e) < 0]}{e}" for e in _positions(self.pos | self.neg))
         return f"SignedSubset({body})"
 
 
 def compose(x: SignedSubset, y: SignedSubset) -> SignedSubset:
     """Composition x∘y: the sign of e is its sign in x if nonzero, else in y."""
-    pos = x.positive | (y.positive - x.support)
-    neg = x.negative | (y.negative - x.support)
-    return SignedSubset(pos, neg)
+    done = x.pos | x.neg
+    return _new(SignedSubset, (x.pos | y.pos & ~done, x.neg | y.neg & ~done))
 
 
-def _mask(elements) -> int:
-    m = 0
-    for e in elements:
-        m |= 1 << (e - 1)
-    return m
+def _supports(signed_sets) -> list[int]:
+    return [pos | neg for pos, neg in signed_sets]
 
 
 def _canonical_list(signed_sets) -> tuple[SignedSubset, ...]:
-    out = {}
-    for x in signed_sets:
-        c = x.canonical()
-        key = tuple(sorted(c.support))
-        if key in out and out[key] != c:
+    """One representative per support, smallest element positive, sorted
+    by support as an ascending element list; conflicting signs raise."""
+    out: dict[int, int] = {}
+    for pos, neg in signed_sets:
+        support = pos | neg
+        if neg & support & -support:
+            pos = neg
+        if out.setdefault(support, pos) != pos:
             raise InvalidOrientedMatroid(
-                f"conflicting signatures on support {set(key)}"
+                f"conflicting signatures on support {set(_elements(support))}"
             )
-        out[key] = c
-    return tuple(out[k] for k in sorted(out))
+    return tuple(_new(SignedSubset, (out[s], s ^ out[s])) for s in sorted(out, key=_positions))
 
 
 def _check_antichain(sets: tuple[SignedSubset, ...], kind: str) -> None:
-    supports = [x.support for x in sets]
-    for a, b in itertools.combinations(supports, 2):
-        if a <= b or b <= a:
+    for a, b in itertools.combinations(_supports(sets), 2):
+        if not a & ~b or not b & ~a:
             raise InvalidOrientedMatroid(
-                f"{kind} supports are not an antichain: {set(a)} vs {set(b)}"
+                f"{kind} supports are not an antichain: {set(_elements(a))} vs {set(_elements(b))}"
             )
 
 
 def _check_orthogonality(circuits, cocircuits) -> None:
-    for c in circuits:
-        for d in cocircuits:
-            common = c.support & d.support
-            if not common:
-                continue
-            prods = {c.sign(e) * d.sign(e) for e in common}
-            if prods != {1, -1}:
-                raise InvalidOrientedMatroid(
-                    f"orthogonality fails for circuit {c!r} and cocircuit {d!r}"
-                )
+    for c, d in itertools.product(circuits, cocircuits):
+        # meeting supports must carry both an agreeing and an opposite sign
+        agree = c.pos & d.pos | c.neg & d.neg
+        oppose = c.pos & d.neg | c.neg & d.pos
+        if bool(agree) != bool(oppose):
+            raise InvalidOrientedMatroid(
+                f"orthogonality fails for circuit {c!r} and cocircuit {d!r}"
+            )
 
 
-def _greedy_rank(n: int, circuit_supports) -> int:
-    """Size of the lexicographically smallest maximal support-free subset."""
-    independent: set[int] = set()
-    for e in range(1, n + 1):
-        trial = independent | {e}
-        if not any(s <= trial for s in circuit_supports):
-            independent.add(e)
-    return len(independent)
+def _greedy_rank(supports, ground: int) -> int:
+    """Size of the lexicographically smallest maximal support-free subset of ``ground``."""
+    supports = [s for s in supports if not s & ~ground]
+    independent = 0
+    while ground:
+        low = ground & -ground
+        ground ^= low
+        if all(s & ~(independent | low) for s in supports):
+            independent |= low
+    return independent.bit_count()
 
 
 @dataclass(frozen=True)
@@ -186,6 +205,14 @@ class OrientedMatroid:
     circuits: tuple[SignedSubset, ...]
     cocircuits: tuple[SignedSubset, ...]
     rank: int
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # computed once: every cache lookup keyed on an OM hashes it
+        object.__setattr__(self, "_hash", hash((self.n, self.circuits, self.cocircuits, self.rank)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def ground_set(self) -> frozenset[int]:
@@ -212,18 +239,19 @@ def om_from_lists(n: int, circuits, cocircuits, *, validate: bool = True) -> Ori
     if n < 0:
         raise ValueError("ground set size must be nonnegative")
     for x in itertools.chain(circuits, cocircuits):
-        if not x.support:
+        if not x.pos | x.neg:
             raise InvalidOrientedMatroid("signed sets must have nonempty support")
-        if max(x.support) > n or min(x.support) < 1:
+        if (x.pos | x.neg) >> n:
             raise InvalidOrientedMatroid(f"element out of range 1..{n} in {x!r}")
     ctuple = _canonical_list(circuits)
     dtuple = _canonical_list(cocircuits)
-    rank = _greedy_rank(n, [c.support for c in ctuple])
+    full = (1 << n) - 1
+    rank = _greedy_rank(_supports(ctuple), full)
     if validate:
         _check_antichain(ctuple, "circuit")
         _check_antichain(dtuple, "cocircuit")
         _check_orthogonality(ctuple, dtuple)
-        dual_rank = _greedy_rank(n, [d.support for d in dtuple])
+        dual_rank = _greedy_rank(_supports(dtuple), full)
         if rank + dual_rank != n:
             raise InvalidOrientedMatroid(
                 f"rank mismatch: circuits give rank {rank}, "
@@ -237,80 +265,84 @@ def dual(m: OrientedMatroid) -> OrientedMatroid:
     return OrientedMatroid(m.n, m.cocircuits, m.circuits, m.n - m.rank)
 
 
+def _reoriented(signed_sets, flipped: int) -> tuple[SignedSubset, ...]:
+    """Flip signs on the mask, re-canonicalized; supports, and so the order, are unchanged."""
+    out = []
+    for pos, neg in signed_sets:
+        support = pos | neg
+        flip = support & flipped
+        pos ^= flip
+        neg ^= flip
+        out.append(_new(SignedSubset, (neg, pos) if neg & support & -support else (pos, neg)))
+    return tuple(out)
+
+
 def reorient(m: OrientedMatroid, flipped) -> OrientedMatroid:
     """Flip all signs on the element set ``flipped``, re-canonicalized."""
-    a = frozenset(flipped)
+    a = _mask(flipped)
     if not a:
         return m
-    return OrientedMatroid(
-        m.n,
-        _canonical_list(c.reoriented(a) for c in m.circuits),
-        _canonical_list(d.reoriented(a) for d in m.cocircuits),
-        m.rank,
-    )
+    return OrientedMatroid(m.n, _reoriented(m.circuits, a), _reoriented(m.cocircuits, a), m.rank)
 
 
-def _minimal_restrictions(signed_sets, removed: frozenset[int]) -> list[SignedSubset]:
-    restricted = [x.restricted(frozenset(x.support) - removed) for x in signed_sets]
-    restricted = [x for x in restricted if x.support]
-    keep = []
-    for x in restricted:
-        if not any(y.support < x.support for y in restricted):
-            keep.append(x)
-    return keep
+def _minor_sets(signed_sets, avoid: int, ground: int, runs) -> tuple[SignedSubset, ...]:
+    """The minimal nonzero restrictions to ``ground`` of the signed sets
+    missing ``avoid``, canonical, with each run of ground bits shifted down."""
+    restricted = {(pos & ground, neg & ground) for pos, neg in signed_sets if not (pos | neg) & avoid}
+    minimal: set[int] = set()
+    for support in sorted({pos | neg for pos, neg in restricted} - {0}, key=int.bit_count):
+        if all(s & ~support for s in minimal):
+            minimal.add(support)
+    squeezed = []
+    for pos, neg in restricted:
+        if pos | neg in minimal:
+            p = q = 0
+            for run, shift in runs:
+                p |= (pos & run) >> shift
+                q |= (neg & run) >> shift
+            squeezed.append((p, q))
+    return _canonical_list(squeezed)
 
 
-def _reindexed(n: int, circuits, cocircuits, deleted: frozenset[int]) -> OrientedMatroid:
-    kept = sorted(set(range(1, n + 1)) - deleted)
-    mapping = {e: i for i, e in enumerate(kept, start=1)}
-    cs = [c.relabeled(mapping) for c in circuits]
-    ds = [d.relabeled(mapping) for d in cocircuits]
-    m = len(kept)
-    return OrientedMatroid(
-        m,
-        _canonical_list(cs),
-        _canonical_list(ds),
-        _greedy_rank(m, [c.support for c in cs]),
-    )
+def restrict_contract(m: OrientedMatroid, keep, contracted) -> OrientedMatroid:
+    """The minor M(keep)/contracted, re-indexed on sorted(keep - contracted).
+
+    Built in one step: the circuits are the minimal nonzero restrictions
+    to keep - contracted of the circuits inside keep, and dually the
+    cocircuits are those of the cocircuits avoiding contracted.
+    """
+    keep, contracted = _mask(keep), _mask(contracted)
+    ground = rest = keep & ~contracted
+    runs, size = [], 0  # each run of consecutive ground bits, with its shift onto 0..size-1
+    while rest:
+        low = rest & -rest
+        run = rest & ~(rest + low)
+        runs.append((run, low.bit_length() - 1 - size))
+        size += run.bit_count()
+        rest ^= run
+    circuits = _minor_sets(m.circuits, ~keep, ground, runs)
+    cocircuits = _minor_sets(m.cocircuits, contracted, ground, runs)
+    return OrientedMatroid(size, circuits, cocircuits, _greedy_rank(_supports(circuits), (1 << size) - 1))
 
 
 def delete(m: OrientedMatroid, removed) -> OrientedMatroid:
     """Delete the element set: keep circuits avoiding it, restrict cocircuits.
-
-    The result lives on 1..(n-|removed|); new element i is the i-th
-    smallest kept original element.
-    """
-    a = frozenset(removed)
-    circuits = [c for c in m.circuits if not (c.support & a)]
-    cocircuits = _minimal_restrictions(m.cocircuits, a)
-    return _reindexed(m.n, circuits, cocircuits, a)
+    New element i is the i-th smallest kept original element."""
+    return restrict_contract(m, m.ground_set - frozenset(removed), ())
 
 
 def contract(m: OrientedMatroid, removed) -> OrientedMatroid:
     """Contract the element set; dual rules to :func:`delete`."""
-    a = frozenset(removed)
-    circuits = _minimal_restrictions(m.circuits, a)
-    cocircuits = [d for d in m.cocircuits if not (d.support & a)]
-    return _reindexed(m.n, circuits, cocircuits, a)
-
-
-def restrict_contract(m: OrientedMatroid, keep, contracted) -> OrientedMatroid:
-    """The minor M(keep)/contracted, re-indexed on sorted(keep - contracted)."""
-    keep = frozenset(keep)
-    contracted = frozenset(contracted)
-    inner = delete(m, m.ground_set - keep)
-    kept = sorted(keep)
-    mapping = {e: i for i, e in enumerate(kept, start=1)}
-    return contract(inner, frozenset(mapping[e] for e in contracted))
+    return restrict_contract(m, m.ground_set, removed)
 
 
 def positive_circuits(m: OrientedMatroid) -> list[SignedSubset]:
     """Stored circuits whose pair {X, -X} contains an all-positive member."""
-    return [c for c in m.circuits if c.is_positive_pair()]
+    return [c for c in m.circuits if not (c.pos and c.neg)]
 
 
 def positive_cocircuits(m: OrientedMatroid) -> list[SignedSubset]:
-    return [d for d in m.cocircuits if d.is_positive_pair()]
+    return [d for d in m.cocircuits if not (d.pos and d.neg)]
 
 
 def is_acyclic(m: OrientedMatroid) -> bool:
@@ -325,79 +357,81 @@ def is_bounded(m: OrientedMatroid, p: int) -> bool:
     """Acyclic and every positive cocircuit contains p (single isthmus counts)."""
     if not 1 <= p <= m.n:
         raise ValueError(f"element {p} not in the ground set")
-    return is_acyclic(m) and all(p in d.support for d in positive_cocircuits(m))
+    bit = 1 << (p - 1)
+    return is_acyclic(m) and all((d.pos | d.neg) & bit for d in positive_cocircuits(m))
 
 
 def is_dual_bounded(m: OrientedMatroid, p: int) -> bool:
     """Totally cyclic and every positive circuit contains p (single loop counts)."""
     if not 1 <= p <= m.n:
         raise ValueError(f"element {p} not in the ground set")
-    return is_totally_cyclic(m) and all(p in c.support for c in positive_circuits(m))
+    bit = 1 << (p - 1)
+    return is_totally_cyclic(m) and all((c.pos | c.neg) & bit for c in positive_circuits(m))
 
 
 @lru_cache(maxsize=4096)
 def bases(m: OrientedMatroid) -> tuple[frozenset[int], ...]:
     """All maximal circuit-support-free subsets, in lexicographic order."""
     check_enumeration_cap(m.n)
-    supports = m.circuit_supports()
-    found = []
-    for combo in itertools.combinations(range(1, m.n + 1), m.rank):
-        b = frozenset(combo)
-        if not any(s <= b for s in supports):
-            found.append(b)
-    return tuple(found)
+    supports = _supports(m.circuits)
+    combos = (sum(c) for c in itertools.combinations([1 << i for i in range(m.n)], m.rank))
+    return tuple(_elements(b) for b in combos if all(s & ~b for s in supports))
 
 
-def is_basis(m: OrientedMatroid, b: frozenset[int]) -> bool:
-    return len(b) == m.rank and not any(s <= b for s in m.circuit_supports())
+def is_basis(m: OrientedMatroid, b) -> bool:
+    mask = _mask(b)
+    return len(b) == m.rank and not mask >> m.n and all(s & ~mask for s in _supports(m.circuits))
+
+
+def _fundamentals(m: OrientedMatroid, basis: int) -> list[SignedSubset]:
+    """Per element e (at index e-1), its fundamental cocircuit if it lies in
+    the basis mask, else its fundamental circuit, signed so that e is
+    positive; one pass over all signed sets finds them all."""
+    hits: list[list[SignedSubset]] = [[] for _ in range(m.n)]
+    for signed_sets, side in ((m.circuits, ~basis), (m.cocircuits, basis)):
+        for x in signed_sets:
+            own = (x.pos | x.neg) & side  # a single element: x is its fundamental set
+            if own and not own & (own - 1):
+                hits[own.bit_length() - 1].append(x)
+    out = []
+    for e, found in enumerate(hits):
+        bit = 1 << e
+        if len(found) != 1:
+            kind, allowed = ("cocircuit", ~basis | bit) if basis & bit else ("circuit", basis | bit)
+            raise InvalidOrientedMatroid(
+                f"expected exactly one {kind} inside {_positions(allowed & ((1 << m.n) - 1))}, "
+                f"found {len(found)}"
+            )
+        x = found[0]
+        out.append(x if x.pos & bit else _new(SignedSubset, (x.neg, x.pos)))
+    return out
 
 
 def fundamental_circuit(m: OrientedMatroid, b: frozenset[int], e: int) -> SignedSubset:
     """The unique circuit inside B ∪ {e}, sign-normalized so that e is positive."""
     if e in b:
         raise ValueError(f"element {e} lies in the basis")
-    allowed = b | {e}
-    hits = [c for c in m.circuits if c.support <= allowed]
-    if len(hits) != 1:
-        raise InvalidOrientedMatroid(
-            f"expected exactly one circuit inside {sorted(allowed)}, found {len(hits)}"
-        )
-    c = hits[0]
-    return c if e in c.positive else c.negated()
+    return _fundamentals(m, _mask(b))[e - 1]
 
 
 def fundamental_cocircuit(m: OrientedMatroid, b: frozenset[int], elt: int) -> SignedSubset:
     """The unique cocircuit inside (E∖B) ∪ {b}, sign-normalized so that b is positive."""
     if elt not in b:
         raise ValueError(f"element {elt} is not in the basis")
-    allowed = (m.ground_set - b) | {elt}
-    hits = [d for d in m.cocircuits if d.support <= allowed]
-    if len(hits) != 1:
-        raise InvalidOrientedMatroid(
-            f"expected exactly one cocircuit inside {sorted(allowed)}, found {len(hits)}"
-        )
-    d = hits[0]
-    return d if elt in d.positive else d.negated()
+    return _fundamentals(m, _mask(b))[elt - 1]
 
 
 def subset_rank(m: OrientedMatroid, subset) -> int:
     """Rank of a subset: greedy independence within it over circuit supports."""
-    subset = frozenset(subset)
-    independent: set[int] = set()
-    supports = m.circuit_supports()
-    for e in sorted(subset):
-        trial = independent | {e}
-        if not any(s <= trial for s in supports):
-            independent.add(e)
-    return len(independent)
+    return _greedy_rank(_supports(m.circuits), _mask(subset))
 
 
 def is_connected_matroid(m: OrientedMatroid) -> bool:
     """Connected: every pair of elements lies in a common circuit (n <= 1 counts)."""
     if m.n <= 1:
         return True
-    supports = m.circuit_supports()
-    for e, f in itertools.combinations(range(1, m.n + 1), 2):
-        if not any(e in s and f in s for s in supports):
-            return False
-    return True
+    reach = [0] * m.n  # per element, the union of the circuits through it
+    for s in _supports(m.circuits):
+        for e in _positions(s):
+            reach[e - 1] |= s
+    return all(r == (1 << m.n) - 1 for r in reach)

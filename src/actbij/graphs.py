@@ -14,8 +14,8 @@ OM file format::
     C <s>                # s is a length-n string over + - 0
     D <s>
 
-Reorientation tokens are comma-separated 1-based indices, ``-`` for the
-empty set, or a length-n bitstring prefixed ``b:``.
+Reorientation tokens are comma-separated distinct 1-based indices, ``-``
+for the empty set, or a length-n bitstring prefixed ``b:``.
 """
 
 from __future__ import annotations
@@ -138,23 +138,22 @@ def om_from_digraph(g: OrderedDigraph) -> OrientedMatroid:
     for _, t, h in indexed:
         adjacency[t].add(h)
         adjacency[h].add(t)
-    cuts: list[SignedSubset] = []
+    cuts: set[tuple[int, int]] = set()
     for comp in _components(g.vertices, adjacency):
         members = sorted(comp)
         anchor = members[0]
         for r in range(len(members)):
             for side in itertools.combinations(members[1:], r):
                 s = {anchor, *side}
-                pos = frozenset(
-                    k for k, t, h in indexed if t in s and h not in s
-                )
-                neg = frozenset(
-                    k for k, t, h in indexed if h in s and t not in s
-                )
+                pos = sum(1 << (k - 1) for k, t, h in indexed if t in s and h not in s)
+                neg = sum(1 << (k - 1) for k, t, h in indexed if h in s and t not in s)
                 if pos or neg:
-                    cuts.append(SignedSubset(pos, neg))
+                    cuts.add((pos, neg))
+    supports = {pos | neg for pos, neg in cuts}
     minimal = [
-        c for c in cuts if not any(d.support < c.support for d in cuts)
+        SignedSubset.from_masks(pos, neg)
+        for pos, neg in cuts
+        if not any(s != pos | neg and not s & ~(pos | neg) for s in supports)
     ]
     return om_from_lists(n, circuits, minimal)
 
@@ -273,6 +272,8 @@ def parse_reorientation(token: str, n: int) -> frozenset[int]:
     for e in elements:
         if not 1 <= e <= n:
             raise ParseError(f"element {e} out of range 1..{n}")
+    if len(set(elements)) != len(elements):
+        raise ParseError(f"repeated element in reorientation token {token!r}")
     return frozenset(elements)
 
 

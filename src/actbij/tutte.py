@@ -7,19 +7,17 @@ deletion/contraction recursion on unsigned circuit supports serves as an
 oracle.  All coefficients and evaluations are exact integers.
 
 The memoized sweeps cache per oriented matroid behind ``lru_cache``,
-whose internal lock makes concurrent readers safe in CPython.
+whose internal lock makes concurrent readers safe in CPython; the
+oracle's memo lives only for one call.
 """
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
 
-from .activities import _interval_table, basis_activities
-from .core import (
-    OrientedMatroid,
-    bases,
-    check_enumeration_cap,
-)
+from .activities import _interval_table
+from .core import OrientedMatroid, _supports, check_enumeration_cap
 
 
 class TuttePolynomial:
@@ -70,53 +68,47 @@ class TuttePolynomial:
 def tutte_from_bases(m: OrientedMatroid) -> TuttePolynomial:
     """Count bases by (internal activity, external activity)."""
     counts: dict[tuple[int, int], int] = {}
-    for b in bases(m):
-        internal, external = basis_activities(m, b)
-        key = (len(internal), len(external))
+    for _, internal, external, _, _ in _interval_table(m):
+        key = (internal.bit_count(), external.bit_count())
         counts[key] = counts.get(key, 0) + 1
     return TuttePolynomial(counts)
 
 
-def _orientation_signatures(m: OrientedMatroid):
-    def sig(signed_sets):
-        out = []
-        for x in signed_sets:
-            supp = 0
-            plus = 0
-            for e in x.support:
-                supp |= 1 << (e - 1)
-            for e in x.positive:
-                plus |= 1 << (e - 1)
-            out.append((supp, plus, 1 << (min(x.support) - 1)))
-        return tuple(out)
+def _submasks(mask: int):
+    """Every submask of ``mask``, the mask itself first and 0 last."""
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
 
-    return sig(m.circuits), sig(m.cocircuits)
+
+def _positive_minima(m: OrientedMatroid, signed_sets) -> array:
+    """Per reorientation A (as a mask), the minima of the sets X made
+    positive by A, i.e. those with A ∩ supp(X) equal to X⁺ or to X⁻."""
+    full = (1 << m.n) - 1
+    minima = array("Q", [0]) * (1 << m.n)
+    for pos, neg in signed_sets:
+        support = pos | neg
+        low = support & -support
+        for sub in _submasks(full & ~support):
+            minima[pos | sub] |= low
+            minima[neg | sub] |= low
+    return minima
 
 
 @lru_cache(maxsize=512)
 def _reorientation_histogram(m: OrientedMatroid):
     """Counts of (|Θ*|, |Θ̄*|, |Θ|, |Θ̄|) over all 2^n reorientations."""
     check_enumeration_cap(m.n)
-    circuit_sigs, cocircuit_sigs = _orientation_signatures(m)
+    under_o = _positive_minima(m, m.circuits)
+    under_ostar = _positive_minima(m, m.cocircuits)
     counts: dict[tuple[int, int, int, int], int] = {}
     bit_count = int.bit_count
     for a in range(1 << m.n):
-        underline_o = 0
-        for supp, plus, min_bit in circuit_sigs:
-            flipped = plus ^ (a & supp)
-            if flipped == 0 or flipped == supp:
-                underline_o |= min_bit
-        underline_ostar = 0
-        for supp, plus, min_bit in cocircuit_sigs:
-            flipped = plus ^ (a & supp)
-            if flipped == 0 or flipped == supp:
-                underline_ostar |= min_bit
-        key = (
-            bit_count(underline_ostar & ~a),
-            bit_count(underline_ostar & a),
-            bit_count(underline_o & ~a),
-            bit_count(underline_o & a),
-        )
+        o, ostar = under_o[a], under_ostar[a]
+        key = (bit_count(ostar & ~a), bit_count(ostar & a), bit_count(o & ~a), bit_count(o & a))
         counts[key] = counts.get(key, 0) + 1
     return counts
 
@@ -139,36 +131,35 @@ def tutte_from_orientations(m: OrientedMatroid) -> TuttePolynomial:
     return TuttePolynomial(coeffs)
 
 
-@lru_cache(maxsize=None)
-def _delcon(ground: frozenset[int], supports: frozenset[frozenset[int]]) -> TuttePolynomial:
-    if not ground:
-        return TuttePolynomial({(0, 0): 1})
-    e = min(ground)
-    rest = ground - {e}
-    deleted = frozenset(s for s in supports if e not in s)
-    if frozenset({e}) in supports:
-        sub = _delcon(rest, deleted)
-        return TuttePolynomial({(i, j + 1): c for (i, j), c in sub.items()})
-    if all(e not in s for s in supports):
-        sub = _delcon(rest, deleted)
-        return TuttePolynomial({(i + 1, j): c for (i, j), c in sub.items()})
-    shrunk = [s - {e} for s in supports]
-    contracted = frozenset(
-        s for s in shrunk if s and not any(t < s for t in shrunk if t)
-    )
-    left = _delcon(rest, deleted)
-    right = _delcon(rest, contracted)
-    coeffs: dict[tuple[int, int], int] = {}
-    for poly in (left, right):
-        for key, c in poly.items():
-            coeffs[key] = coeffs.get(key, 0) + c
-    return TuttePolynomial(coeffs)
-
-
 def tutte_delcon_oracle(m: OrientedMatroid) -> TuttePolynomial:
     """Independent loop/isthmus/deletion-contraction recursion over the
-    unsigned circuit supports; memoized."""
-    return _delcon(m.ground_set, frozenset(m.circuit_supports()))
+    unsigned circuit supports, memoized for the duration of the call."""
+    memo: dict[tuple[int, frozenset[int]], TuttePolynomial] = {}
+
+    def delcon(ground: int, supports: frozenset[int]) -> TuttePolynomial:
+        if not ground:
+            return TuttePolynomial({(0, 0): 1})
+        if (ground, supports) in memo:
+            return memo[ground, supports]
+        e = ground & -ground
+        rest = ground ^ e
+        deleted = frozenset(s for s in supports if not s & e)
+        if e in supports:
+            poly = TuttePolynomial({(i, j + 1): c for (i, j), c in delcon(rest, deleted).items()})
+        elif deleted == supports:
+            poly = TuttePolynomial({(i + 1, j): c for (i, j), c in delcon(rest, deleted).items()})
+        else:
+            shrunk = {s & ~e for s in supports} - {0}
+            contracted = frozenset(s for s in shrunk if not any(t & ~s == 0 and t != s for t in shrunk))
+            coeffs: dict[tuple[int, int], int] = {}
+            for poly in (delcon(rest, deleted), delcon(rest, contracted)):
+                for key, c in poly.items():
+                    coeffs[key] = coeffs.get(key, 0) + c
+            poly = TuttePolynomial(coeffs)
+        memo[ground, supports] = poly
+        return poly
+
+    return delcon((1 << m.n) - 1, frozenset(_supports(m.circuits)))
 
 
 def beta(m: OrientedMatroid) -> int:
@@ -184,30 +175,23 @@ def beta_star(m: OrientedMatroid) -> int:
 @lru_cache(maxsize=512)
 def _subset_histogram(m: OrientedMatroid):
     """Counts of (|Int(A)|, |P(A)|, |Ext(A)|, |Q(A)|) over all A ⊆ E,
-    each subset routed through its owning basis interval."""
+    each subset reached from its owning basis interval; the intervals
+    must partition 2^E."""
     check_enumeration_cap(m.n)
     counts: dict[tuple[int, int, int, int], int] = {}
-    table = []
-    for _, internal, external, lo, hi in _interval_table(m):
-        imask = sum(1 << (e - 1) for e in internal)
-        emask = sum(1 << (e - 1) for e in external)
-        lomask = sum(1 << (e - 1) for e in lo)
-        himask = sum(1 << (e - 1) for e in hi)
-        table.append((imask, emask, lomask, himask))
+    seen = bytearray(1 << m.n)
     bit_count = int.bit_count
-    for a in range(1 << m.n):
-        for imask, emask, lomask, himask in table:
-            if a & lomask == lomask and a | himask == himask:
-                key = (
-                    bit_count(imask & a),
-                    bit_count(imask & ~a),
-                    bit_count(emask & ~a),
-                    bit_count(emask & a),
-                )
-                counts[key] = counts.get(key, 0) + 1
-                break
-        else:
-            raise AssertionError(f"subset {a:b} not covered by any basis interval")
+    for _, internal, external, lo, _ in _interval_table(m):
+        for sub in _submasks(internal | external):
+            a = lo | sub
+            if seen[a]:
+                raise AssertionError(f"subset {a:b} lies in two basis intervals")
+            seen[a] = 1
+            i, e = internal & a, external & a
+            key = (bit_count(i), bit_count(internal ^ i), bit_count(external ^ e), bit_count(e))
+            counts[key] = counts.get(key, 0) + 1
+    if not all(seen):
+        raise AssertionError(f"subset {seen.index(0):b} not covered by any basis interval")
     return counts
 
 

@@ -331,3 +331,9 @@ def test_active_duality_preconditions(k4_om):
     single = om_from_lists(1, [], [SignedSubset(fs(1), fs())])
     with pytest.raises(ValueError):
         check_active_duality(single)
+
+
+def test_alpha_inverse_class_rejects_a_non_basis(k4_om):
+    for b in ({1, 2, 3}, {1}, {1, 2, 4, 6}):
+        with pytest.raises(ValueError, match="is not a basis"):
+            alpha_inverse_class(k4_om, frozenset(b))

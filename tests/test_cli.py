@@ -136,3 +136,23 @@ def test_om_file_input(tmp_path):
     path.write_text(serialize_om(k4()))
     code, out = run(["alpha", str(path)])
     assert code == 0 and out == "1,2,4\n"
+
+
+@pytest.mark.parametrize("basis", ["1,2,3", "1"])
+def test_alpha_inverse_rejects_a_non_basis(basis, capsys):
+    # 1,2,3 is a triangle of K4 (right size, dependent); 1 is too small
+    assert main(["alpha-inverse", str(DATA / "k4.graph"), "--basis", basis]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {basis} is not a basis of the oriented matroid\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["alpha", str(DATA / "k4.graph"), "--reorient", "1,1"],
+    ["alpha-inverse", str(DATA / "k4.graph"), "--basis", "1,1,3"],
+])
+def test_repeated_indices_are_a_usage_error(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: repeated element")

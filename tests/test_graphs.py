@@ -159,6 +159,12 @@ def test_parse_reorientation_tokens():
         parse_reorientation("a,b", 6)
 
 
+def test_parse_reorientation_rejects_repeated_indices():
+    for token in ("1,1", "2,3,2"):
+        with pytest.raises(ParseError, match="repeated element"):
+            parse_reorientation(token, 6)
+
+
 def test_format_elements():
     assert format_elements(frozenset()) == "-"
     assert format_elements({3, 1, 10}) == "1,3,10"

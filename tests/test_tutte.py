@@ -202,3 +202,23 @@ def test_enumeration_cap():
         tutte_from_orientations(big)
     with pytest.raises(GroundSetTooLarge):
         bases(big)
+
+
+def _module_state(module):
+    """Every global of the module, with the entry count of each lru_cache."""
+    return {
+        name: (id(value), value.cache_info().currsize if hasattr(value, "cache_info") else None)
+        for name, value in vars(module).items()
+    }
+
+
+def test_delcon_oracle_keeps_no_state_between_calls():
+    from actbij import tutte
+
+    rng = random.Random(11)
+    oms = [random_om(rng, max_edges=8) for _ in range(2)]
+    before = _module_state(tutte)
+    results = [tutte_delcon_oracle(m) for m in oms]
+    assert _module_state(tutte) == before
+    for m, t in zip(oms, results):
+        assert t == tutte_from_bases(m)
