@@ -21,7 +21,6 @@ from .bijection import (
     active_basis,
     activity_report,
     alpha_inverse_class,
-    check_active_duality,
     fully_optimal_basis,
     is_fully_optimal,
     refined_alpha,
@@ -60,13 +59,13 @@ from .graphs import (
     serialize_graph,
     serialize_om,
 )
+from .oracles import check_active_duality, tutte_delcon_oracle
 from .tutte import (
     TuttePolynomial,
     beta,
     beta_star,
     four_var_reorientation_sum,
     four_var_subset_sum,
-    tutte_delcon_oracle,
     tutte_from_bases,
     tutte_from_orientations,
 )

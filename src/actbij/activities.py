@@ -323,44 +323,3 @@ def subsets_by_rank(n: int):
     """All subsets of 1..n ordered by bitmask rank (element i = bit i-1)."""
     for mask in range(1 << n):
         yield _elements(mask)
-
-
-@lru_cache(maxsize=300000)
-def _minor_step_ok(m: OrientedMatroid, small: frozenset[int], large: frozenset[int], cyclic: bool) -> bool:
-    return _connected_step(restrict_contract(m, large, small), cyclic)
-
-
-def all_connected_filtrations(m: OrientedMatroid) -> list[Filtration]:
-    """Exhaustive enumeration of the connected filtrations of M.
-
-    Test/verification oracle: a filtration is a set partition of E with a
-    subset of blocks marked cyclic (the chain is recovered from the block
-    minima), so walk all partitions and all markings, filtering by minor
-    connectivity.  Exponential; desk scale only.
-    """
-    ground = sorted(m.ground_set)
-    if not ground:
-        return [Filtration((frozenset(),), 0)]
-
-    def set_partitions(elements: list[int]):
-        if not elements:
-            yield []
-            return
-        first, rest = elements[0], elements[1:]
-        for blocks in set_partitions(rest):
-            for i in range(len(blocks)):
-                yield blocks[:i] + [blocks[i] | {first}] + blocks[i + 1:]
-            yield [*blocks, frozenset({first})]
-
-    results = []
-    for blocks in set_partitions(ground):
-        for marking in range(1 << len(blocks)):
-            cyclic = [blocks[i] for i in range(len(blocks)) if marking >> i & 1]
-            acyclic = [blocks[i] for i in range(len(blocks)) if not marking >> i & 1]
-            f = Filtration.from_parts(cyclic, acyclic)
-            if all(
-                _minor_step_ok(m, small, large, f.part_is_cyclic(i))
-                for i, (small, large) in enumerate(zip(f.chain, f.chain[1:]))
-            ):
-                results.append(f)
-    return results

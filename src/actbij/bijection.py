@@ -29,12 +29,9 @@ from .core import (
     _fundamentals,
     bases,
     compose,
-    dual,
     is_basis,
     is_bounded,
     is_dual_bounded,
-    positive_circuits,
-    positive_cocircuits,
     reorient,
     restrict_contract,
 )
@@ -150,65 +147,6 @@ def _translated(sub: frozenset[int], back: list[int]) -> frozenset[int]:
     return frozenset(back[i - 1] for i in sub)
 
 
-def active_basis_recursive(m: OrientedMatroid, *, circuit_induction: bool = False) -> frozenset[int]:
-    """Alternate evaluator of the active basis by the recursive definition:
-    fully optimal basis in the bounded/dual-bounded case, duality, and
-    induction on the minor cut out by the greatest dual-active element
-    (or greatest active element when ``circuit_induction``)."""
-    n = m.n
-    if n == 0:
-        return frozenset()
-    p = 1
-    if is_bounded(m, p) or is_dual_bounded(m, p):
-        return fully_optimal_basis(m, p)
-    ostar, o = orientation_activities(m)
-    ground = m.ground_set
-    if circuit_induction:
-        if not o:
-            # acyclic: hop to the (totally cyclic) dual, same induction style
-            return ground - active_basis_recursive(dual(m), circuit_induction=True)
-        top = max(o)
-        part = frozenset().union(
-            *(c.support for c in positive_circuits(m) if min(c.support) == top)
-        )
-    else:
-        if not ostar:
-            return ground - active_basis_recursive(dual(m), circuit_induction=False)
-        top = max(ostar)
-        part = ground - frozenset().union(
-            *(d.support for d in positive_cocircuits(m) if min(d.support) == top)
-        )
-    inside = restrict_contract(m, part, frozenset())
-    outside = restrict_contract(m, ground, part)
-    return _translated(
-        active_basis_recursive(inside, circuit_induction=circuit_induction), sorted(part)
-    ) | _translated(
-        active_basis_recursive(outside, circuit_induction=circuit_induction),
-        sorted(ground - part),
-    )
-
-
-def induction_step_sets(m: OrientedMatroid) -> list[frozenset[int]]:
-    """All proper nonempty sets F usable in the threshold variants of the
-    recursion: complements of unions of positive cocircuits with minimum
-    above a threshold, and unions of positive circuits likewise."""
-    ground = m.ground_set
-    candidates = set()
-    for t in range(0, m.n + 1):
-        f = ground - frozenset().union(
-            *(d.support for d in positive_cocircuits(m) if min(d.support) > t)
-        )
-        candidates.add(f)
-        g = frozenset().union(
-            *(c.support for c in positive_circuits(m) if min(c.support) > t)
-        )
-        candidates.add(g)
-    return sorted(
-        (f for f in candidates if f and f != ground),
-        key=lambda f: (len(f), sorted(f)),
-    )
-
-
 def alpha_inverse_class(m_ref: OrientedMatroid, b: frozenset[int]) -> ReorientationClassResult:
     """The full activity class mapped onto B by the active basis map,
     computed by the single pass over E from the fundamental data of B.
@@ -244,24 +182,6 @@ def refined_alpha_inverse(m_ref: OrientedMatroid, x) -> frozenset[int]:
     b = (x - q) | p
     _, _, flipped = basis_pass(m_ref, b, flip_active=p | q)
     return flipped
-
-
-def check_active_duality(m: OrientedMatroid) -> bool:
-    """Both duality identities on a bounded M (|E| > 1):
-    the active basis of -_p M* complements α(M) up to swapping the two
-    smallest elements, and α(M*) = E ∖ α(M) for the dual-bounded M*."""
-    if m.n <= 1:
-        raise ValueError("active duality needs at least two elements")
-    p = 1
-    if not is_bounded(m, p):
-        raise ValueError("active duality applies to a bounded oriented matroid")
-    p_next = 2
-    ground = m.ground_set
-    lhs = fully_optimal_basis(m, p)
-    companion = reorient(dual(m), frozenset({p}))
-    via_active_duality = (ground - fully_optimal_basis(companion, p)) - {p_next} | {p}
-    plain = fully_optimal_basis(dual(m), p) == ground - lhs
-    return lhs == via_active_duality and plain
 
 
 def activity_report(m_ref: OrientedMatroid, a) -> ActivityReport:

@@ -121,10 +121,6 @@ class SignedSubset(namedtuple("_Masks", ["pos", "neg"])):
         kept = _mask(kept)
         return _new(SignedSubset, (self.pos & kept, self.neg & kept))
 
-    def is_positive_pair(self) -> bool:
-        """True when either representative of {X, -X} is all-positive."""
-        return bool(self.pos | self.neg) and not (self.pos and self.neg)
-
     @classmethod
     def from_string(cls, s: str) -> SignedSubset:
         """Build from a sign string over ``+ - 0``; position i is element i (1-based)."""
@@ -228,7 +224,7 @@ class OrientedMatroid:
         )
 
 
-def om_from_lists(n: int, circuits, cocircuits, *, validate: bool = True) -> OrientedMatroid:
+def om_from_lists(n: int, circuits, cocircuits) -> OrientedMatroid:
     """Canonicalize, deduplicate and validate circuit/cocircuit data.
 
     Validation checks the stored invariants: nonempty supports, antichain
@@ -247,16 +243,15 @@ def om_from_lists(n: int, circuits, cocircuits, *, validate: bool = True) -> Ori
     dtuple = _canonical_list(cocircuits)
     full = (1 << n) - 1
     rank = _greedy_rank(_supports(ctuple), full)
-    if validate:
-        _check_antichain(ctuple, "circuit")
-        _check_antichain(dtuple, "cocircuit")
-        _check_orthogonality(ctuple, dtuple)
-        dual_rank = _greedy_rank(_supports(dtuple), full)
-        if rank + dual_rank != n:
-            raise InvalidOrientedMatroid(
-                f"rank mismatch: circuits give rank {rank}, "
-                f"cocircuits give dual rank {dual_rank}, n = {n}"
-            )
+    _check_antichain(ctuple, "circuit")
+    _check_antichain(dtuple, "cocircuit")
+    _check_orthogonality(ctuple, dtuple)
+    dual_rank = _greedy_rank(_supports(dtuple), full)
+    if rank + dual_rank != n:
+        raise InvalidOrientedMatroid(
+            f"rank mismatch: circuits give rank {rank}, "
+            f"cocircuits give dual rank {dual_rank}, n = {n}"
+        )
     return OrientedMatroid(n, ctuple, dtuple, rank)
 
 

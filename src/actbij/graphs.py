@@ -58,7 +58,7 @@ class OrderedDigraph:
         return OrderedDigraph(self.vertices, new)
 
 
-def _components(vertices, adjacency) -> list[set[str]]:
+def _components(vertices, adjacent) -> list[set[str]]:
     seen: set[str] = set()
     comps = []
     for v in vertices:
@@ -68,7 +68,7 @@ def _components(vertices, adjacency) -> list[set[str]]:
         stack = [v]
         while stack:
             u = stack.pop()
-            for w in adjacency.get(u, ()):
+            for _, w, _ in adjacent.get(u, ()):
                 if w not in comp:
                     comp.add(w)
                     stack.append(w)
@@ -77,45 +77,36 @@ def _components(vertices, adjacency) -> list[set[str]]:
     return comps
 
 
-def _cycle_sign(edges: list[tuple[int, str, str]]) -> SignedSubset | None:
-    """Signed circuit of an edge set that is a single simple cycle, else None.
-
-    ``edges`` holds (element, tail, head) triples.  Loops only qualify alone.
-    """
-    if len(edges) == 1 and edges[0][1] == edges[0][2]:
-        return SignedSubset(frozenset({edges[0][0]}), frozenset())
-    incident: dict[str, list[tuple[int, str, str]]] = {}
-    for k, t, h in edges:
+def _circuits(indexed, adjacent) -> list[SignedSubset]:
+    """Signed circuits from the simple cycles, by depth-first search: each
+    cycle is found once, from its smallest edge k = (t, h), as k followed
+    by a simple path h -> t over larger edges, and an edge traversed from
+    tail to head is positive.  A self-loop is its own positive circuit."""
+    circuits = []
+    for k, t, h in indexed:
         if t == h:
-            return None
-        incident.setdefault(t, []).append((k, t, h))
-        incident.setdefault(h, []).append((k, t, h))
-    if any(len(v) != 2 for v in incident.values()):
-        return None
-    # walk the cycle; it must close up through every edge (connectedness)
-    start = min(incident)
-    pos, neg = set(), set()
-    at = start
-    prev_elt = None
-    for _ in range(len(edges)):
-        k, t, h = next(e for e in incident[at] if e[0] != prev_elt)
-        if at == t:
-            pos.add(k)
-            at = h
-        else:
-            neg.add(k)
-            at = t
-        prev_elt = k
-    if at != start or len(pos) + len(neg) != len(edges):
-        return None
-    return SignedSubset(frozenset(pos), frozenset(neg))
+            circuits.append(SignedSubset.from_masks(1 << (k - 1), 0))
+            continue
+        stack = [(h, {h}, 1 << (k - 1), 0)]
+        while stack:
+            at, visited, pos, neg = stack.pop()
+            for j, w, forward in adjacent.get(at, ()):
+                if j <= k or w in visited:
+                    continue
+                bit = 1 << (j - 1)
+                p, q = (pos | bit, neg) if forward else (pos, neg | bit)
+                if w == t:
+                    circuits.append(SignedSubset.from_masks(p, q))
+                else:
+                    stack.append((w, visited | {w}, p, q))
+    return circuits
 
 
 def om_from_digraph(g: OrderedDigraph) -> OrientedMatroid:
     """Signed circuits from simple cycles, signed cocircuits from minimal cuts.
 
-    Cycle and cut enumeration is exhaustive; minimal cuts are filtered
-    explicitly.  A self-loop yields the positive singleton circuit.
+    Cycles come from a depth-first search (see :func:`_circuits`); cut
+    enumeration is exhaustive and minimal cuts are filtered explicitly.
     """
     vertex_set = set(g.vertices)
     for t, h in g.edges:
@@ -126,20 +117,15 @@ def om_from_digraph(g: OrderedDigraph) -> OrientedMatroid:
         return om_from_lists(0, [], [])
     check_enumeration_cap(n)
     indexed = [(k, t, h) for k, (t, h) in enumerate(g.edges, start=1)]
+    adjacent: dict[str, list[tuple[int, str, bool]]] = {}  # per vertex: (edge, other end, leaves it)
+    for k, t, h in indexed:
+        if t != h:
+            adjacent.setdefault(t, []).append((k, h, True))
+            adjacent.setdefault(h, []).append((k, t, False))
+    circuits = _circuits(indexed, adjacent)
 
-    circuits = []
-    for mask in range(1, 1 << n):
-        chosen = [indexed[i] for i in range(n) if mask >> i & 1]
-        c = _cycle_sign(chosen)
-        if c is not None:
-            circuits.append(c)
-
-    adjacency: dict[str, set[str]] = {v: set() for v in g.vertices}
-    for _, t, h in indexed:
-        adjacency[t].add(h)
-        adjacency[h].add(t)
     cuts: set[tuple[int, int]] = set()
-    for comp in _components(g.vertices, adjacency):
+    for comp in _components(g.vertices, adjacent):
         members = sorted(comp)
         anchor = members[0]
         for r in range(len(members)):

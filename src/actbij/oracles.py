@@ -1,0 +1,174 @@
+"""Independent routes that ``actbij verify`` and the tests check the
+serving maps against: the recursive definition of the active basis, the
+threshold induction sets, the active duality identities, the exhaustive
+connected filtrations and deletion/contraction.  Exponential, desk scale
+only; no serving module imports them, and every memo lives for one call.
+"""
+
+from __future__ import annotations
+
+from .activities import Filtration, _connected_step, orientation_activities
+from .bijection import _translated, fully_optimal_basis
+from .core import (
+    OrientedMatroid,
+    _supports,
+    dual,
+    is_bounded,
+    is_dual_bounded,
+    positive_circuits,
+    positive_cocircuits,
+    reorient,
+    restrict_contract,
+)
+from .tutte import TuttePolynomial
+
+
+def active_basis_recursive(m: OrientedMatroid, *, circuit_induction: bool = False) -> frozenset[int]:
+    """Alternate evaluator of the active basis by the recursive definition:
+    fully optimal basis in the bounded/dual-bounded case, duality, and
+    induction on the minor cut out by the greatest dual-active element
+    (or greatest active element when ``circuit_induction``)."""
+    n = m.n
+    if n == 0:
+        return frozenset()
+    p = 1
+    if is_bounded(m, p) or is_dual_bounded(m, p):
+        return fully_optimal_basis(m, p)
+    ostar, o = orientation_activities(m)
+    ground = m.ground_set
+    if circuit_induction:
+        if not o:
+            # acyclic: hop to the (totally cyclic) dual, same induction style
+            return ground - active_basis_recursive(dual(m), circuit_induction=True)
+        top = max(o)
+        part = frozenset().union(
+            *(c.support for c in positive_circuits(m) if min(c.support) == top)
+        )
+    else:
+        if not ostar:
+            return ground - active_basis_recursive(dual(m), circuit_induction=False)
+        top = max(ostar)
+        part = ground - frozenset().union(
+            *(d.support for d in positive_cocircuits(m) if min(d.support) == top)
+        )
+    inside = restrict_contract(m, part, frozenset())
+    outside = restrict_contract(m, ground, part)
+    return _translated(
+        active_basis_recursive(inside, circuit_induction=circuit_induction), sorted(part)
+    ) | _translated(
+        active_basis_recursive(outside, circuit_induction=circuit_induction),
+        sorted(ground - part),
+    )
+
+
+def induction_step_sets(m: OrientedMatroid) -> list[frozenset[int]]:
+    """All proper nonempty sets F usable in the threshold variants of the
+    recursion: complements of unions of positive cocircuits with minimum
+    above a threshold, and unions of positive circuits likewise."""
+    ground = m.ground_set
+    candidates = set()
+    for t in range(0, m.n + 1):
+        f = ground - frozenset().union(
+            *(d.support for d in positive_cocircuits(m) if min(d.support) > t)
+        )
+        candidates.add(f)
+        g = frozenset().union(
+            *(c.support for c in positive_circuits(m) if min(c.support) > t)
+        )
+        candidates.add(g)
+    return sorted(
+        (f for f in candidates if f and f != ground),
+        key=lambda f: (len(f), sorted(f)),
+    )
+
+
+def check_active_duality(m: OrientedMatroid) -> bool:
+    """Both duality identities on a bounded M (|E| > 1):
+    the active basis of -_p M* complements α(M) up to swapping the two
+    smallest elements, and α(M*) = E ∖ α(M) for the dual-bounded M*."""
+    if m.n <= 1:
+        raise ValueError("active duality needs at least two elements")
+    p = 1
+    if not is_bounded(m, p):
+        raise ValueError("active duality applies to a bounded oriented matroid")
+    p_next = 2
+    ground = m.ground_set
+    lhs = fully_optimal_basis(m, p)
+    companion = reorient(dual(m), frozenset({p}))
+    via_active_duality = (ground - fully_optimal_basis(companion, p)) - {p_next} | {p}
+    plain = fully_optimal_basis(dual(m), p) == ground - lhs
+    return lhs == via_active_duality and plain
+
+
+def all_connected_filtrations(m: OrientedMatroid) -> list[Filtration]:
+    """Exhaustive enumeration of the connected filtrations of M.
+
+    A filtration is a set partition of E with a subset of blocks marked
+    cyclic (the chain is recovered from the block minima), so walk all
+    partitions and all markings, filtering by minor connectivity; each
+    chain step's verdict is memoized for the duration of the call.
+    Exponential; desk scale only.
+    """
+    ground = sorted(m.ground_set)
+    if not ground:
+        return [Filtration((frozenset(),), 0)]
+    memo: dict[tuple[frozenset[int], frozenset[int], bool], bool] = {}
+
+    def step_ok(small: frozenset[int], large: frozenset[int], cyclic: bool) -> bool:
+        if (small, large, cyclic) not in memo:
+            memo[small, large, cyclic] = _connected_step(restrict_contract(m, large, small), cyclic)
+        return memo[small, large, cyclic]
+
+    def set_partitions(elements: list[int]):
+        if not elements:
+            yield []
+            return
+        first, rest = elements[0], elements[1:]
+        for blocks in set_partitions(rest):
+            for i in range(len(blocks)):
+                yield blocks[:i] + [blocks[i] | {first}] + blocks[i + 1:]
+            yield [*blocks, frozenset({first})]
+
+    results = []
+    for blocks in set_partitions(ground):
+        for marking in range(1 << len(blocks)):
+            cyclic = [blocks[i] for i in range(len(blocks)) if marking >> i & 1]
+            acyclic = [blocks[i] for i in range(len(blocks)) if not marking >> i & 1]
+            f = Filtration.from_parts(cyclic, acyclic)
+            if all(
+                step_ok(small, large, f.part_is_cyclic(i))
+                for i, (small, large) in enumerate(zip(f.chain, f.chain[1:]))
+            ):
+                results.append(f)
+    return results
+
+
+def tutte_delcon_oracle(m: OrientedMatroid) -> TuttePolynomial:
+    """Independent loop/isthmus/deletion-contraction recursion over the
+    unsigned circuit supports, memoized for the duration of the call."""
+    memo: dict[tuple[int, frozenset[int]], TuttePolynomial] = {}
+
+    def delcon(ground: int, supports: frozenset[int]) -> TuttePolynomial:
+        if not ground:
+            return TuttePolynomial({(0, 0): 1})
+        if (ground, supports) in memo:
+            return memo[ground, supports]
+        e = ground & -ground
+        rest = ground ^ e
+        deleted = frozenset(s for s in supports if not s & e)
+        if e in supports:
+            poly = TuttePolynomial({(i, j + 1): c for (i, j), c in delcon(rest, deleted).items()})
+        elif deleted == supports:
+            poly = TuttePolynomial({(i + 1, j): c for (i, j), c in delcon(rest, deleted).items()})
+        else:
+            shrunk = {s & ~e for s in supports} - {0}
+            contracted = frozenset(s for s in shrunk if not any(t & ~s == 0 and t != s for t in shrunk))
+            coeffs: dict[tuple[int, int], int] = {}
+            for poly in (delcon(rest, deleted), delcon(rest, contracted)):
+                for key, c in poly.items():
+                    coeffs[key] = coeffs.get(key, 0) + c
+            poly = TuttePolynomial(coeffs)
+        memo[ground, supports] = poly
+        return poly
+
+    return delcon((1 << m.n) - 1, frozenset(_supports(m.circuits)))

@@ -2,13 +2,11 @@
 
 Routes: basis activities, reorientation activities (2^n sweep with exact
 division of the class sizes), and two four-variable expansions (subset
-parameters and reorientation parameters).  An independent
-deletion/contraction recursion on unsigned circuit supports serves as an
-oracle.  All coefficients and evaluations are exact integers.
+parameters and reorientation parameters).  All coefficients and
+evaluations are exact integers.
 
 The memoized sweeps cache per oriented matroid behind ``lru_cache``,
-whose internal lock makes concurrent readers safe in CPython; the
-oracle's memo lives only for one call.
+whose internal lock makes concurrent readers safe in CPython.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from array import array
 from functools import lru_cache
 
 from .activities import _interval_table
-from .core import OrientedMatroid, _supports, check_enumeration_cap
+from .core import OrientedMatroid, check_enumeration_cap
 
 
 class TuttePolynomial:
@@ -131,37 +129,6 @@ def tutte_from_orientations(m: OrientedMatroid) -> TuttePolynomial:
     return TuttePolynomial(coeffs)
 
 
-def tutte_delcon_oracle(m: OrientedMatroid) -> TuttePolynomial:
-    """Independent loop/isthmus/deletion-contraction recursion over the
-    unsigned circuit supports, memoized for the duration of the call."""
-    memo: dict[tuple[int, frozenset[int]], TuttePolynomial] = {}
-
-    def delcon(ground: int, supports: frozenset[int]) -> TuttePolynomial:
-        if not ground:
-            return TuttePolynomial({(0, 0): 1})
-        if (ground, supports) in memo:
-            return memo[ground, supports]
-        e = ground & -ground
-        rest = ground ^ e
-        deleted = frozenset(s for s in supports if not s & e)
-        if e in supports:
-            poly = TuttePolynomial({(i, j + 1): c for (i, j), c in delcon(rest, deleted).items()})
-        elif deleted == supports:
-            poly = TuttePolynomial({(i + 1, j): c for (i, j), c in delcon(rest, deleted).items()})
-        else:
-            shrunk = {s & ~e for s in supports} - {0}
-            contracted = frozenset(s for s in shrunk if not any(t & ~s == 0 and t != s for t in shrunk))
-            coeffs: dict[tuple[int, int], int] = {}
-            for poly in (delcon(rest, deleted), delcon(rest, contracted)):
-                for key, c in poly.items():
-                    coeffs[key] = coeffs.get(key, 0) + c
-            poly = TuttePolynomial(coeffs)
-        memo[ground, supports] = poly
-        return poly
-
-    return delcon((1 << m.n) - 1, frozenset(_supports(m.circuits)))
-
-
 def beta(m: OrientedMatroid) -> int:
     """b_{1,0}: 1 for an isthmus, 0 for a loop, else the connectivity count."""
     return tutte_from_bases(m).coefficient(1, 0)
@@ -219,7 +186,6 @@ __all__ = [
     "beta_star",
     "four_var_reorientation_sum",
     "four_var_subset_sum",
-    "tutte_delcon_oracle",
     "tutte_from_bases",
     "tutte_from_orientations",
 ]

@@ -11,7 +11,9 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 
-from . import activities, bijection, core, tutte
+from . import activities, bijection, core, oracles, tutte
+
+FILTRATION_UNIQUENESS_CAP = 7  # largest n on which filtration-uniqueness runs
 
 
 class VerificationFailure(AssertionError):
@@ -22,8 +24,14 @@ def _fail(name: str, detail: str):
     raise VerificationFailure(f"{name}: {detail}")
 
 
-def _all_subsets(n: int):
-    return activities.subsets_by_rank(n)
+def _classes(m):
+    """Each activity class once: (its first member in subset-rank order, its members)."""
+    processed: set[frozenset[int]] = set()
+    for a in activities.subsets_by_rank(m.n):
+        if a not in processed:
+            members = activities.activity_class(m, a)
+            processed.update(members)
+            yield a, members
 
 
 def check_structure(m):
@@ -72,7 +80,7 @@ def check_activity_duality(m):
         co_internal, co_external = activities.basis_activities(md, m.ground_set - b)
         if internal != co_external or external != co_internal:
             _fail("activity-duality", f"B={sorted(b)}")
-    for a in _all_subsets(m.n):
+    for a in activities.subsets_by_rank(m.n):
         ostar, o = activities.orientation_activities(core.reorient(m, a))
         dstar, do = activities.orientation_activities(core.reorient(md, a))
         if ostar != do or o != dstar:
@@ -82,7 +90,7 @@ def check_activity_duality(m):
 def check_filtration_duality(m):
     md = core.dual(m)
     ground = m.ground_set
-    for a in _all_subsets(m.n):
+    for a in activities.subsets_by_rank(m.n):
         f = activities.active_filtration_orientation(core.reorient(m, a))
         fd = activities.active_filtration_orientation(core.reorient(md, a))
         complemented = tuple(ground - s for s in reversed(f.chain))
@@ -90,26 +98,31 @@ def check_filtration_duality(m):
             _fail("filtration-duality", f"A={sorted(a)}")
 
 
+def _unbounded_part(r, f):
+    """The first part of f whose minor of r is not dual-bounded (cyclic
+    part) or bounded (acyclic part) w.r.t. its smallest element, else None."""
+    for i, minor in enumerate(activities.active_minors(r, f)):
+        if not (core.is_dual_bounded if f.part_is_cyclic(i) else core.is_bounded)(minor, 1):
+            return i
+    return None
+
+
 def check_bounded_minors(m):
-    for a in _all_subsets(m.n):
+    for a in activities.subsets_by_rank(m.n):
         r = core.reorient(m, a)
         f = activities.active_filtration_orientation(r)
         if not activities.is_connected_filtration(m, f):
             _fail("bounded-minors", f"A={sorted(a)}: filtration not connected")
-        for i, minor in enumerate(activities.active_minors(r, f)):
-            if f.part_is_cyclic(i):
-                ok = core.is_dual_bounded(minor, 1)
-            else:
-                ok = core.is_bounded(minor, 1)
-            if not ok:
-                _fail("bounded-minors", f"A={sorted(a)}, part {i}")
+        i = _unbounded_part(r, f)
+        if i is not None:
+            _fail("bounded-minors", f"A={sorted(a)}, part {i}")
 
 
 def check_class_invariance(m):
-    for a in _all_subsets(m.n):
+    for a, members in _classes(m):
         f = activities.active_filtration_orientation(core.reorient(m, a))
         ostar, o = activities.orientation_activities(core.reorient(m, a))
-        for member in activities.activity_class(m, a):
+        for member in members:
             fm = activities.active_filtration_orientation(core.reorient(m, member))
             om_star, om_o = activities.orientation_activities(core.reorient(m, member))
             if fm != f or om_star != ostar or om_o != o:
@@ -117,10 +130,10 @@ def check_class_invariance(m):
 
 
 def check_fixed_representative(m):
-    for a in _all_subsets(m.n):
+    for a, members in _classes(m):
         fixed = [
             member
-            for member in activities.activity_class(m, a)
+            for member in members
             if not (member & frozenset().union(*activities.orientation_activities(core.reorient(m, member))))
         ]
         if len(fixed) != 1:
@@ -129,7 +142,7 @@ def check_fixed_representative(m):
 
 def check_bijection(m):
     preimages = defaultdict(set)
-    for a in _all_subsets(m.n):
+    for a in activities.subsets_by_rank(m.n):
         preimages[bijection.active_basis(core.reorient(m, a))].add(a)
     all_bases = set(core.bases(m))
     if set(preimages) != all_bases:
@@ -144,7 +157,7 @@ def check_bijection(m):
 
 
 def check_activity_preservation(m):
-    for a in _all_subsets(m.n):
+    for a in activities.subsets_by_rank(m.n):
         r = core.reorient(m, a)
         b = bijection.active_basis(r)
         internal, external = activities.basis_activities(m, b)
@@ -156,9 +169,8 @@ def check_activity_preservation(m):
 
 
 def check_refined_bijection(m):
-    ground = m.ground_set
     seen = set()
-    for a in _all_subsets(m.n):
+    for a in activities.subsets_by_rank(m.n):
         x = bijection.refined_alpha(m, a)
         seen.add(x)
         if bijection.refined_alpha_inverse(m, x) != a:
@@ -170,12 +182,7 @@ def check_refined_bijection(m):
     if len(seen) != 1 << m.n:
         _fail("refined-bijection", "not a permutation of the power set")
     # activity classes map onto basis intervals
-    processed: set[frozenset[int]] = set()
-    for a in _all_subsets(m.n):
-        if a in processed:
-            continue
-        members = activities.activity_class(m, a)
-        processed.update(members)
+    for a, members in _classes(m):
         b = bijection.active_basis(core.reorient(m, a))
         lo, hi = activities.interval_of_basis(m, b)
         image = {bijection.refined_alpha(m, member) for member in members}
@@ -191,7 +198,7 @@ def check_refined_bijection(m):
 def check_full_optimality_uniqueness(m):
     if m.n == 0:
         return
-    for a in _all_subsets(m.n):
+    for a in activities.subsets_by_rank(m.n):
         r = core.reorient(m, a)
         bounded = core.is_bounded(r, 1)
         dual_bounded = core.is_dual_bounded(r, 1)
@@ -205,7 +212,7 @@ def check_full_optimality_uniqueness(m):
 def check_duality_of_alpha(m):
     md = core.dual(m)
     ground = m.ground_set
-    for a in _all_subsets(m.n):
+    for a in activities.subsets_by_rank(m.n):
         lhs = bijection.active_basis(core.reorient(md, a))
         rhs = ground - bijection.active_basis(core.reorient(m, a))
         if lhs != rhs:
@@ -215,19 +222,19 @@ def check_duality_of_alpha(m):
 def check_active_duality_bounded(m):
     if m.n <= 1:
         return
-    for a in _all_subsets(m.n):
+    for a in activities.subsets_by_rank(m.n):
         r = core.reorient(m, a)
-        if core.is_bounded(r, 1) and not bijection.check_active_duality(r):
+        if core.is_bounded(r, 1) and not oracles.check_active_duality(r):
             _fail("active-duality", f"A={sorted(a)}")
 
 
 def check_recursive_definitions(m):
-    for a in _all_subsets(m.n):
+    for a in activities.subsets_by_rank(m.n):
         r = core.reorient(m, a)
         b = bijection.active_basis(r)
-        if bijection.active_basis_recursive(r) != b:
+        if oracles.active_basis_recursive(r) != b:
             _fail("recursive-alpha", f"A={sorted(a)}: cocircuit induction")
-        if bijection.active_basis_recursive(r, circuit_induction=True) != b:
+        if oracles.active_basis_recursive(r, circuit_induction=True) != b:
             _fail("recursive-alpha", f"A={sorted(a)}: circuit induction")
 
 
@@ -235,7 +242,7 @@ def check_tutte_routes(m):
     by_bases = tutte.tutte_from_bases(m)
     if tutte.tutte_from_orientations(m) != by_bases:
         _fail("tutte", "orientation route disagrees with basis route")
-    if tutte.tutte_delcon_oracle(m) != by_bases:
+    if oracles.tutte_delcon_oracle(m) != by_bases:
         _fail("tutte", "deletion/contraction oracle disagrees")
     for x, u, y, v in itertools.product(range(3), repeat=4):
         want = by_bases.evaluate(x + u, y + v)
@@ -254,7 +261,7 @@ def check_tutte_routes(m):
 def check_class_counts(m):
     t = tutte.tutte_from_bases(m)
     reps = acyclic_reps = cyclic_reps = active_fixed = dual_fixed = 0
-    for a in _all_subsets(m.n):
+    for a in activities.subsets_by_rank(m.n):
         r = core.reorient(m, a)
         ostar, o = activities.orientation_activities(r)
         if not (a & o):
@@ -283,7 +290,7 @@ def check_interval_unions(m):
     independents = set()
     spanning = set()
     supports = m.circuit_supports()
-    for a in _all_subsets(m.n):
+    for a in activities.subsets_by_rank(m.n):
         if not any(s <= a for s in supports):
             independents.add(a)
         if core.subset_rank(m, a) == m.rank:
@@ -304,25 +311,13 @@ def check_interval_unions(m):
         _fail("interval-unions", "upper intervals are not the spanning sets")
 
 
-def check_filtration_uniqueness(m, *, cap: int = 7):
-    if m.n > cap:
+def check_filtration_uniqueness(m):
+    if m.n > FILTRATION_UNIQUENESS_CAP:
         return
-    filtrations = activities.all_connected_filtrations(m)
-    for a in _all_subsets(m.n):
+    filtrations = oracles.all_connected_filtrations(m)
+    for a in activities.subsets_by_rank(m.n):
         r = core.reorient(m, a)
-        valid = []
-        for f in filtrations:
-            ok = True
-            for i, minor in enumerate(activities.active_minors(r, f)):
-                want_dual = f.part_is_cyclic(i)
-                if want_dual and not core.is_dual_bounded(minor, 1):
-                    ok = False
-                    break
-                if not want_dual and not core.is_bounded(minor, 1):
-                    ok = False
-                    break
-            if ok:
-                valid.append(f)
+        valid = [f for f in filtrations if _unbounded_part(r, f) is None]
         if len(valid) != 1 or valid[0] != activities.active_filtration_orientation(r):
             _fail("filtration-uniqueness", f"A={sorted(a)}: {len(valid)} decompositions")
 

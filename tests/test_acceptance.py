@@ -12,14 +12,12 @@ from pathlib import Path
 from actbij.activities import (
     active_filtration_orientation,
     active_minors,
-    all_connected_filtrations,
     basis_activities,
     orientation_activities,
 )
 from actbij.bijection import (
     active_basis,
     alpha_inverse_class,
-    check_active_duality,
     is_fully_optimal,
     refined_alpha,
     refined_alpha_inverse,
@@ -33,11 +31,11 @@ from actbij.core import (
     subset_rank,
 )
 from actbij.examples import diamond_doubled, k3, k4
+from actbij.oracles import all_connected_filtrations, check_active_duality, tutte_delcon_oracle
 from actbij.tutte import (
     TuttePolynomial,
     four_var_reorientation_sum,
     four_var_subset_sum,
-    tutte_delcon_oracle,
     tutte_from_bases,
     tutte_from_orientations,
 )

@@ -10,7 +10,6 @@ from actbij.activities import (
     active_filtration_basis,
     active_filtration_orientation,
     active_minors,
-    all_connected_filtrations,
     basis_activities,
     basis_of_subset,
     basis_pass,
@@ -30,6 +29,7 @@ from actbij.core import (
     subset_rank,
 )
 from actbij.graphs import om_from_digraph, OrderedDigraph
+from actbij.oracles import all_connected_filtrations
 from actbij.tutte import beta, beta_star
 from conftest import random_om, subsets
 

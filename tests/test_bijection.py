@@ -15,12 +15,9 @@ from actbij.activities import (
 )
 from actbij.bijection import (
     active_basis,
-    active_basis_recursive,
     activity_report,
     alpha_inverse_class,
-    check_active_duality,
     fully_optimal_basis,
-    induction_step_sets,
     is_fully_optimal,
     refined_alpha,
     refined_alpha_inverse,
@@ -35,6 +32,7 @@ from actbij.core import (
     restrict_contract,
     SignedSubset,
 )
+from actbij.oracles import active_basis_recursive, check_active_duality, induction_step_sets
 from conftest import random_om, subsets
 
 

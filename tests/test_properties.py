@@ -1,5 +1,6 @@
-"""Property tests: one-step minors against graph minors, and the mask
-encoding of signed sets against the element-set formulas."""
+"""Property tests: graph circuits against a brute force, one-step minors
+against graph minors, and the mask encoding of signed sets against the
+element-set formulas."""
 
 from hypothesis import given, settings, strategies as st
 
@@ -57,6 +58,39 @@ def test_restrict_contract_is_the_graph_minor(case):
     g, keep, contracted = case
     want = om_from_digraph(graph_minor(g, keep, contracted))
     assert restrict_contract(om_from_digraph(g), keep, contracted) == want
+
+
+def brute_force_circuit_supports(g: OrderedDigraph) -> set[int]:
+    """A nonempty edge set is a circuit iff it is a single loop, or it is
+    connected and every vertex it touches has degree 2."""
+    found = set()
+    for chosen in range(1, 1 << g.n):
+        edges = [g.edges[i] for i in range(g.n) if chosen >> i & 1]
+        if len(edges) == 1 and edges[0][0] == edges[0][1]:
+            found.add(chosen)
+            continue
+        degree: dict[str, int] = {}
+        for t, h in edges:
+            degree[t] = degree.get(t, 0) + 1
+            degree[h] = degree.get(h, 0) + 1
+        reached = {edges[0][0]}
+        for _ in edges:
+            reached |= {v for t, h in edges if {t, h} & reached for v in (t, h)}
+        if set(degree.values()) == {2} and reached == set(degree):
+            found.add(chosen)
+    return found
+
+
+@settings(steady, max_examples=300)
+@given(digraphs(max_edges=9))
+def test_graph_circuits_are_the_simple_cycles(g):
+    m = om_from_digraph(g)
+    assert {c.pos | c.neg for c in m.circuits} == brute_force_circuit_supports(g)
+    for c in m.circuits:
+        # a signed circuit is a cycle flow: as much enters each vertex as leaves it
+        for v in g.vertices:
+            flow = sum(c.sign(k) * ((h == v) - (t == v)) for k, (t, h) in enumerate(g.edges, start=1))
+            assert flow == 0
 
 
 @st.composite

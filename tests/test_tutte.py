@@ -4,7 +4,7 @@ from collections import defaultdict
 
 import pytest
 
-from actbij.activities import orientation_activities
+from actbij.activities import active_filtration_orientation, orientation_activities
 from actbij.core import (
     GroundSetTooLarge,
     SignedSubset,
@@ -13,13 +13,14 @@ from actbij.core import (
     reorient,
     subset_rank,
 )
+from actbij.graphs import OrderedDigraph, om_from_digraph
+from actbij.oracles import all_connected_filtrations, tutte_delcon_oracle
 from actbij.tutte import (
     TuttePolynomial,
     beta,
     beta_star,
     four_var_reorientation_sum,
     four_var_subset_sum,
-    tutte_delcon_oracle,
     tutte_from_bases,
     tutte_from_orientations,
 )
@@ -212,13 +213,34 @@ def _module_state(module):
     }
 
 
-def test_delcon_oracle_keeps_no_state_between_calls():
-    from actbij import tutte
+def test_oracles_keep_no_state_between_calls():
+    from actbij import activities, oracles, tutte
 
     rng = random.Random(11)
-    oms = [random_om(rng, max_edges=8) for _ in range(2)]
-    before = _module_state(tutte)
-    results = [tutte_delcon_oracle(m) for m in oms]
-    assert _module_state(tutte) == before
-    for m, t in zip(oms, results):
-        assert t == tutte_from_bases(m)
+    modules = (activities, oracles, tutte)
+    for oracle, max_edges in ((tutte_delcon_oracle, 8), (all_connected_filtrations, 6)):
+        oms = [random_om(rng, max_edges=max_edges, min_edges=4) for _ in range(2)]
+        before = [_module_state(module) for module in modules]
+        results = [oracle(m) for m in oms]
+        assert [_module_state(module) for module in modules] == before, oracle.__name__
+        for m, result in zip(oms, results):
+            if oracle is tutte_delcon_oracle:
+                assert result == tutte_from_bases(m)
+            else:
+                assert active_filtration_orientation(m) in result
+
+
+def test_bases_route_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    rng = random.Random(23)
+    for _ in range(40):
+        vertices = tuple(chr(97 + i) for i in range(rng.randint(1, 5)))
+        edges = [tuple(rng.sample(vertices, 2)) for _ in range(rng.randint(0, 8) if len(vertices) > 1 else 0)]
+        g = nx.MultiGraph()
+        g.add_nodes_from(vertices)
+        g.add_edges_from(edges)
+        want = {(int(i), int(j)): int(c) for (i, j), c in sympy.Poly(nx.tutte_polynomial(g), x, y).terms()}
+        m = om_from_digraph(OrderedDigraph(vertices, tuple(edges)))
+        assert dict(tutte_from_bases(m).items()) == want, edges
