@@ -16,6 +16,7 @@ from .activities import (
     _filtration_of,
     _flips,
     active_filtration_orientation,
+    active_minors,
     ActivityReport,
     basis_pass,
     orientation_activities,
@@ -27,13 +28,13 @@ from .core import (
     SignedSubset,
     _mask,
     _fundamentals,
+    _positions,
     bases,
     compose,
     is_basis,
     is_bounded,
     is_dual_bounded,
     reorient,
-    restrict_contract,
 )
 
 
@@ -81,6 +82,28 @@ def _composition_criterion(funds, basis: int, bounded: bool) -> bool:
     return cov_ok and vec_ok
 
 
+def _is_bounded_wrt(m: OrientedMatroid, p: int) -> bool:
+    """Whether M is bounded, else dual-bounded, w.r.t. p = min(E); raises if neither."""
+    if p != min(m.ground_set):
+        raise ValueError("full optimality is defined w.r.t. the smallest element")
+    bounded = is_bounded(m, p)
+    if not bounded and not is_dual_bounded(m, p):
+        raise ValueError("oriented matroid is neither bounded nor dual-bounded w.r.t. p")
+    return bounded
+
+
+def _passes_both_criteria(m: OrientedMatroid, basis: int, bounded: bool) -> bool:
+    funds = _fundamentals(m, basis)
+    by_signs = _sign_opposition_criterion(funds, basis, bounded)
+    by_composition = _composition_criterion(funds, basis, bounded)
+    if by_signs != by_composition:
+        raise AssertionError(
+            f"full optimality criteria disagree on basis {_positions(basis)}: "
+            f"sign-opposition={by_signs}, composition={by_composition}"
+        )
+    return by_signs
+
+
 def is_fully_optimal(m: OrientedMatroid, b: frozenset[int], p: int) -> bool:
     """Whether B satisfies the full optimality criterion of the bounded
     (resp. dual-bounded) oriented matroid M w.r.t. p = min(E).
@@ -89,27 +112,18 @@ def is_fully_optimal(m: OrientedMatroid, b: frozenset[int], p: int) -> bool:
     criterion are evaluated; a disagreement means corrupted input or an
     implementation bug and raises.
     """
-    if p != min(m.ground_set):
-        raise ValueError("full optimality is defined w.r.t. the smallest element")
-    bounded = is_bounded(m, p)
-    if not bounded and not is_dual_bounded(m, p):
-        raise ValueError("oriented matroid is neither bounded nor dual-bounded w.r.t. p")
-    basis = _mask(b)
-    funds = _fundamentals(m, basis)
-    by_signs = _sign_opposition_criterion(funds, basis, bounded)
-    by_composition = _composition_criterion(funds, basis, bounded)
-    if by_signs != by_composition:
-        raise AssertionError(
-            f"full optimality criteria disagree on basis {sorted(b)}: "
-            f"sign-opposition={by_signs}, composition={by_composition}"
-        )
-    return by_signs
+    return _passes_both_criteria(m, _mask(b), _is_bounded_wrt(m, p))
 
 
 @lru_cache(maxsize=65536)
-def _fully_optimal_scan(m: OrientedMatroid) -> frozenset[int]:
-    p = min(m.ground_set)
-    hits = [b for b in bases(m) if is_fully_optimal(m, b, p)]
+def fully_optimal_basis(m: OrientedMatroid, p: int) -> frozenset[int]:
+    """The unique basis passing :func:`is_fully_optimal`, by scan over all
+    bases, cached per minor.  Uniactive internal when M is bounded,
+    uniactive external when dual-bounded; zero or several hits raise."""
+    if m.n == 0:
+        return frozenset()
+    bounded = _is_bounded_wrt(m, p)
+    hits = [b for b in bases(m) if _passes_both_criteria(m, _mask(b), bounded)]
     if len(hits) != 1:
         raise AssertionError(
             f"expected exactly one fully optimal basis, found {len(hits)}: "
@@ -118,28 +132,13 @@ def _fully_optimal_scan(m: OrientedMatroid) -> frozenset[int]:
     return hits[0]
 
 
-def fully_optimal_basis(m: OrientedMatroid, p: int) -> frozenset[int]:
-    """The unique basis passing :func:`is_fully_optimal`, by scan over all
-    bases.  Uniactive internal when M is bounded, uniactive external when
-    dual-bounded; zero or several hits raise."""
-    if m.n == 0:
-        return frozenset()
-    if p != min(m.ground_set):
-        raise ValueError("full optimality is defined w.r.t. the smallest element")
-    if not is_bounded(m, p) and not is_dual_bounded(m, p):
-        raise ValueError("oriented matroid is neither bounded nor dual-bounded w.r.t. p")
-    return _fully_optimal_scan(m)
-
-
 def active_basis(m: OrientedMatroid) -> frozenset[int]:
     """The active basis: the disjoint union of the fully optimal bases of
     the active minors, translated back to the original element indices."""
-    if m.n == 0:
-        return frozenset()
     f = active_filtration_orientation(m)
     return frozenset().union(*(
-        _translated(fully_optimal_basis(restrict_contract(m, large, small), 1), sorted(large - small))
-        for small, large in zip(f.chain, f.chain[1:])
+        _translated(fully_optimal_basis(minor, 1), sorted(part))
+        for minor, part in zip(active_minors(m, f), f.parts)
     ))
 
 

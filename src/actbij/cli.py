@@ -2,7 +2,8 @@
 
 Element sets are rendered as comma-joined ascending indices, the empty
 set as ``-``.  Output is byte-deterministic for a given input and flags.
-Exit codes: 0 success, 1 verification failure, 2 parse/usage errors.
+Exit codes: 0 success, 1 verification failure, 2 parse/usage errors,
+3 internal error (an unexpected exception, reported on one line).
 """
 
 from __future__ import annotations
@@ -190,6 +191,9 @@ def main(argv=None) -> int:
     except (ParseError, InvalidOrientedMatroid, GroundSetTooLarge, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

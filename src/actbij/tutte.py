@@ -62,7 +62,6 @@ class TuttePolynomial:
         return f"TuttePolynomial({self})"
 
 
-@lru_cache(maxsize=4096)
 def tutte_from_bases(m: OrientedMatroid) -> TuttePolynomial:
     """Count bases by (internal activity, external activity)."""
     counts: dict[tuple[int, int], int] = {}

@@ -65,6 +65,29 @@ def test_fully_optimal_basis_fixtures(k4_om):
     assert fully_optimal_basis(reorient(k4_om, {1, 2, 4, 6}), 1) == fs(1, 3, 5)
 
 
+def test_fully_optimal_basis_contract(k3_om, k4_om):
+    assert fully_optimal_basis(om_from_lists(0, [], []), 1) == fs()
+    # a failed call is not cached: the second call raises again
+    for m, p in ((reorient(k3_om, {3}), 2), (k4_om, 1)):  # p not min(E); neither bounded
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                fully_optimal_basis(m, p)
+
+
+def test_fully_optimal_basis_decides_boundedness_once_per_minor(k4_om, monkeypatch):
+    import actbij.bijection as bijection
+
+    calls = []
+    for name in ("is_bounded", "is_dual_bounded"):
+        real = getattr(bijection, name)
+        monkeypatch.setattr(bijection, name, lambda m, p, real=real, name=name: calls.append(name) or real(m, p))
+    bijection.fully_optimal_basis.cache_clear()
+    for a, want in (({3, 5, 6}, fs(1, 3, 6)), ({2, 4}, fs(2, 3, 6))):  # bounded, dual-bounded
+        for _ in range(3):
+            assert fully_optimal_basis(reorient(k4_om, a), 1) == want
+    assert calls == ["is_bounded", "is_bounded", "is_dual_bounded"]
+
+
 def test_full_optimality_uniqueness_random():
     from conftest import random_connected_om
 

@@ -156,3 +156,53 @@ def test_repeated_indices_are_a_usage_error(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: repeated element")
+
+
+def without_line(text: str, i: int) -> str:
+    lines = text.splitlines(keepends=True)
+    return "".join(lines[:i] + lines[i + 1:])
+
+
+@pytest.mark.parametrize("dropped, argv", [
+    ("D 000+++", ["alpha", "--reorient", "1,3"]),  # the active filtration misses E
+    ("D 000+++", ["activities", "--reorient", "1,3"]),
+    ("D ++00--", ["refined"]),  # a minor neither bounded nor dual-bounded
+])
+def test_an_internal_error_exits_3_on_one_line(tmp_path, capsys, dropped, argv):
+    from actbij.examples import k4
+    from actbij.graphs import serialize_om
+
+    text = serialize_om(k4())
+    path = tmp_path / "k4.om"
+    path.write_text(without_line(text, text.splitlines().index(dropped)))
+    assert main([argv[0], str(path), *argv[1:]]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: internal: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_om_files_missing_a_line_never_raise(tmp_path, capsys):
+    from actbij.examples import diamond_doubled, k4
+    from actbij.graphs import serialize_om
+
+    commands = [
+        ["alpha", "--reorient", "1,3"],
+        ["activities", "--reorient", "1,3"],
+        ["refined"],
+        ["table"],
+        ["tutte", "--check"],
+    ]
+    runs = 0
+    for m in (k4(), diamond_doubled()):
+        text = serialize_om(m)
+        for i in range(1, len(text.splitlines())):  # every circuit or cocircuit line
+            path = tmp_path / f"{m.n}_{i}.om"
+            path.write_text(without_line(text, i))
+            for argv in commands:
+                code, _ = run([argv[0], str(path), *argv[1:]])
+                err = capsys.readouterr().err
+                assert code in (0, 2, 3), (i, argv)
+                if code:
+                    assert err.count("\n") == 1 and err.startswith("error: "), (i, argv, err)
+                runs += 1
+    assert runs == (14 + 12) * 5

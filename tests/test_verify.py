@@ -2,11 +2,13 @@
 checks report a planted fault under their own names."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
 
-from actbij import activities, oracles, verify
+from actbij import activities, bijection, core, oracles, verify
+from actbij.activities import Filtration
 from actbij.examples import k3
 from actbij.tutte import TuttePolynomial
 
@@ -38,6 +40,13 @@ def test_only_verify_imports_the_oracles():
 
 PLANTED = [
     (
+        "bounded-minors",
+        core,
+        "is_bounded",
+        lambda real: lambda m, p: False,
+        "bounded-minors: A=[], part 0",
+    ),
+    (
         "class-invariance",
         activities,
         "activity_class",
@@ -50,6 +59,43 @@ PLANTED = [
         "activity_class",
         lambda real: lambda m, a: real(m, a) * 2,
         "fixed-representative: A=[]: 2 fixed members",
+    ),
+    (
+        "bijection",
+        bijection,
+        "alpha_inverse_class",
+        lambda real: lambda m, b: dataclasses.replace(real(m, b), class_members=real(m, b).class_members[1:]),
+        "bijection: B=[1, 2]: inverse class mismatch",
+    ),
+    (
+        "activity-preservation",
+        activities,
+        "active_filtration_basis",
+        lambda real: lambda m, b: Filtration((frozenset(), m.ground_set), 0),
+        "activity-preservation: A=[]: filtrations differ",
+    ),
+    (
+        "refined-bijection",
+        bijection,
+        "refined_alpha_inverse",
+        lambda real: lambda m, x: real(m, x) ^ {1},
+        "refined-bijection: A=[]",
+    ),
+    (
+        # the serving scan must not go through the public predicate
+        "full-optimality-uniqueness",
+        bijection,
+        "is_fully_optimal",
+        lambda real: lambda m, b, p: True,
+        "full-optimality: A=[2]: 3 optimal bases",
+    ),
+    (
+        # K3 has rank 2 and its dual rank 1: only the dual's bases change
+        "alpha-duality",
+        bijection,
+        "active_basis",
+        lambda real: lambda m: real(m) ^ {1} if m.rank == 1 else real(m),
+        "alpha-duality: A=[]",
     ),
     (
         "recursive-definitions",
@@ -65,13 +111,40 @@ PLANTED = [
         lambda real: lambda m: TuttePolynomial({}),
         "tutte: deletion/contraction oracle disagrees",
     ),
+    (
+        "interval-unions",
+        core,
+        "subset_rank",
+        lambda real: lambda m, a: 0,
+        "interval-unions: upper intervals are not the spanning sets",
+    ),
+    (
+        "filtration-uniqueness",
+        oracles,
+        "all_connected_filtrations",
+        lambda real: lambda m: [],
+        "filtration-uniqueness: A=[]: 0 decompositions",
+    ),
 ]
 
 
 @pytest.mark.parametrize("check, module, attr, fault, message", PLANTED, ids=[p[0] for p in PLANTED])
 def test_a_planted_fault_fails_its_check(monkeypatch, check, module, attr, fault, message):
     monkeypatch.setattr(module, attr, fault(getattr(module, attr)))
+    bijection.fully_optimal_basis.cache_clear()  # results cached by earlier tests would hide a fault
+    assert_fails_at(check, f"FAIL {message}")
+
+
+def test_a_failed_self_test_inside_a_check_is_reported_as_its_failure(monkeypatch):
+    def planted(m, b):
+        raise AssertionError("planted")
+
+    monkeypatch.setattr(bijection, "alpha_inverse_class", planted)
+    assert_fails_at("bijection", "FAIL bijection: planted")
+
+
+def assert_fails_at(check, fail_line):
     names = [name for name, _ in verify.ALL_CHECKS]
     lines: list[str] = []
     assert not verify.run_all(k3(), report=lines.append)
-    assert lines == [f"ok {name}" for name in names[: names.index(check)]] + [f"FAIL {message}"]
+    assert lines == [f"ok {name}" for name in names[: names.index(check)]] + [fail_line]
