@@ -174,26 +174,21 @@ def _connected_step(minor: OrientedMatroid, cyclic: bool) -> bool:
     return is_connected_matroid(minor) and (minor.n != 1 or (len(minor.circuits) == 1) == cyclic)
 
 
-def basis_pass(
-    m: OrientedMatroid,
-    b: frozenset[int],
-    flip_active: frozenset[int] = frozenset(),
-):
+def basis_pass(m: OrientedMatroid, b: frozenset[int]):
     """Single pass over E computing the active partition of a basis and one
     preimage reorientation, from the fundamental circuits/cocircuits only.
 
     Every element is assigned a part label (the smallest element of its
-    part) and an internal/external nature; at each active element the
-    arbitrary sign choice is "flip iff the element is in flip_active",
-    every other element's sign is forced by the smallest element of its
-    part within its fundamental circuit/cocircuit.
+    part) and an internal/external nature; no active element is flipped,
+    and every other element's sign is forced by the smallest element of
+    its part within its fundamental circuit/cocircuit.
 
     Returns (part, external, flipped): the label map, the nature map and
     the reorientation.
     """
     part: dict[int, int] = {}
     external: dict[int, bool] = {}
-    basis, active, flipped = _mask(b), _mask(flip_active), 0
+    basis, flipped = _mask(b), 0
     for e, (pos, neg) in enumerate(_fundamentals(m, basis), start=1):
         bit = 1 << (e - 1)
         in_basis = bool(basis & bit)
@@ -201,7 +196,6 @@ def basis_pass(
         if not earlier:
             part[e] = e
             external[e] = not in_basis
-            flipped |= bit & active
             continue
         cross = [c for c in earlier if external[c] == in_basis]
         if cross:

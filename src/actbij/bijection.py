@@ -174,13 +174,13 @@ def refined_alpha(m_ref: OrientedMatroid, a) -> frozenset[int]:
 
 def refined_alpha_inverse(m_ref: OrientedMatroid, x) -> frozenset[int]:
     """Inverse of the refined bijection: recover the owning basis from the
-    subset parameters and run the single pass with the sign choices at
-    active elements pinned by P and Q."""
+    subset parameters, run the single pass, and flip the parts whose
+    active element lies in P ∪ Q (flipping an active element flips its part)."""
     x = frozenset(x)
     _, p, _, q = subset_params(m_ref, x)
-    b = (x - q) | p
-    _, _, flipped = basis_pass(m_ref, b, flip_active=p | q)
-    return flipped
+    part, _, base_point = basis_pass(m_ref, (x - q) | p)
+    flipped_parts = p | q
+    return base_point ^ {e for e, label in part.items() if label in flipped_parts}
 
 
 def activity_report(m_ref: OrientedMatroid, a) -> ActivityReport:

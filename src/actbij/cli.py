@@ -16,17 +16,16 @@ from . import verify
 from .activities import (
     Filtration,
     active_filtration_orientation,
+    basis_activities,
     orientation_activities,
-    reorientation_params,
-    subsets_by_rank,
 )
-from .bijection import active_basis, alpha_inverse_class, refined_alpha
+from .bijection import active_basis, alpha_inverse_class
 from .core import (
     GroundSetTooLarge,
     InvalidOrientedMatroid,
     OrientedMatroid,
+    _mask,
     bases,
-    check_enumeration_cap,
     is_basis,
     reorient,
 )
@@ -129,13 +128,16 @@ def _cmd_table(m: OrientedMatroid, args, out) -> int:
 
 
 def _cmd_refined(m: OrientedMatroid, args, out) -> int:
-    check_enumeration_cap(m.n)
-    print("A\talpha_M(A)\ttheta*\ttheta*bar\ttheta\tthetabar", file=out)
-    for a in subsets_by_rank(m.n):
-        image = refined_alpha(m, a)
-        ts, tsb, th, thb = reorientation_params(m, a)
-        cells = [a, image, ts, tsb, th, thb]
-        print("\t".join(format_elements(s) for s in cells), file=out)
+    # On the class of B, O*(-_A M) = Int(B) and O(-_A M) = Ext(B) (activity
+    # preservation), and A meets Int(B) ∪ Ext(B) in its flipped active elements.
+    rows = [""] * (1 << m.n)  # indexed by mask: the order of subsets_by_rank
+    for b in bases(m):
+        internal, external = basis_activities(m, b)
+        for a in alpha_inverse_class(m, b).class_members:
+            image = b ^ (a & (internal | external))
+            cells = (a, image, internal - a, internal & a, external - a, external & a)
+            rows[_mask(a)] = "\t".join(format_elements(s) for s in cells)
+    print("A\talpha_M(A)\ttheta*\ttheta*bar\ttheta\tthetabar", *rows, sep="\n", file=out)
     return 0
 
 

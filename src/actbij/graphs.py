@@ -26,6 +26,9 @@ from dataclasses import dataclass
 from .core import (
     OrientedMatroid,
     SignedSubset,
+    _fundamentals,
+    _mask,
+    bases,
     check_enumeration_cap,
     om_from_lists,
 )
@@ -217,7 +220,12 @@ def parse_om_file(text: str) -> OrientedMatroid:
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from None
         (circuits if toks[0] == "C" else cocircuits).append(s)
-    return om_from_lists(n, circuits, cocircuits)
+    m = om_from_lists(n, circuits, cocircuits)
+    # completeness: a file missing a fundamental circuit or cocircuit of
+    # some basis raises here; one basis does not catch every missing line
+    for b in bases(m):
+        _fundamentals(m, _mask(b))
+    return m
 
 
 def serialize_om(m: OrientedMatroid) -> str:

@@ -1,10 +1,14 @@
+import io
 import random
 
 import pytest
 
+from actbij.activities import reorientation_params, subsets_by_rank
+from actbij.bijection import refined_alpha
+from actbij.cli import _cmd_refined
 from actbij.core import is_connected_matroid
-from actbij.examples import diamond_doubled, digon, k3, k4
-from actbij.graphs import OrderedDigraph, om_from_digraph
+from actbij.graphs import OrderedDigraph, format_elements, om_from_digraph
+from examples import diamond_doubled, digon, k3, k4
 
 
 def random_multigraph(rng: random.Random, max_vertices=6, max_edges=10, min_edges=0):
@@ -33,6 +37,23 @@ def random_connected_om(rng: random.Random, max_vertices=5, max_edges=8):
         m = om_from_digraph(OrderedDigraph(vertices, tuple(edges)))
         if m.n >= 2 and is_connected_matroid(m):
             return m
+
+
+def refined_stdout(m) -> str:
+    """What `actbij refined` prints for the oriented matroid m."""
+    out = io.StringIO()
+    assert _cmd_refined(m, None, out) == 0
+    return out.getvalue()
+
+
+def refined_by_direct_route(m) -> str:
+    """The `refined` table built A by A from the forward map: refined_alpha
+    and reorientation_params on each reorientation, in subset-rank order."""
+    lines = ["A\talpha_M(A)\ttheta*\ttheta*bar\ttheta\tthetabar"]
+    for a in subsets_by_rank(m.n):
+        cells = [a, refined_alpha(m, a), *reorientation_params(m, a)]
+        lines.append("\t".join(format_elements(s) for s in cells))
+    return "\n".join(lines) + "\n"
 
 
 def subsets(n: int):

@@ -1,9 +1,9 @@
-"""Small named digraphs used by the docs, the data files and the tests."""
+"""Small named digraphs for the tests; k3, k4 and diamond_doubled match data/*.graph."""
 
 from __future__ import annotations
 
-from .core import OrientedMatroid
-from .graphs import OrderedDigraph, om_from_digraph
+from actbij.core import OrientedMatroid
+from actbij.graphs import OrderedDigraph, om_from_digraph
 
 
 def k3_digraph() -> OrderedDigraph:
@@ -48,3 +48,15 @@ def diamond_doubled() -> OrientedMatroid:
 
 def digon() -> OrientedMatroid:
     return om_from_digraph(digon_digraph())
+
+
+def w4_digraph() -> OrderedDigraph:
+    """The wheel on four rim vertices: spokes 1-4 = h r1 .. h r4, then the
+    rim 5-8 = r1 r2, r2 r3, r3 r4, r4 r1."""
+    rim = ("r1", "r2", "r3", "r4")
+    spokes = tuple(("h", r) for r in rim)
+    return OrderedDigraph(("h", *rim), spokes + tuple(zip(rim, rim[1:] + rim[:1])))
+
+
+def w4() -> OrientedMatroid:
+    return om_from_digraph(w4_digraph())

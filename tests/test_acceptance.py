@@ -30,7 +30,6 @@ from actbij.core import (
     reorient,
     subset_rank,
 )
-from actbij.examples import diamond_doubled, k3, k4
 from actbij.oracles import all_connected_filtrations, check_active_duality, tutte_delcon_oracle
 from actbij.tutte import (
     TuttePolynomial,
@@ -40,6 +39,7 @@ from actbij.tutte import (
     tutte_from_orientations,
 )
 from conftest import random_connected_om, random_om, subsets
+from examples import diamond_doubled, k3, k4
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DATA = Path(__file__).resolve().parent.parent / "data"

@@ -12,7 +12,6 @@ from actbij.activities import (
     active_minors,
     basis_activities,
     basis_of_subset,
-    basis_pass,
     interval_of_basis,
     is_connected_filtration,
     orientation_activities,
@@ -223,25 +222,6 @@ def test_part_minima_are_the_active_elements(k4_om):
         f = active_filtration_basis(k4_om, b)
         internal, external = basis_activities(k4_om, b)
         assert frozenset(min(p) for p in f.parts) == internal | external
-
-
-def test_basis_pass_choice_expansion(k4_om):
-    # running the pass with explicit flips at active elements lands on
-    # the base point shifted by the corresponding parts
-    for b in bases(k4_om):
-        part, external, base_point = basis_pass(k4_om, b)
-        groups = defaultdict(set)
-        for e, label in part.items():
-            groups[label].add(e)
-        labels = sorted(groups)
-        for k in range(len(labels) + 1):
-            for chosen in itertools.combinations(labels, k):
-                flip = frozenset(chosen)
-                _, _, flipped = basis_pass(k4_om, b, flip_active=flip)
-                expected = base_point ^ frozenset().union(
-                    frozenset(), *(groups[c] for c in chosen)
-                )
-                assert flipped == expected
 
 
 # ------------------------------------------------------- activity classes

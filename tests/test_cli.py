@@ -4,8 +4,11 @@ from pathlib import Path
 
 import pytest
 
-from actbij import verify
+from actbij import activities, bijection, cli, core, verify
 from actbij.cli import main
+from actbij.graphs import serialize_om
+from conftest import refined_by_direct_route, refined_stdout
+from examples import diamond_doubled, k3, k4, w4
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -129,9 +132,6 @@ def test_parse_error_exit_code(tmp_path, capsys):
 
 
 def test_om_file_input(tmp_path):
-    from actbij.examples import k4
-    from actbij.graphs import serialize_om
-
     path = tmp_path / "k4.om"
     path.write_text(serialize_om(k4()))
     code, out = run(["alpha", str(path)])
@@ -163,28 +163,38 @@ def without_line(text: str, i: int) -> str:
     return "".join(lines[:i] + lines[i + 1:])
 
 
-@pytest.mark.parametrize("dropped, argv", [
-    ("D 000+++", ["alpha", "--reorient", "1,3"]),  # the active filtration misses E
-    ("D 000+++", ["activities", "--reorient", "1,3"]),
-    ("D ++00--", ["refined"]),  # a minor neither bounded nor dual-bounded
-])
-def test_an_internal_error_exits_3_on_one_line(tmp_path, capsys, dropped, argv):
-    from actbij.examples import k4
-    from actbij.graphs import serialize_om
+# the function that serves each command's answer
+SERVED_BY = {"alpha": "active_basis", "activities": "orientation_activities", "refined": "alpha_inverse_class"}
 
+
+def planted(*args):
+    raise RuntimeError("planted")
+
+
+@pytest.mark.parametrize("dropped, argv", [
+    ("D 000+++", ["alpha", "--reorient", "1,3"]),  # once: the active filtration missed E
+    ("D 000+++", ["activities", "--reorient", "1,3"]),
+    ("D ++00--", ["refined"]),  # once: a minor neither bounded nor dual-bounded
+])
+def test_an_internal_error_exits_3_on_one_line(tmp_path, capsys, monkeypatch, dropped, argv):
     text = serialize_om(k4())
     path = tmp_path / "k4.om"
+    # these files once reached an internal error; the parser now refuses them
     path.write_text(without_line(text, text.splitlines().index(dropped)))
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    monkeypatch.setattr(cli, SERVED_BY[argv[0]], planted)
+    path.write_text(text)
     assert main([argv[0], str(path), *argv[1:]]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: internal: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal: RuntimeError: planted\n"
 
 
 def test_om_files_missing_a_line_never_raise(tmp_path, capsys):
-    from actbij.examples import diamond_doubled, k4
-    from actbij.graphs import serialize_om
-
     commands = [
         ["alpha", "--reorient", "1,3"],
         ["activities", "--reorient", "1,3"],
@@ -199,10 +209,25 @@ def test_om_files_missing_a_line_never_raise(tmp_path, capsys):
             path = tmp_path / f"{m.n}_{i}.om"
             path.write_text(without_line(text, i))
             for argv in commands:
-                code, _ = run([argv[0], str(path), *argv[1:]])
+                code, out = run([argv[0], str(path), *argv[1:]])
                 err = capsys.readouterr().err
-                assert code in (0, 2, 3), (i, argv)
-                if code:
-                    assert err.count("\n") == 1 and err.startswith("error: "), (i, argv, err)
+                assert (code, out) == (2, ""), (i, argv)
+                assert err.count("\n") == 1 and err.startswith("error: "), (i, argv, err)
                 runs += 1
     assert runs == (14 + 12) * 5
+
+
+@pytest.mark.parametrize("example", [k3, k4, diamond_doubled, w4])
+def test_refined_matches_the_direct_route(example):
+    m = example()
+    assert refined_stdout(m) == refined_by_direct_route(m)
+
+
+def test_refined_builds_no_minor_and_runs_no_scan(monkeypatch):
+    m = k4()
+    want = refined_stdout(m)
+    for module in (core, activities, bijection, cli):
+        for name in ("reorient", "restrict_contract", "active_basis", "fully_optimal_basis"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, planted)
+    assert refined_stdout(m) == want

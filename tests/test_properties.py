@@ -1,11 +1,12 @@
 """Property tests: graph circuits against a brute force, one-step minors
-against graph minors, and the mask encoding of signed sets against the
-element-set formulas."""
+against graph minors, the mask encoding of signed sets against the
+element-set formulas, and `refined` against the direct forward map."""
 
 from hypothesis import given, settings, strategies as st
 
 from actbij.core import SignedSubset, compose, restrict_contract
 from actbij.graphs import OrderedDigraph, om_from_digraph
+from conftest import refined_by_direct_route, refined_stdout
 
 VERTICES = "abcde"
 N = 8  # ground set of the signed-set properties
@@ -150,3 +151,12 @@ def test_compose_matches_set_formula(first, second):
     z = compose(x, y)
     assert z.positive == x.positive | (y.positive - x.support)
     assert z.negative == x.negative | (y.negative - x.support)
+
+
+@settings(steady, max_examples=40)
+@given(digraphs(max_edges=9))
+def test_refined_is_the_forward_map_on_every_reorientation(g):
+    # `refined` reads each row off an activity class; the direct route
+    # reorients M and builds the active minors for every A
+    m = om_from_digraph(g)
+    assert refined_stdout(m) == refined_by_direct_route(m)
