@@ -12,8 +12,10 @@ acyclic ("internal").
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import accumulate
 from operator import or_
 
 from .core import (
@@ -99,19 +101,10 @@ class Filtration:
         return cls(tuple(chain), cyclic_index)
 
 
-def _activity_masks(m: OrientedMatroid, basis: int) -> tuple[int, int]:
-    """(Int(B), Ext(B)) as masks, for a basis given as a mask."""
-    active = 0
-    for e, (pos, neg) in enumerate(_fundamentals(m, basis)):
-        if not (pos | neg) & ((1 << e) - 1):
-            active |= 1 << e
-    return active & basis, active & ~basis
-
-
 def basis_activities(m: OrientedMatroid, b: frozenset[int]) -> tuple[frozenset[int], frozenset[int]]:
     """(Int(B), Ext(B)): elements that are the minimum of their own
     fundamental cocircuit, resp. circuit.  Depends only on supports."""
-    internal, external = _activity_masks(m, _mask(b))
+    _, internal, external, *_ = _basis_record(m, _mask(b))
     return _elements(internal), _elements(external)
 
 
@@ -174,72 +167,68 @@ def _connected_step(minor: OrientedMatroid, cyclic: bool) -> bool:
     return is_connected_matroid(minor) and (minor.n != 1 or (len(minor.circuits) == 1) == cyclic)
 
 
-def basis_pass(m: OrientedMatroid, b: frozenset[int]):
-    """Single pass over E computing the active partition of a basis and one
-    preimage reorientation, from the fundamental circuits/cocircuits only.
+def basis_pass(m: OrientedMatroid, basis: int):
+    """Single pass over E computing the active partition of a basis mask and
+    one preimage reorientation, from the fundamental circuits/cocircuits only.
 
-    Every element is assigned a part label (the smallest element of its
-    part) and an internal/external nature; no active element is flipped,
-    and every other element's sign is forced by the smallest element of
-    its part within its fundamental circuit/cocircuit.
+    Each part is a mask labelled by the bit of its minimum; the labels in
+    B are Int(B), the others Ext(B), and a part is cyclic exactly when its
+    label lies outside B.  No active element is flipped, and every other
+    element's sign is forced by its anchor: the smallest element of its
+    part within its fundamental circuit/cocircuit.
 
-    Returns (part, external, flipped): the label map, the nature map and
-    the reorientation.
+    Returns (parts, cyclic_index, base_point): the parts in chain order
+    (cyclic parts by decreasing minimum, then the others by increasing
+    minimum), the number of cyclic parts and the reorientation as a mask.
     """
-    part: dict[int, int] = {}
-    external: dict[int, bool] = {}
-    basis, flipped = _mask(b), 0
-    for e, (pos, neg) in enumerate(_fundamentals(m, basis), start=1):
-        bit = 1 << (e - 1)
-        in_basis = bool(basis & bit)
-        earlier = _positions((pos | neg) & (bit - 1))
+    parts: dict[int, int] = {}  # label -> part, labels ascending
+    cyclic = base_point = 0  # cyclic: the elements of the cyclic parts so far
+    for e, (pos, neg) in enumerate(_fundamentals(m, basis)):
+        bit = 1 << e
+        earlier = (pos | neg) & (bit - 1)
         if not earlier:
-            part[e] = e
-            external[e] = not in_basis
+            parts[bit] = bit
+            if not basis & bit:
+                cyclic |= bit
             continue
-        cross = [c for c in earlier if external[c] == in_basis]
+        cross = earlier & (cyclic if basis & bit else ~cyclic)
         if cross:
-            external[e] = in_basis
-            part[e] = max(part[c] for c in cross)
+            label = next(label for label in reversed(parts) if parts[label] & cross)
         else:
-            external[e] = not in_basis
-            part[e] = min(part[c] for c in earlier)
-        anchor = 1 << (min(c for c in earlier if part[c] == part[e]) - 1)
+            label = next(label for label in parts if parts[label] & earlier)
+        if label & cyclic:
+            cyclic |= bit
+        anchor = earlier & parts[label]
         # e is positive in its fundamental set: flip e iff the anchor has
         # the same sign there, unless the anchor itself was flipped
-        if bool(pos & anchor) != bool(flipped & anchor):
-            flipped |= bit
-    return part, external, _elements(flipped)
+        if (pos ^ base_point) & anchor & -anchor:
+            base_point |= bit
+        parts[label] |= bit
+    cyclic_parts = [parts[label] for label in reversed(parts) if not label & basis]
+    acyclic_parts = [parts[label] for label in parts if label & basis]
+    return (*cyclic_parts, *acyclic_parts), len(cyclic_parts), base_point
 
 
-def _filtration_of(part: dict[int, int], external: dict[int, bool]) -> Filtration:
-    """The filtration whose parts are the label classes of ``part``,
-    cyclic where the label is external."""
-    groups: dict[int, set[int]] = {}
-    for e, label in part.items():
-        groups.setdefault(label, set()).add(e)
-    return Filtration.from_parts(
-        [g for label, g in groups.items() if external[label]],
-        [g for label, g in groups.items() if not external[label]],
-    )
+def _filtration_of(parts, cyclic_index: int) -> Filtration:
+    """The filtration whose chain accumulates ``parts`` (masks, chain order)."""
+    return Filtration(tuple(map(_elements, accumulate(parts, or_, initial=0))), cyclic_index)
 
 
 def active_filtration_basis(m: OrientedMatroid, b: frozenset[int]) -> Filtration:
     """The unique connected filtration attached to a basis, by the
     single-pass part mapping; the part minima are Int(B) ∪ Ext(B) and the
     cyclic flat is the union of the external parts."""
-    part, external, _ = basis_pass(m, b)
-    return _filtration_of(part, external)
+    parts, cyclic_index, _ = basis_pass(m, _mask(b))
+    return _filtration_of(parts, cyclic_index)
 
 
-def _flips(base: frozenset[int], parts) -> list[frozenset[int]]:
-    """``base`` flipped on every union of parts, in subset-rank order over
-    the parts sorted by their minima."""
-    parts = sorted(parts, key=min)
-    return [
-        base ^ frozenset().union(*(p for i, p in enumerate(parts) if selector >> i & 1))
-        for selector in range(1 << len(parts))
-    ]
+def _flips(base: int, parts) -> list[int]:
+    """``base`` flipped on every union of parts (masks), in subset-rank
+    order over the parts sorted by their minima."""
+    members = [base]
+    for part in sorted(parts, key=lambda part: part & -part):
+        members += [member ^ part for member in members]
+    return members
 
 
 def activity_class(m_ref: OrientedMatroid, a) -> list[frozenset[int]]:
@@ -247,43 +236,84 @@ def activity_class(m_ref: OrientedMatroid, a) -> list[frozenset[int]]:
     parts of the active partition of -_A M, ordered by subset rank over
     the parts sorted by their minima."""
     a = frozenset(a)
-    return _flips(a, active_filtration_orientation(reorient(m_ref, a)).parts)
+    parts = active_filtration_orientation(reorient(m_ref, a)).parts
+    return [_elements(x) for x in _flips(_mask(a), map(_mask, parts))]
+
+
+def _basis_record(m: OrientedMatroid, basis: int):
+    """(B, Int(B), Ext(B), B∖Int(B), B∪Ext(B), parts, cyclic index, base
+    point) of a basis mask, all ints but the parts, a tuple of ints."""
+    parts, cyclic_index, base_point = basis_pass(m, basis)
+    minima = 0
+    for part in parts:
+        minima |= part & -part
+    internal, external = minima & basis, minima & ~basis
+    return basis, internal, external, basis & ~internal, basis | external, parts, cyclic_index, base_point
 
 
 @lru_cache(maxsize=2048)
 def _interval_table(m: OrientedMatroid):
-    """(B, Int(B), Ext(B), B∖Int(B), B∪Ext(B)) per basis, all but B as masks."""
-    table = []
-    for b in bases(m):
-        basis = _mask(b)
-        internal, external = _activity_masks(m, basis)
-        table.append((b, internal, external, basis & ~internal, basis | external))
-    return tuple(table)
+    """The record of every basis, in the order of ``bases(m)``: one pass
+    per basis serves the classes, the intervals and the activities."""
+    return tuple(_basis_record(m, _mask(b)) for b in bases(m))
+
+
+def _submasks(mask: int):
+    """Every submask of ``mask``, the mask itself first and 0 last."""
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
+
+
+@lru_cache(maxsize=8)
+def _interval_walk(m: OrientedMatroid):
+    """One walk over every basis interval [B∖Int(B), B∪Ext(B)], which must
+    partition 2^E (Crapo): the owner array, per subset mask the index of
+    its basis's record, and the counts of (|Int(A)|, |P(A)|, |Ext(A)|, |Q(A)|)."""
+    table = _interval_table(m)  # first: bases(m) refuses n above the cap
+    owner = array("i", [-1]) * (1 << m.n)
+    counts: dict[tuple[int, int, int, int], int] = {}
+    bit_count = int.bit_count
+    for index, (_, internal, external, lo, *_) in enumerate(table):
+        for sub in _submasks(internal | external):
+            a = lo | sub
+            if owner[a] >= 0:
+                raise AssertionError(f"subset {a:b} lies in two basis intervals")
+            owner[a] = index
+            i, e = internal & a, external & a
+            key = (bit_count(i), bit_count(internal ^ i), bit_count(external ^ e), bit_count(e))
+            counts[key] = counts.get(key, 0) + 1
+    if -1 in owner:
+        raise AssertionError(f"subset {owner.index(-1):b} not covered by any basis interval")
+    return owner, counts
 
 
 def _owner(m: OrientedMatroid, a: int):
-    for row in _interval_table(m):
-        if not row[3] & ~a and not a & ~row[4]:
-            return row
-    raise AssertionError(f"interval partition of 2^E misses {_positions(a)}")
+    """The record of the basis whose interval contains the subset mask ``a``."""
+    if a >> m.n:
+        raise ValueError(f"{_positions(a)} is not a subset of the ground set")
+    return _interval_table(m)[_interval_walk(m)[0][a]]
 
 
 def basis_of_subset(m: OrientedMatroid, a) -> frozenset[int]:
     """The unique basis whose interval [B∖Int(B), B∪Ext(B)] contains A."""
-    return _owner(m, _mask(a))[0]
+    return _elements(_owner(m, _mask(a))[0])
 
 
 def interval_of_basis(m: OrientedMatroid, b: frozenset[int]):
     """(B∖Int(B), B∪Ext(B)); over all bases these intervals partition 2^E."""
-    internal, external = basis_activities(m, b)
-    return b - internal, b | external
+    _, _, _, lo, hi, *_ = _basis_record(m, _mask(b))
+    return _elements(lo), _elements(hi)
 
 
 def subset_params(m: OrientedMatroid, a):
     """(Int(A), P(A), Ext(A), Q(A)) for the owning basis B of A:
     Int(B)∩A, Int(B)∖A, Ext(B)∖A, Ext(B)∩A."""
     a = _mask(a)
-    _, internal, external, _, _ = _owner(m, a)
+    _, internal, external, *_ = _owner(m, a)
     return tuple(_elements(x) for x in (internal & a, internal & ~a, external & ~a, external & a))
 
 

@@ -15,6 +15,7 @@ from .activities import (
     Filtration,
     _filtration_of,
     _flips,
+    _owner,
     active_filtration_orientation,
     active_minors,
     ActivityReport,
@@ -26,6 +27,7 @@ from .activities import (
 from .core import (
     OrientedMatroid,
     SignedSubset,
+    _elements,
     _mask,
     _fundamentals,
     _positions,
@@ -156,9 +158,9 @@ def alpha_inverse_class(m_ref: OrientedMatroid, b: frozenset[int]) -> Reorientat
     """
     if not is_basis(m_ref, b):
         raise ValueError(f"{sorted(b)} is not a basis of the oriented matroid")
-    part, external, base_point = basis_pass(m_ref, b)
-    f = _filtration_of(part, external)
-    return ReorientationClassResult(b, tuple(_flips(base_point, f.parts)), f)
+    parts, cyclic_index, base_point = basis_pass(m_ref, _mask(b))
+    members = tuple(_elements(x) for x in _flips(base_point, parts))
+    return ReorientationClassResult(b, members, _filtration_of(parts, cyclic_index))
 
 
 def refined_alpha(m_ref: OrientedMatroid, a) -> frozenset[int]:
@@ -173,14 +175,16 @@ def refined_alpha(m_ref: OrientedMatroid, a) -> frozenset[int]:
 
 
 def refined_alpha_inverse(m_ref: OrientedMatroid, x) -> frozenset[int]:
-    """Inverse of the refined bijection: recover the owning basis from the
-    subset parameters, run the single pass, and flip the parts whose
-    active element lies in P ∪ Q (flipping an active element flips its part)."""
-    x = frozenset(x)
-    _, p, _, q = subset_params(m_ref, x)
-    part, _, base_point = basis_pass(m_ref, (x - q) | p)
-    flipped_parts = p | q
-    return base_point ^ {e for e, label in part.items() if label in flipped_parts}
+    """Inverse of the refined bijection: take the record of the basis whose
+    interval holds X and flip its base point on the parts whose active
+    element lies in P ∪ Q (flipping an active element flips its part)."""
+    x = _mask(x)
+    _, internal, external, _, _, parts, _, base_point = _owner(m_ref, x)
+    flipped = (internal & ~x) | (external & x)
+    for part in parts:
+        if part & flipped:
+            base_point ^= part
+    return _elements(base_point)
 
 
 def activity_report(m_ref: OrientedMatroid, a) -> ActivityReport:

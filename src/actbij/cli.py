@@ -11,12 +11,14 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
+from operator import or_
 
 from . import verify
 from .activities import (
-    Filtration,
+    _filtration_of,
+    _flips,
+    _interval_table,
     active_filtration_orientation,
-    basis_activities,
     orientation_activities,
 )
 from .bijection import active_basis, alpha_inverse_class
@@ -25,11 +27,10 @@ from .core import (
     InvalidOrientedMatroid,
     OrientedMatroid,
     _mask,
-    bases,
     is_basis,
     reorient,
 )
-from .graphs import ParseError, format_elements, parse_file, parse_reorientation
+from .graphs import ParseError, _format_mask, format_elements, parse_file, parse_reorientation
 from .tutte import (
     four_var_reorientation_sum,
     four_var_subset_sum,
@@ -38,23 +39,28 @@ from .tutte import (
 )
 
 
-def _chain_string(f: Filtration) -> str:
+def _chain_string(parts, cyclic_index: int) -> str:
+    """The chain accumulated from the parts (masks, chain order), the
+    cyclic flat starred."""
+    chain = itertools.accumulate(parts, or_, initial=0)
     return " < ".join(
-        format_elements(s) + ("*" if i == f.cyclic_index else "")
-        for i, s in enumerate(f.chain)
+        _format_mask(s) + ("*" if i == cyclic_index else "") for i, s in enumerate(chain)
     )
 
 
-def _partition_string(f: Filtration) -> str:
+def _partition_string(parts, cyclic_index: int) -> str:
     return "|".join(
-        format_elements(p) + ("*" if f.part_is_cyclic(i) else "")
-        for i, p in enumerate(f.parts)
+        _format_mask(p) + ("*" if i < cyclic_index else "") for i, p in enumerate(parts)
     )
 
 
 def _load(path: str) -> OrientedMatroid:
     with open(path, encoding="utf-8") as handle:
-        return parse_file(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not a UTF-8 text file: {exc}") from None
+    return parse_file(text)
 
 
 def _cmd_tutte(m: OrientedMatroid, args, out) -> int:
@@ -90,10 +96,11 @@ def _cmd_activities(m: OrientedMatroid, args, out) -> int:
     flipped = reorient(m, parse_reorientation(args.reorient, m.n))
     ostar, o = orientation_activities(flipped)
     f = active_filtration_orientation(flipped)
+    parts = [_mask(p) for p in f.parts]
     print(f"O\t{format_elements(o)}", file=out)
     print(f"O*\t{format_elements(ostar)}", file=out)
-    print(f"partition\t{_partition_string(f)}", file=out)
-    print(f"chain\t{_chain_string(f)}", file=out)
+    print(f"partition\t{_partition_string(parts, f.cyclic_index)}", file=out)
+    print(f"chain\t{_chain_string(parts, f.cyclic_index)}", file=out)
     return 0
 
 
@@ -115,13 +122,13 @@ def _cmd_alpha_inverse(m: OrientedMatroid, args, out) -> int:
 
 def _cmd_table(m: OrientedMatroid, args, out) -> int:
     print("filtration\tpartition\tclass\tbasis", file=out)
-    for b in bases(m):
-        result = alpha_inverse_class(m, b)
-        members = " ".join(format_elements(a) for a in result.class_members)
+    for basis, _, _, _, _, parts, cyclic_index, base_point in _interval_table(m):
+        _filtration_of(parts, cyclic_index)  # checks the chain's invariants
+        members = " ".join(map(_format_mask, _flips(base_point, parts)))
         print(
-            f"{_chain_string(result.filtration)}\t"
-            f"{_partition_string(result.filtration)}\t"
-            f"{members}\t{format_elements(b)}",
+            f"{_chain_string(parts, cyclic_index)}\t"
+            f"{_partition_string(parts, cyclic_index)}\t"
+            f"{members}\t{_format_mask(basis)}",
             file=out,
         )
     return 0
@@ -131,12 +138,11 @@ def _cmd_refined(m: OrientedMatroid, args, out) -> int:
     # On the class of B, O*(-_A M) = Int(B) and O(-_A M) = Ext(B) (activity
     # preservation), and A meets Int(B) ∪ Ext(B) in its flipped active elements.
     rows = [""] * (1 << m.n)  # indexed by mask: the order of subsets_by_rank
-    for b in bases(m):
-        internal, external = basis_activities(m, b)
-        for a in alpha_inverse_class(m, b).class_members:
-            image = b ^ (a & (internal | external))
-            cells = (a, image, internal - a, internal & a, external - a, external & a)
-            rows[_mask(a)] = "\t".join(format_elements(s) for s in cells)
+    for basis, internal, external, _, _, parts, _, base_point in _interval_table(m):
+        active = internal | external
+        for a in _flips(base_point, parts):
+            cells = (a, basis ^ (a & active), internal & ~a, internal & a, external & ~a, external & a)
+            rows[a] = "\t".join(map(_format_mask, cells))
     print("A\talpha_M(A)\ttheta*\ttheta*bar\ttheta\tthetabar", *rows, sep="\n", file=out)
     return 0
 

@@ -28,6 +28,7 @@ from .core import (
     SignedSubset,
     _fundamentals,
     _mask,
+    _positions,
     bases,
     check_enumeration_cap,
     om_from_lists,
@@ -206,6 +207,8 @@ def parse_om_file(text: str) -> OrientedMatroid:
         n = int(parts[1])
     except ValueError:
         raise ParseError(f"bad ground set size {parts[1]!r}", lineno) from None
+    if n < 0:
+        raise ParseError("ground set size must be nonnegative", lineno)
     circuits, cocircuits = [], []
     for lineno, line in lines[1:]:
         toks = line.split()
@@ -271,7 +274,24 @@ def parse_reorientation(token: str, n: int) -> frozenset[int]:
     return frozenset(elements)
 
 
+# per byte k of a mask (three bytes reach the enumeration cap), the
+# rendering of each byte value: its elements 8k+1..8k+8, comma-joined
+_BYTE_NAMES = tuple(
+    tuple(",".join(str(8 * k + i + 1) for i in range(8) if byte >> i & 1) for byte in range(256))
+    for k in range(3)
+)
+
+
+def _format_mask(mask: int) -> str:
+    """The elements of a mask, comma-joined ascending; '-' when empty."""
+    if not mask:
+        return "-"
+    if mask >> 24:
+        return ",".join(map(str, _positions(mask)))
+    first, second, third = _BYTE_NAMES
+    return ",".join(filter(None, (first[mask & 255], second[mask >> 8 & 255], third[mask >> 16])))
+
+
 def format_elements(subset) -> str:
     """Comma-joined ascending indices; the empty set renders as '-'."""
-    subset = sorted(subset)
-    return ",".join(str(e) for e in subset) if subset else "-"
+    return _format_mask(_mask(subset))

@@ -14,7 +14,7 @@ from __future__ import annotations
 from array import array
 from functools import lru_cache
 
-from .activities import _interval_table
+from .activities import _interval_table, _interval_walk, _submasks
 from .core import OrientedMatroid, check_enumeration_cap
 
 
@@ -65,20 +65,10 @@ class TuttePolynomial:
 def tutte_from_bases(m: OrientedMatroid) -> TuttePolynomial:
     """Count bases by (internal activity, external activity)."""
     counts: dict[tuple[int, int], int] = {}
-    for _, internal, external, _, _ in _interval_table(m):
+    for _, internal, external, *_ in _interval_table(m):
         key = (internal.bit_count(), external.bit_count())
         counts[key] = counts.get(key, 0) + 1
     return TuttePolynomial(counts)
-
-
-def _submasks(mask: int):
-    """Every submask of ``mask``, the mask itself first and 0 last."""
-    sub = mask
-    while True:
-        yield sub
-        if not sub:
-            return
-        sub = (sub - 1) & mask
 
 
 def _positive_minima(m: OrientedMatroid, signed_sets) -> array:
@@ -138,35 +128,12 @@ def beta_star(m: OrientedMatroid) -> int:
     return tutte_from_bases(m).coefficient(0, 1)
 
 
-@lru_cache(maxsize=512)
-def _subset_histogram(m: OrientedMatroid):
-    """Counts of (|Int(A)|, |P(A)|, |Ext(A)|, |Q(A)|) over all A ⊆ E,
-    each subset reached from its owning basis interval; the intervals
-    must partition 2^E."""
-    check_enumeration_cap(m.n)
-    counts: dict[tuple[int, int, int, int], int] = {}
-    seen = bytearray(1 << m.n)
-    bit_count = int.bit_count
-    for _, internal, external, lo, _ in _interval_table(m):
-        for sub in _submasks(internal | external):
-            a = lo | sub
-            if seen[a]:
-                raise AssertionError(f"subset {a:b} lies in two basis intervals")
-            seen[a] = 1
-            i, e = internal & a, external & a
-            key = (bit_count(i), bit_count(internal ^ i), bit_count(external ^ e), bit_count(e))
-            counts[key] = counts.get(key, 0) + 1
-    if not all(seen):
-        raise AssertionError(f"subset {seen.index(0):b} not covered by any basis interval")
-    return counts
-
-
 def four_var_subset_sum(m: OrientedMatroid, x: int, u: int, y: int, v: int) -> int:
     """Σ_A x^|Int(A)| u^|P(A)| y^|Ext(A)| v^|Q(A)| over all subsets;
     equals t(x+u, y+v)."""
     return sum(
         c * x**i * u**p * y**e * v**q
-        for (i, p, e, q), c in _subset_histogram(m).items()
+        for (i, p, e, q), c in _interval_walk(m)[1].items()
     )
 
 

@@ -4,9 +4,9 @@ import random
 import pytest
 
 from actbij.activities import reorientation_params, subsets_by_rank
-from actbij.bijection import refined_alpha
-from actbij.cli import _cmd_refined
-from actbij.core import is_connected_matroid
+from actbij.bijection import alpha_inverse_class, refined_alpha
+from actbij.cli import _cmd_refined, _cmd_table
+from actbij.core import bases, is_connected_matroid
 from actbij.graphs import OrderedDigraph, format_elements, om_from_digraph
 from examples import diamond_doubled, digon, k3, k4
 
@@ -53,6 +53,32 @@ def refined_by_direct_route(m) -> str:
     for a in subsets_by_rank(m.n):
         cells = [a, refined_alpha(m, a), *reorientation_params(m, a)]
         lines.append("\t".join(format_elements(s) for s in cells))
+    return "\n".join(lines) + "\n"
+
+
+def table_stdout(m) -> str:
+    """What `actbij table` prints for the oriented matroid m."""
+    out = io.StringIO()
+    assert _cmd_table(m, None, out) == 0
+    return out.getvalue()
+
+
+def plain(subset) -> str:
+    """An element set as the CLI prints it, without the library's formatter."""
+    return ",".join(map(str, sorted(subset))) or "-"
+
+
+def table_by_class_route(m) -> str:
+    """The `table` output built basis by basis from alpha_inverse_class,
+    in the order of bases(m)."""
+    lines = ["filtration\tpartition\tclass\tbasis"]
+    for b in bases(m):
+        result = alpha_inverse_class(m, b)
+        f = result.filtration
+        chain = " < ".join(plain(s) + "*" * (i == f.cyclic_index) for i, s in enumerate(f.chain))
+        partition = "|".join(plain(p) + "*" * f.part_is_cyclic(i) for i, p in enumerate(f.parts))
+        members = " ".join(map(plain, result.class_members))
+        lines.append(f"{chain}\t{partition}\t{members}\t{plain(b)}")
     return "\n".join(lines) + "\n"
 
 

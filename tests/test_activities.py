@@ -21,6 +21,8 @@ from actbij.activities import (
 )
 from actbij.core import (
     bases,
+    fundamental_circuit,
+    fundamental_cocircuit,
     is_bounded,
     is_dual_bounded,
     om_from_lists,
@@ -339,6 +341,26 @@ def test_intervals_partition_power_set():
         for b in bases(m):
             lo, hi = interval_of_basis(m, b)
             assert counts[b] == 1 << len(hi - lo)
+
+
+def test_owner_and_subset_params_match_an_interval_search(k4_om, diamond_om):
+    # activities by definition, from fundamental sets; the owner by a
+    # scan over every basis interval
+    rng = random.Random(27)
+    for m in [k4_om, diamond_om] + [random_om(rng, max_edges=8) for _ in range(10)]:
+        intervals = []
+        for b in bases(m):
+            internal = fs(*(e for e in b if e == min(fundamental_cocircuit(m, b, e).support)))
+            external = fs(*(e for e in m.ground_set - b if e == min(fundamental_circuit(m, b, e).support)))
+            intervals.append((b, internal, external))
+        for a in subsets(m.n):
+            hits = [(b, i, e) for b, i, e in intervals if b - i <= a <= b | e]
+            assert len(hits) == 1, sorted(a)
+            b, internal, external = hits[0]
+            assert basis_of_subset(m, a) == b
+            assert subset_params(m, a) == (internal & a, internal - a, external - a, external & a)
+        with pytest.raises(ValueError):
+            subset_params(m, fs(m.n + 1))
 
 
 def test_subset_params_fixtures(k3_om):

@@ -7,7 +7,7 @@ import pytest
 from actbij import activities, bijection, cli, core, verify
 from actbij.cli import main
 from actbij.graphs import serialize_om
-from conftest import refined_by_direct_route, refined_stdout
+from conftest import refined_by_direct_route, refined_stdout, table_stdout
 from examples import diamond_doubled, k3, k4, w4
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -131,6 +131,19 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert main(["tutte", str(missing)]) == 2
 
 
+@pytest.mark.parametrize("name, content, message", [
+    ("bytes.graph", b"\xff\xfe", "error: not a UTF-8 text file: "),
+    ("negative.om", b"om -1\n", "error: line 1: ground set size must be nonnegative\n"),
+])
+def test_unreadable_input_is_a_parse_error(tmp_path, capsys, name, content, message):
+    path = tmp_path / name
+    path.write_bytes(content)
+    assert main(["table", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message) and captured.err.count("\n") == 1
+
+
 def test_om_file_input(tmp_path):
     path = tmp_path / "k4.om"
     path.write_text(serialize_om(k4()))
@@ -164,7 +177,7 @@ def without_line(text: str, i: int) -> str:
 
 
 # the function that serves each command's answer
-SERVED_BY = {"alpha": "active_basis", "activities": "orientation_activities", "refined": "alpha_inverse_class"}
+SERVED_BY = {"alpha": "active_basis", "activities": "orientation_activities", "refined": "_interval_table"}
 
 
 def planted(*args):
@@ -226,8 +239,41 @@ def test_refined_matches_the_direct_route(example):
 def test_refined_builds_no_minor_and_runs_no_scan(monkeypatch):
     m = k4()
     want = refined_stdout(m)
+    activities._interval_table.cache_clear()  # the records are built again below
     for module in (core, activities, bijection, cli):
         for name in ("reorient", "restrict_contract", "active_basis", "fully_optimal_basis"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, planted)
     assert refined_stdout(m) == want
+
+
+def test_table_builds_no_minor_and_runs_no_scan(monkeypatch):
+    m = w4()
+    want = table_stdout(m)
+    activities._interval_table.cache_clear()  # the records are built again below
+    for module in (core, activities, bijection, cli):
+        for name in ("reorient", "restrict_contract", "active_basis", "fully_optimal_basis",
+                     "alpha_inverse_class", "basis_activities"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, planted)
+    assert table_stdout(m) == want
+
+
+@pytest.mark.parametrize("commands", [[["table"], ["tutte", "--check"]], [["refined"]]])
+@pytest.mark.parametrize("graph", ["k4.graph", "diamond_doubled.graph"])
+def test_one_fundamental_pass_per_basis(monkeypatch, graph, commands):
+    passes = []
+    real = core._fundamentals
+
+    def counted(m, basis):
+        passes.append(basis)
+        return real(m, basis)
+
+    for module in (core, activities, bijection):
+        monkeypatch.setattr(module, "_fundamentals", counted)
+    activities._interval_table.cache_clear()
+    activities._interval_walk.cache_clear()
+    for argv in commands:
+        assert run([argv[0], str(DATA / graph), *argv[1:]])[0] == 0
+    m = cli._load(str(DATA / graph))
+    assert sorted(passes) == sorted(core._mask(b) for b in core.bases(m))

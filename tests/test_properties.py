@@ -1,12 +1,13 @@
 """Property tests: graph circuits against a brute force, one-step minors
 against graph minors, the mask encoding of signed sets against the
-element-set formulas, and `refined` against the direct forward map."""
+element-set formulas, `refined` against the direct forward map and
+`table` against the per-basis class route."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from actbij.core import SignedSubset, compose, restrict_contract
 from actbij.graphs import OrderedDigraph, om_from_digraph
-from conftest import refined_by_direct_route, refined_stdout
+from conftest import refined_by_direct_route, refined_stdout, table_by_class_route, table_stdout
 
 VERTICES = "abcde"
 N = 8  # ground set of the signed-set properties
@@ -160,3 +161,14 @@ def test_refined_is_the_forward_map_on_every_reorientation(g):
     # reorients M and builds the active minors for every A
     m = om_from_digraph(g)
     assert refined_stdout(m) == refined_by_direct_route(m)
+
+
+@settings(steady, max_examples=40)
+@given(digraphs(max_edges=9))
+@example(OrderedDigraph(("a",), ()))  # n = 0
+@example(OrderedDigraph(("a", "b"), (("a", "a"), ("a", "b"), ("b", "a"), ("b", "b"))))
+def test_table_is_the_class_route_on_every_basis(g):
+    # `table` reads each row off the cached basis records; the class route
+    # calls alpha_inverse_class on each basis and formats without the library
+    m = om_from_digraph(g)
+    assert table_stdout(m) == table_by_class_route(m)

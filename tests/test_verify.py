@@ -1,5 +1,6 @@
-"""The verify suite: which modules may use the oracles, and that its named
-checks report a planted fault under their own names."""
+"""The verify suite: which modules may use the oracles, that every cache
+in the library is bounded, and that its named checks report a planted
+fault under their own names."""
 
 import ast
 import dataclasses
@@ -36,6 +37,35 @@ def test_only_verify_imports_the_oracles():
     assert not [name for name in SERVING if imports_oracles(modules[name])]
     # the package re-exports check_active_duality and tutte_delcon_oracle
     assert {name for name, path in modules.items() if imports_oracles(path)} == {"__init__", "verify"}
+
+
+def cache_sizes(path: Path) -> dict[str, object]:
+    """The maxsize of every function decorated with lru_cache (128 when
+    bare) or with functools.cache (None), by function name."""
+    sizes = {}
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        for decorator in node.decorator_list:
+            call = decorator if isinstance(decorator, ast.Call) else None
+            target = call.func if call else decorator
+            kind = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+            if kind == "cache":
+                sizes[node.name] = None
+            elif kind == "lru_cache":
+                given = [*call.args, *(k.value for k in call.keywords if k.arg == "maxsize")] if call else []
+                sizes[node.name] = ast.literal_eval(given[0]) if given else 128
+    return sizes
+
+
+def test_every_cache_in_src_has_a_finite_maxsize():
+    sizes = {
+        f"{path.stem}.{name}": size
+        for path in sorted(SRC.glob("*.py"))
+        for name, size in cache_sizes(path).items()
+    }
+    assert "core.bases" in sizes
+    assert [name for name, size in sizes.items() if type(size) is not int] == []
 
 
 PLANTED = [
