@@ -274,7 +274,9 @@ def _interval_walk(m: OrientedMatroid):
     partition 2^E (Crapo): the owner array, per subset mask the index of
     its basis's record, and the counts of (|Int(A)|, |P(A)|, |Ext(A)|, |Q(A)|)."""
     table = _interval_table(m)  # first: bases(m) refuses n above the cap
-    owner = array("i", [-1]) * (1 << m.n)
+    # the narrowest signed type that holds every record index
+    typecode = "b" if len(table) < 1 << 7 else "h" if len(table) < 1 << 15 else "i"
+    owner = array(typecode, [-1]) * (1 << m.n)
     counts: dict[tuple[int, int, int, int], int] = {}
     bit_count = int.bit_count
     for index, (_, internal, external, lo, *_) in enumerate(table):

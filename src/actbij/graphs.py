@@ -274,22 +274,9 @@ def parse_reorientation(token: str, n: int) -> frozenset[int]:
     return frozenset(elements)
 
 
-# per byte k of a mask (three bytes reach the enumeration cap), the
-# rendering of each byte value: its elements 8k+1..8k+8, comma-joined
-_BYTE_NAMES = tuple(
-    tuple(",".join(str(8 * k + i + 1) for i in range(8) if byte >> i & 1) for byte in range(256))
-    for k in range(3)
-)
-
-
 def _format_mask(mask: int) -> str:
     """The elements of a mask, comma-joined ascending; '-' when empty."""
-    if not mask:
-        return "-"
-    if mask >> 24:
-        return ",".join(map(str, _positions(mask)))
-    first, second, third = _BYTE_NAMES
-    return ",".join(filter(None, (first[mask & 255], second[mask >> 8 & 255], third[mask >> 16])))
+    return ",".join(map(str, _positions(mask))) or "-"
 
 
 def format_elements(subset) -> str:
