@@ -274,9 +274,20 @@ def parse_reorientation(token: str, n: int) -> frozenset[int]:
     return frozenset(elements)
 
 
+# per byte k below the enumeration cap, the rendering of each byte value:
+# its elements 8k+1..8k+8, comma-joined
+_BYTE_NAMES = [
+    [",".join(str(8 * k + i + 1) for i in range(8) if byte >> i & 1) for byte in range(256)]
+    for k in range(3)
+]
+
+
 def _format_mask(mask: int) -> str:
     """The elements of a mask, comma-joined ascending; '-' when empty."""
-    return ",".join(map(str, _positions(mask))) or "-"
+    if mask >> 24:  # above the enumeration cap, beyond the tables
+        return ",".join(map(str, _positions(mask)))
+    low, mid, high = _BYTE_NAMES
+    return ",".join(filter(None, (low[mask & 255], mid[mask >> 8 & 255], high[mask >> 16]))) or "-"
 
 
 def format_elements(subset) -> str:

@@ -174,6 +174,14 @@ def test_parse_reorientation_rejects_repeated_indices():
 def test_format_elements():
     assert format_elements(frozenset()) == "-"
     assert format_elements({3, 1, 10}) == "1,3,10"
+    # elements 1..24 come from per-byte tables, larger masks are joined directly
+    assert format_elements({8, 9, 16, 17, 24}) == "8,9,16,17,24"
+    assert format_elements({24, 25, 100}) == "24,25,100"
+    rng = random.Random(31)
+    for size in (1, 7, 8, 9, 16, 17, 24, 25, 40):
+        for _ in range(50):
+            subset = {e for e in range(1, size + 1) if rng.random() < 0.4}
+            assert format_elements(subset) == (",".join(map(str, sorted(subset))) or "-")
 
 
 def test_reorienting_arcs_matches_reorient():
