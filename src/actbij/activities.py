@@ -24,12 +24,11 @@ from .core import (
     _elements,
     _fundamentals,
     _positions,
-    _supports,
+    _reoriented,
+    _runs,
+    _squeeze,
     bases,
     is_connected_matroid,
-    positive_circuits,
-    positive_cocircuits,
-    reorient,
     restrict_contract,
 )
 
@@ -72,14 +71,6 @@ class Filtration:
         return self.chain[self.cyclic_index]
 
     @property
-    def epsilon(self) -> int:
-        return self.cyclic_index
-
-    @property
-    def iota(self) -> int:
-        return len(self.chain) - 1 - self.cyclic_index
-
-    @property
     def parts(self) -> tuple[frozenset[int], ...]:
         """Successive differences, in chain order; they partition E."""
         return tuple(b - a for a, b in zip(self.chain, self.chain[1:]))
@@ -108,23 +99,31 @@ def basis_activities(m: OrientedMatroid, b: frozenset[int]) -> tuple[frozenset[i
     return _elements(internal), _elements(external)
 
 
-def orientation_activities(m: OrientedMatroid) -> tuple[frozenset[int], frozenset[int]]:
-    """(O*(M), O(M)): minima of positive cocircuits, resp. circuits."""
-    ostar = frozenset((s & -s).bit_length() for s in _supports(positive_cocircuits(m)))
-    o = frozenset((s & -s).bit_length() for s in _supports(positive_circuits(m)))
+def _positive_supports(signed_sets, a: int) -> list[int]:
+    """The supports of the signed sets of M that are positive, up to sign,
+    in -_A M for the mask A: those with supp(X) ∩ A equal to X⁺ or to X⁻."""
+    return [pos | neg for pos, neg in signed_sets if (meet := (pos | neg) & a) == pos or meet == neg]
+
+
+def orientation_activities(m: OrientedMatroid, a=()) -> tuple[frozenset[int], frozenset[int]]:
+    """(O*(-_A M), O(-_A M)): minima of positive cocircuits, resp. circuits."""
+    a = _mask(a)
+    ostar = frozenset((s & -s).bit_length() for s in _positive_supports(m.cocircuits, a))
+    o = frozenset((s & -s).bit_length() for s in _positive_supports(m.circuits, a))
     return ostar, o
 
 
-def active_filtration_orientation(m: OrientedMatroid) -> Filtration:
-    """The active filtration of an oriented matroid.
+def _active_chain(m: OrientedMatroid, a: int) -> tuple[list[int], int]:
+    """The active filtration of -_A M for the mask A: its chain as masks
+    and the index of its cyclic flat.
 
     F_c is the union of the positive circuits (equivalently, the
     complement of the union of the positive cocircuits), the lower chain
     collects positive circuits by decreasing threshold on their minima,
     and the upper chain dually removes positive cocircuits.
     """
-    pos_c = _supports(positive_circuits(m))
-    pos_d = _supports(positive_cocircuits(m))
+    pos_c = _positive_supports(m.circuits, a)
+    pos_d = _positive_supports(m.cocircuits, a)
 
     def union_from(supports, low: int) -> int:
         """Union of the supports whose lowest bit is at least ``low``."""
@@ -133,27 +132,43 @@ def active_filtration_orientation(m: OrientedMatroid) -> Filtration:
     active = sorted({s & -s for s in pos_c})
     dual_active = sorted({s & -s for s in pos_d})
     full = (1 << m.n) - 1
-    chain = [0] + [union_from(pos_c, a) for a in reversed(active)]
+    chain = [0] + [union_from(pos_c, low) for low in reversed(active)]
     cyclic_index = len(chain) - 1
-    chain += [full & ~union_from(pos_d, a) for a in dual_active[1:]]
+    chain += [full & ~union_from(pos_d, low) for low in dual_active[1:]]
     if dual_active:
         chain.append(full)
     if chain[-1] != full:
         raise AssertionError("active filtration does not reach the ground set")
-    return Filtration(tuple(_elements(c) for c in chain), cyclic_index)
+    return chain, cyclic_index
 
 
-def active_minors(m: OrientedMatroid, f: Filtration) -> list[OrientedMatroid]:
-    """The minors M(G)/F for consecutive chain subsets F ⊂ G, in chain order.
+def active_filtration_orientation(m: OrientedMatroid, a=()) -> Filtration:
+    """The active filtration of -_A M, as built by :func:`_active_chain`."""
+    chain, cyclic_index = _active_chain(m, _mask(a))
+    return Filtration(tuple(map(_elements, chain)), cyclic_index)
 
-    Each minor is re-indexed on 1..|part|; original identities are
-    sorted(part).  For the active filtration these are bounded (upper),
-    resp. dual-bounded (lower), w.r.t. their smallest element.
-    """
-    return [
-        restrict_contract(m, large, small)
-        for small, large in zip(f.chain, f.chain[1:])
-    ]
+
+@lru_cache(maxsize=512)
+def _step_minor(m: OrientedMatroid, large: int, small: int):
+    """The minor M(G)/F of the chain masks F ⊂ G, built once per step,
+    with the runs of G∖F that squeeze a mask onto its ground set."""
+    return restrict_contract(m, _elements(large), _elements(small)), _runs(large & ~small)
+
+
+def _step_minors(m: OrientedMatroid, chain, a: int):
+    """Per step F ⊂ G of the chain masks, (-_A M)(G)/F and the part G∖F:
+    the cached M(G)/F reoriented by A ∩ (G∖F), squeezed onto it."""
+    for small, large in zip(chain, chain[1:]):
+        minor, runs = _step_minor(m, large, small)
+        yield _reoriented(minor, _squeeze(a, runs)), large & ~small
+
+
+def active_minors(m: OrientedMatroid, f: Filtration, a=()) -> list[OrientedMatroid]:
+    """The minors (-_A M)(G)/F for consecutive chain subsets F ⊂ G, in chain order,
+    each re-indexed on 1..|part|; original identities are sorted(part).
+    For the active filtration of -_A M these are bounded (upper), resp.
+    dual-bounded (lower), w.r.t. their smallest element."""
+    return [minor for minor, _ in _step_minors(m, list(map(_mask, f.chain)), _mask(a))]
 
 
 def is_connected_filtration(m: OrientedMatroid, f: Filtration) -> bool:
@@ -235,8 +250,7 @@ def activity_class(m_ref: OrientedMatroid, a) -> list[frozenset[int]]:
     """All 2^(ι+ε) reorientations obtained from A by flipping unions of
     parts of the active partition of -_A M, ordered by subset rank over
     the parts sorted by their minima."""
-    a = frozenset(a)
-    parts = active_filtration_orientation(reorient(m_ref, a)).parts
+    parts = active_filtration_orientation(m_ref, a).parts
     return [_elements(x) for x in _flips(_mask(a), map(_mask, parts))]
 
 
@@ -323,7 +337,7 @@ def reorientation_params(m_ref: OrientedMatroid, a):
     """(Θ*, Θ̄*, Θ, Θ̄) of the reorientation A w.r.t. the reference:
     the dual-active and active sets of -_A M split by membership in A."""
     a = frozenset(a)
-    ostar, o = orientation_activities(reorient(m_ref, a))
+    ostar, o = orientation_activities(m_ref, a)
     return ostar - a, ostar & a, o - a, o & a
 
 

@@ -13,11 +13,11 @@ from functools import lru_cache
 
 from .activities import (
     Filtration,
+    _active_chain,
     _filtration_of,
     _flips,
     _owner,
-    active_filtration_orientation,
-    active_minors,
+    _step_minors,
     ActivityReport,
     basis_pass,
     orientation_activities,
@@ -36,7 +36,6 @@ from .core import (
     is_basis,
     is_bounded,
     is_dual_bounded,
-    reorient,
 )
 
 
@@ -134,13 +133,15 @@ def fully_optimal_basis(m: OrientedMatroid, p: int) -> frozenset[int]:
     return hits[0]
 
 
-def active_basis(m: OrientedMatroid) -> frozenset[int]:
-    """The active basis: the disjoint union of the fully optimal bases of
-    the active minors, translated back to the original element indices."""
-    f = active_filtration_orientation(m)
+def active_basis(m: OrientedMatroid, a=()) -> frozenset[int]:
+    """The active basis of -_A M: the disjoint union of the fully optimal
+    bases of its active minors, translated back to the original element
+    indices.  The minors are built from M once per chain step and
+    reoriented by A; -_A M is built whole only as its own one minor."""
+    a = _mask(a)
     return frozenset().union(*(
-        _translated(fully_optimal_basis(minor, 1), sorted(part))
-        for minor, part in zip(active_minors(m, f), f.parts)
+        _translated(fully_optimal_basis(minor, 1), _positions(part))
+        for minor, part in _step_minors(m, _active_chain(m, a)[0], a)
     ))
 
 
@@ -168,9 +169,8 @@ def refined_alpha(m_ref: OrientedMatroid, a) -> frozenset[int]:
     reoriented dual-active elements removed and the reoriented active
     elements added."""
     a = frozenset(a)
-    flipped = reorient(m_ref, a)
-    b = active_basis(flipped)
-    ostar, o = orientation_activities(flipped)
+    b = active_basis(m_ref, a)
+    ostar, o = orientation_activities(m_ref, a)
     return (b - (a & ostar)) | (a & o)
 
 
@@ -192,10 +192,9 @@ def activity_report(m_ref: OrientedMatroid, a) -> ActivityReport:
     activities of -_A M, the four reorientation parameters, and the subset
     parameters of the refined image of A."""
     a = frozenset(a)
-    ostar, o = orientation_activities(reorient(m_ref, a))
+    ostar, o = orientation_activities(m_ref, a)
     theta_star, theta_star_bar, theta, theta_bar = reorientation_params(m_ref, a)
-    image = refined_alpha(m_ref, a)
-    internal, p, external, q = subset_params(m_ref, image)
+    internal, p, external, q = subset_params(m_ref, refined_alpha(m_ref, a))
     return ActivityReport(
         o=o,
         ostar=ostar,

@@ -28,7 +28,6 @@ from .core import (
     OrientedMatroid,
     _mask,
     is_basis,
-    reorient,
 )
 from .graphs import ParseError, _format_mask, format_elements, parse_file, parse_reorientation
 from .tutte import (
@@ -93,9 +92,9 @@ def _cmd_tutte(m: OrientedMatroid, args, out) -> int:
 
 
 def _cmd_activities(m: OrientedMatroid, args, out) -> int:
-    flipped = reorient(m, parse_reorientation(args.reorient, m.n))
-    ostar, o = orientation_activities(flipped)
-    f = active_filtration_orientation(flipped)
+    a = parse_reorientation(args.reorient, m.n)
+    ostar, o = orientation_activities(m, a)
+    f = active_filtration_orientation(m, a)
     parts = [_mask(p) for p in f.parts]
     print(f"O\t{format_elements(o)}", file=out)
     print(f"O*\t{format_elements(ostar)}", file=out)
@@ -106,7 +105,7 @@ def _cmd_activities(m: OrientedMatroid, args, out) -> int:
 
 def _cmd_alpha(m: OrientedMatroid, args, out) -> int:
     a = parse_reorientation(args.reorient, m.n)
-    print(format_elements(active_basis(reorient(m, a))), file=out)
+    print(format_elements(active_basis(m, a)), file=out)
     return 0
 
 

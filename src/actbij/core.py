@@ -156,9 +156,7 @@ def _canonical_list(signed_sets) -> tuple[SignedSubset, ...]:
         if neg & support & -support:
             pos = neg
         if out.setdefault(support, pos) != pos:
-            raise InvalidOrientedMatroid(
-                f"conflicting signatures on support {set(_elements(support))}"
-            )
+            raise InvalidOrientedMatroid(f"conflicting signatures on support {set(_elements(support))}")
     return tuple(_new(SignedSubset, (out[s], s ^ out[s])) for s in sorted(out, key=_positions))
 
 
@@ -176,9 +174,7 @@ def _check_orthogonality(circuits, cocircuits) -> None:
         agree = c.pos & d.pos | c.neg & d.neg
         oppose = c.pos & d.neg | c.neg & d.pos
         if bool(agree) != bool(oppose):
-            raise InvalidOrientedMatroid(
-                f"orthogonality fails for circuit {c!r} and cocircuit {d!r}"
-            )
+            raise InvalidOrientedMatroid(f"orthogonality fails for circuit {c!r} and cocircuit {d!r}")
 
 
 def _greedy_rank(supports, ground: int) -> int:
@@ -218,10 +214,8 @@ class OrientedMatroid:
         return tuple(c.support for c in self.circuits)
 
     def __repr__(self) -> str:
-        return (
-            f"OrientedMatroid(n={self.n}, rank={self.rank}, "
-            f"{len(self.circuits)} circuits, {len(self.cocircuits)} cocircuits)"
-        )
+        counts = f"{len(self.circuits)} circuits, {len(self.cocircuits)} cocircuits"
+        return f"OrientedMatroid(n={self.n}, rank={self.rank}, {counts})"
 
 
 def om_from_lists(n: int, circuits, cocircuits) -> OrientedMatroid:
@@ -260,42 +254,53 @@ def dual(m: OrientedMatroid) -> OrientedMatroid:
     return OrientedMatroid(m.n, m.cocircuits, m.circuits, m.n - m.rank)
 
 
-def _reoriented(signed_sets, flipped: int) -> tuple[SignedSubset, ...]:
-    """Flip signs on the mask, re-canonicalized; supports, and so the order, are unchanged."""
-    out = []
-    for pos, neg in signed_sets:
-        support = pos | neg
-        flip = support & flipped
-        pos ^= flip
-        neg ^= flip
-        out.append(_new(SignedSubset, (neg, pos) if neg & support & -support else (pos, neg)))
-    return tuple(out)
-
-
 def reorient(m: OrientedMatroid, flipped) -> OrientedMatroid:
     """Flip all signs on the element set ``flipped``, re-canonicalized."""
-    a = _mask(flipped)
-    if not a:
+    return _reoriented(m, _mask(flipped))
+
+
+def _reoriented(m: OrientedMatroid, flipped: int) -> OrientedMatroid:
+    """:func:`reorient` by a mask; supports, and so the order, are unchanged."""
+    if not flipped:
         return m
-    return OrientedMatroid(m.n, _reoriented(m.circuits, a), _reoriented(m.cocircuits, a), m.rank)
+    sides: tuple[list, list] = ([], [])
+    for side, signed_sets in zip(sides, (m.circuits, m.cocircuits)):
+        for pos, neg in signed_sets:
+            support = pos | neg
+            moved = support & flipped
+            pos, neg = pos ^ moved, neg ^ moved
+            side.append(_new(SignedSubset, (neg, pos) if neg & support & -support else (pos, neg)))
+    return OrientedMatroid(m.n, tuple(sides[0]), tuple(sides[1]), m.rank)
+
+
+def _runs(ground: int) -> tuple[tuple[int, int], ...]:
+    """Each run of consecutive bits of ``ground``, with its shift onto 0..|ground|-1."""
+    runs, size = [], 0
+    while ground:
+        run = ground & ~(ground + (ground & -ground))
+        runs.append((run, (run & -run).bit_length() - 1 - size))
+        size += run.bit_count()
+        ground ^= run
+    return tuple(runs)
+
+
+def _squeeze(mask: int, runs) -> int:
+    """The bits of ``mask`` inside the runs, each run shifted down."""
+    out = 0
+    for run, shift in runs:
+        out |= (mask & run) >> shift
+    return out
 
 
 def _minor_sets(signed_sets, avoid: int, ground: int, runs) -> tuple[SignedSubset, ...]:
     """The minimal nonzero restrictions to ``ground`` of the signed sets
-    missing ``avoid``, canonical, with each run of ground bits shifted down."""
+    missing ``avoid``, canonical, squeezed by the runs of ground."""
     restricted = {(pos & ground, neg & ground) for pos, neg in signed_sets if not (pos | neg) & avoid}
     minimal: set[int] = set()
     for support in sorted({pos | neg for pos, neg in restricted} - {0}, key=int.bit_count):
         if all(s & ~support for s in minimal):
             minimal.add(support)
-    squeezed = []
-    for pos, neg in restricted:
-        if pos | neg in minimal:
-            p = q = 0
-            for run, shift in runs:
-                p |= (pos & run) >> shift
-                q |= (neg & run) >> shift
-            squeezed.append((p, q))
+    squeezed = ((_squeeze(pos, runs), _squeeze(neg, runs)) for pos, neg in restricted if pos | neg in minimal)
     return _canonical_list(squeezed)
 
 
@@ -307,14 +312,8 @@ def restrict_contract(m: OrientedMatroid, keep, contracted) -> OrientedMatroid:
     cocircuits are those of the cocircuits avoiding contracted.
     """
     keep, contracted = _mask(keep), _mask(contracted)
-    ground = rest = keep & ~contracted
-    runs, size = [], 0  # each run of consecutive ground bits, with its shift onto 0..size-1
-    while rest:
-        low = rest & -rest
-        run = rest & ~(rest + low)
-        runs.append((run, low.bit_length() - 1 - size))
-        size += run.bit_count()
-        rest ^= run
+    ground = keep & ~contracted
+    runs, size = _runs(ground), ground.bit_count()
     circuits = _minor_sets(m.circuits, ~keep, ground, runs)
     cocircuits = _minor_sets(m.cocircuits, contracted, ground, runs)
     return OrientedMatroid(size, circuits, cocircuits, _greedy_rank(_supports(circuits), (1 << size) - 1))

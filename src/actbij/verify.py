@@ -87,8 +87,8 @@ def check_activity_duality(m):
         if internal != co_external or external != co_internal:
             _fail("activity-duality", f"B={sorted(b)}")
     for a in activities.subsets_by_rank(m.n):
-        ostar, o = activities.orientation_activities(core.reorient(m, a))
-        dstar, do = activities.orientation_activities(core.reorient(md, a))
+        ostar, o = activities.orientation_activities(m, a)
+        dstar, do = activities.orientation_activities(md, a)
         if ostar != do or o != dstar:
             _fail("activity-duality", f"A={sorted(a)}")
 
@@ -97,17 +97,17 @@ def check_filtration_duality(m):
     md = core.dual(m)
     ground = m.ground_set
     for a in activities.subsets_by_rank(m.n):
-        f = activities.active_filtration_orientation(core.reorient(m, a))
-        fd = activities.active_filtration_orientation(core.reorient(md, a))
+        f = activities.active_filtration_orientation(m, a)
+        fd = activities.active_filtration_orientation(md, a)
         complemented = tuple(ground - s for s in reversed(f.chain))
         if fd.chain != complemented or fd.cyclic_index != len(f.chain) - 1 - f.cyclic_index:
             _fail("filtration-duality", f"A={sorted(a)}")
 
 
-def _unbounded_part(r, f):
-    """The first part of f whose minor of r is not dual-bounded (cyclic
+def _unbounded_part(m, f, a=()):
+    """The first part of f whose minor of -_A M is not dual-bounded (cyclic
     part) or bounded (acyclic part) w.r.t. its smallest element, else None."""
-    for i, minor in enumerate(activities.active_minors(r, f)):
+    for i, minor in enumerate(activities.active_minors(m, f, a)):
         if not (core.is_dual_bounded if f.part_is_cyclic(i) else core.is_bounded)(minor, 1):
             return i
     return None
@@ -115,19 +115,17 @@ def _unbounded_part(r, f):
 
 def check_bounded_minors(m):
     for a in activities.subsets_by_rank(m.n):
-        r = core.reorient(m, a)
-        f = activities.active_filtration_orientation(r)
+        f = activities.active_filtration_orientation(m, a)
         if not activities.is_connected_filtration(m, f):
             _fail("bounded-minors", f"A={sorted(a)}: filtration not connected")
-        i = _unbounded_part(r, f)
+        i = _unbounded_part(m, f, a)
         if i is not None:
             _fail("bounded-minors", f"A={sorted(a)}, part {i}")
 
 
 def check_class_invariance(m):
     def invariants(x):
-        r = core.reorient(m, x)
-        return activities.active_filtration_orientation(r), activities.orientation_activities(r)
+        return activities.active_filtration_orientation(m, x), activities.orientation_activities(m, x)
 
     for a, members in _classes(m):
         want = invariants(a)
@@ -138,11 +136,7 @@ def check_class_invariance(m):
 
 def check_fixed_representative(m):
     for a, members in _classes(m):
-        fixed = [
-            member
-            for member in members
-            if not (member & frozenset().union(*activities.orientation_activities(core.reorient(m, member))))
-        ]
+        fixed = [x for x in members if not x & frozenset().union(*activities.orientation_activities(m, x))]
         if len(fixed) != 1:
             _fail("fixed-representative", f"A={sorted(a)}: {len(fixed)} fixed members")
 
@@ -150,7 +144,7 @@ def check_fixed_representative(m):
 def check_bijection(m):
     preimages = defaultdict(set)
     for a in activities.subsets_by_rank(m.n):
-        preimages[bijection.active_basis(core.reorient(m, a))].add(a)
+        preimages[bijection.active_basis(m, a)].add(a)
     all_bases = set(core.bases(m))
     if set(preimages) != all_bases:
         _fail("bijection", "active basis map is not onto the bases")
@@ -165,13 +159,12 @@ def check_bijection(m):
 
 def check_activity_preservation(m):
     for a in activities.subsets_by_rank(m.n):
-        r = core.reorient(m, a)
-        b = bijection.active_basis(r)
+        b = bijection.active_basis(m, a)
         internal, external = activities.basis_activities(m, b)
-        ostar, o = activities.orientation_activities(r)
+        ostar, o = activities.orientation_activities(m, a)
         if internal != ostar or external != o:
             _fail("activity-preservation", f"A={sorted(a)}")
-        if activities.active_filtration_basis(m, b) != activities.active_filtration_orientation(r):
+        if activities.active_filtration_basis(m, b) != activities.active_filtration_orientation(m, a):
             _fail("activity-preservation", f"A={sorted(a)}: filtrations differ")
 
 
@@ -189,7 +182,7 @@ def check_refined_bijection(m):
         _fail("refined-bijection", "not a permutation of the power set")
     # activity classes map onto basis intervals
     for a, members in _classes(m):
-        b = bijection.active_basis(core.reorient(m, a))
+        b = bijection.active_basis(m, a)
         lo, hi = activities.interval_of_basis(m, b)
         if {images[member] for member in members} != _interval(lo, hi):
             _fail("refined-bijection", f"A={sorted(a)}: class does not fill the interval")
@@ -200,9 +193,7 @@ def check_full_optimality_uniqueness(m):
         return
     for a in activities.subsets_by_rank(m.n):
         r = core.reorient(m, a)
-        bounded = core.is_bounded(r, 1)
-        dual_bounded = core.is_dual_bounded(r, 1)
-        if not bounded and not dual_bounded:
+        if not (core.is_bounded(r, 1) or core.is_dual_bounded(r, 1)):
             continue
         hits = [b for b in core.bases(r) if bijection.is_fully_optimal(r, b, 1)]
         if len(hits) != 1:
@@ -213,9 +204,7 @@ def check_duality_of_alpha(m):
     md = core.dual(m)
     ground = m.ground_set
     for a in activities.subsets_by_rank(m.n):
-        lhs = bijection.active_basis(core.reorient(md, a))
-        rhs = ground - bijection.active_basis(core.reorient(m, a))
-        if lhs != rhs:
+        if bijection.active_basis(md, a) != ground - bijection.active_basis(m, a):
             _fail("alpha-duality", f"A={sorted(a)}")
 
 
@@ -231,7 +220,7 @@ def check_active_duality_bounded(m):
 def check_recursive_definitions(m):
     for a in activities.subsets_by_rank(m.n):
         r = core.reorient(m, a)
-        b = bijection.active_basis(r)
+        b = bijection.active_basis(m, a)
         if oracles.active_basis_recursive(r) != b:
             _fail("recursive-alpha", f"A={sorted(a)}: cocircuit induction")
         if oracles.active_basis_recursive(r, circuit_induction=True) != b:
@@ -262,8 +251,7 @@ def check_class_counts(m):
     t = tutte.tutte_from_bases(m)
     reps = acyclic_reps = cyclic_reps = active_fixed = dual_fixed = 0
     for a in activities.subsets_by_rank(m.n):
-        r = core.reorient(m, a)
-        ostar, o = activities.orientation_activities(r)
+        ostar, o = activities.orientation_activities(m, a)
         if not (a & o):
             active_fixed += 1
         if not (a & ostar):
@@ -313,7 +301,7 @@ def check_filtration_uniqueness(m):
     filtrations = oracles.all_connected_filtrations(m)
     for a in activities.subsets_by_rank(m.n):
         r = core.reorient(m, a)
-        valid = [f for f in filtrations if _unbounded_part(r, f) is None]
+        valid = [f for f in filtrations if _unbounded_part(m, f, a) is None]
         if len(valid) != 1 or valid[0] != activities.active_filtration_orientation(r):
             _fail("filtration-uniqueness", f"A={sorted(a)}: {len(valid)} decompositions")
 

@@ -277,3 +277,37 @@ def test_one_fundamental_pass_per_basis(monkeypatch, graph, commands):
         assert run([argv[0], str(DATA / graph), *argv[1:]])[0] == 0
     m = cli._load(str(DATA / graph))
     assert sorted(passes) == sorted(core._mask(b) for b in core.bases(m))
+
+
+def test_alpha_builds_each_chain_step_once_and_never_reorients_m(monkeypatch):
+    m = w4()
+    built, reoriented = [], []
+    real = core.restrict_contract
+
+    def counted(om, keep, contracted):
+        built.append((frozenset(keep), frozenset(contracted)))
+        return real(om, keep, contracted)
+
+    for module in (core, activities, bijection, cli):
+        for name, fake in (("restrict_contract", counted), ("reorient", lambda *args: reoriented.append(args))):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, fake)
+    activities._step_minor.cache_clear()
+    steps = set()
+    for a in activities.subsets_by_rank(m.n):
+        chain = activities.active_filtration_orientation(m, a).chain
+        steps |= set(zip(chain[1:], chain))
+        bijection.active_basis(m, a)
+    assert len(built) == len(set(built)) and set(built) == steps  # once per distinct step
+    assert reoriented == []
+
+
+@pytest.mark.parametrize("command", ["alpha", "activities"])
+def test_alpha_and_activities_never_reorient(monkeypatch, command):
+    tokens = [",".join(map(str, sorted(a))) or "-" for a in activities.subsets_by_rank(6)]
+    want = [run([command, str(DATA / "k4.graph"), "--reorient", token]) for token in tokens]
+    for module in (core, activities, bijection, cli):
+        if hasattr(module, "reorient"):
+            monkeypatch.setattr(module, "reorient", planted)
+    assert [run([command, str(DATA / "k4.graph"), "--reorient", token]) for token in tokens] == want
+    assert all(code == 0 for code, _ in want)

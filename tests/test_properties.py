@@ -1,11 +1,20 @@
 """Property tests: graph circuits against a brute force, one-step minors
 against graph minors, the mask encoding of signed sets against the
-element-set formulas, `refined` against the direct forward map and
-`table` against the per-basis class route."""
+element-set formulas, the forward map on (M, A) against the same map on
+the reorientation -_A M itself, `refined` against the direct forward map
+and `table` against the per-basis class route."""
 
 from hypothesis import example, given, settings, strategies as st
 
-from actbij.core import SignedSubset, compose, restrict_contract
+from actbij.activities import (
+    active_filtration_orientation,
+    active_minors,
+    activity_class,
+    orientation_activities,
+    reorientation_params,
+)
+from actbij.bijection import active_basis, refined_alpha
+from actbij.core import SignedSubset, compose, reorient, restrict_contract
 from actbij.graphs import OrderedDigraph, om_from_digraph
 from conftest import refined_by_direct_route, refined_stdout, table_by_class_route, table_stdout
 
@@ -152,6 +161,26 @@ def test_compose_matches_set_formula(first, second):
     z = compose(x, y)
     assert z.positive == x.positive | (y.positive - x.support)
     assert z.negative == x.negative | (y.negative - x.support)
+
+
+@settings(steady, max_examples=200)
+@given(digraphs(max_edges=9), st.data())
+def test_the_forward_map_on_m_and_a_is_the_map_on_the_reorientation(g, data):
+    # the serving functions take (M, A) and reorient only the small minors;
+    # here each is checked against the same function on -_A M built whole
+    m = om_from_digraph(g)
+    a = data.draw(st.frozensets(st.integers(1, m.n))) if m.n else frozenset()
+    r = reorient(m, a)
+    ostar, o = orientation_activities(r)
+    f = active_filtration_orientation(r)
+    b = active_basis(r)
+    assert orientation_activities(m, a) == (ostar, o)
+    assert active_filtration_orientation(m, a) == f
+    assert active_minors(m, f, a) == active_minors(r, f)
+    assert active_basis(m, a) == b
+    assert activity_class(m, a) == [a ^ x for x in activity_class(r, ())]
+    assert reorientation_params(m, a) == (ostar - a, ostar & a, o - a, o & a)
+    assert refined_alpha(m, a) == (b - (a & ostar)) | (a & o)
 
 
 @settings(steady, max_examples=40)

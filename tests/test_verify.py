@@ -124,7 +124,7 @@ PLANTED = [
         "alpha-duality",
         bijection,
         "active_basis",
-        lambda real: lambda m: real(m) ^ {1} if m.rank == 1 else real(m),
+        lambda real: lambda m, a=(): real(m, a) ^ {1} if m.rank == 1 else real(m, a),
         "alpha-duality: A=[]",
     ),
     (
@@ -162,6 +162,7 @@ PLANTED = [
 def test_a_planted_fault_fails_its_check(monkeypatch, check, module, attr, fault, message):
     monkeypatch.setattr(module, attr, fault(getattr(module, attr)))
     bijection.fully_optimal_basis.cache_clear()  # results cached by earlier tests would hide a fault
+    activities._step_minor.cache_clear()
     assert_fails_at(check, f"FAIL {message}")
 
 
