@@ -13,9 +13,10 @@ acyclic ("internal").
 from __future__ import annotations
 
 from array import array
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import accumulate
+from itertools import accumulate, pairwise
 from operator import or_
 
 from .core import (
@@ -23,6 +24,7 @@ from .core import (
     _mask,
     _elements,
     _fundamentals,
+    _new,
     _positions,
     _reoriented,
     _runs,
@@ -33,69 +35,84 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class Filtration:
-    """A nested subset chain with the position of the cyclic flat marked.
+class Filtration(namedtuple("_Parts", ["masks", "cyclic_index"])):
+    """A nested subset chain with the position of the cyclic flat marked,
+    stored as the int masks of its parts (the successive differences) in
+    chain order; the chain and the element sets are derived on demand.
 
     Two filtrations are equal iff their chains and cyclic-flat indices
     are equal; the partition alone does not determine the placement of
     the cyclic flat.
     """
 
-    chain: tuple[frozenset[int], ...]
-    cyclic_index: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        chain = self.chain
+    def __new__(cls, chain, cyclic_index: int) -> Filtration:
+        chain = list(map(_mask, chain))
         if not chain or chain[0]:
             raise ValueError("chain must start at the empty set")
-        if not 0 <= self.cyclic_index < len(chain):
+        # the parts of a chain that is not strictly nested are empty or overlap
+        return cls.from_masks([large ^ small for small, large in pairwise(chain)], cyclic_index)
+
+    def __getnewargs__(self):
+        return self.chain, self.cyclic_index
+
+    @classmethod
+    def from_masks(cls, parts, cyclic_index: int) -> Filtration:
+        """The filtration with the given parts (masks, chain order)."""
+        parts = tuple(parts)
+        if not 0 <= cyclic_index <= len(parts):
             raise ValueError("cyclic flat index out of range")
-        for small, large in zip(chain, chain[1:]):
-            if not small < large:
-                raise ValueError("chain must be strictly nested")
-        lows = [min(large - small) for small, large in zip(chain, chain[1:])]
-        upper = lows[self.cyclic_index:]
-        lower = lows[: self.cyclic_index]
-        if any(a >= b for a, b in zip(upper, upper[1:])):
+        if not all(parts) or reduce(or_, parts, 0).bit_count() != sum(map(int.bit_count, parts)):
+            raise ValueError("chain must be strictly nested")
+        lows = [part & -part for part in parts]
+        if any(a >= b for a, b in pairwise(lows[cyclic_index:])):
             raise ValueError("part minima above the cyclic flat must increase")
-        if any(a <= b for a, b in zip(lower, lower[1:])):
+        if any(a <= b for a, b in pairwise(lows[:cyclic_index])):
             raise ValueError("part minima below the cyclic flat must decrease toward it")
+        return _new(cls, (parts, cyclic_index))
+
+    @property
+    def chain(self) -> tuple[frozenset[int], ...]:
+        return tuple(map(_elements, accumulate(self.masks, or_, initial=0)))
 
     @property
     def ground_set(self) -> frozenset[int]:
-        return self.chain[-1]
+        return _elements(reduce(or_, self.masks, 0))
 
     @property
     def cyclic_flat(self) -> frozenset[int]:
-        return self.chain[self.cyclic_index]
+        return _elements(reduce(or_, self.masks[: self.cyclic_index], 0))
 
     @property
     def parts(self) -> tuple[frozenset[int], ...]:
         """Successive differences, in chain order; they partition E."""
-        return tuple(b - a for a, b in zip(self.chain, self.chain[1:]))
+        return tuple(map(_elements, self.masks))
 
     def part_is_cyclic(self, i: int) -> bool:
         """Whether the i-th part (chain order) lies inside the cyclic flat."""
         return i < self.cyclic_index
 
+    def minima(self) -> tuple[int, int]:
+        """The minima of the parts above the cyclic flat, and of those
+        below, as masks: (Int(B), Ext(B)) for the filtration of a basis B,
+        (O*, O) for the active filtration of a reorientation."""
+        lows = [part & -part for part in self.masks]
+        return reduce(or_, lows[self.cyclic_index:], 0), reduce(or_, lows[: self.cyclic_index], 0)
+
     @classmethod
     def from_parts(cls, cyclic_parts, acyclic_parts) -> Filtration:
         """Assemble the chain: cyclic parts by decreasing minimum from ∅,
         then acyclic parts by increasing minimum."""
-        chain = [frozenset()]
-        for p in sorted(cyclic_parts, key=min, reverse=True):
-            chain.append(chain[-1] | p)
-        cyclic_index = len(chain) - 1
-        for p in sorted(acyclic_parts, key=min):
-            chain.append(chain[-1] | p)
-        return cls(tuple(chain), cyclic_index)
+        cyclic = sorted(map(_mask, cyclic_parts), key=lambda part: part & -part, reverse=True)
+        acyclic = sorted(map(_mask, acyclic_parts), key=lambda part: part & -part)
+        return cls.from_masks(cyclic + acyclic, len(cyclic))
 
 
 def basis_activities(m: OrientedMatroid, b: frozenset[int]) -> tuple[frozenset[int], frozenset[int]]:
     """(Int(B), Ext(B)): elements that are the minimum of their own
     fundamental cocircuit, resp. circuit.  Depends only on supports."""
-    _, internal, external, *_ = _basis_record(m, _mask(b))
+    internal, external = basis_pass(m, _mask(b))[0].minima()
     return _elements(internal), _elements(external)
 
 
@@ -113,39 +130,33 @@ def orientation_activities(m: OrientedMatroid, a=()) -> tuple[frozenset[int], fr
     return ostar, o
 
 
-def _active_chain(m: OrientedMatroid, a: int) -> tuple[list[int], int]:
-    """The active filtration of -_A M for the mask A: its chain as masks
-    and the index of its cyclic flat.
-
-    F_c is the union of the positive circuits (equivalently, the
-    complement of the union of the positive cocircuits), the lower chain
-    collects positive circuits by decreasing threshold on their minima,
-    and the upper chain dually removes positive cocircuits.
-    """
-    pos_c = _positive_supports(m.circuits, a)
-    pos_d = _positive_supports(m.cocircuits, a)
-
-    def union_from(supports, low: int) -> int:
-        """Union of the supports whose lowest bit is at least ``low``."""
-        return reduce(or_, (s for s in supports if s & -s >= low), 0)
-
-    active = sorted({s & -s for s in pos_c})
-    dual_active = sorted({s & -s for s in pos_d})
-    full = (1 << m.n) - 1
-    chain = [0] + [union_from(pos_c, low) for low in reversed(active)]
-    cyclic_index = len(chain) - 1
-    chain += [full & ~union_from(pos_d, low) for low in dual_active[1:]]
-    if dual_active:
-        chain.append(full)
-    if chain[-1] != full:
-        raise AssertionError("active filtration does not reach the ground set")
-    return chain, cyclic_index
-
-
 def active_filtration_orientation(m: OrientedMatroid, a=()) -> Filtration:
-    """The active filtration of -_A M, as built by :func:`_active_chain`."""
-    chain, cyclic_index = _active_chain(m, _mask(a))
-    return Filtration(tuple(map(_elements, chain)), cyclic_index)
+    """The active filtration of -_A M.
+
+    F_c is the union of the positive circuits, and its complement the
+    union of the positive cocircuits.  The cyclic part whose minimum is
+    the active element e is the union of the positive circuits with
+    minimum e, less those with a larger minimum; the acyclic parts come
+    dually from the positive cocircuits.
+    """
+    a = _mask(a)
+
+    def parts(supports) -> list[int]:
+        """The parts of the positive supports, by decreasing minimum."""
+        unions: dict[int, int] = {}  # per minimum, as a bit: the union of the supports
+        for s in supports:
+            unions[s & -s] = unions.get(s & -s, 0) | s
+        out, above = [], 0
+        for low in sorted(unions, reverse=True):
+            out.append(unions[low] & ~above)
+            above |= unions[low]
+        return out
+
+    cyclic = parts(_positive_supports(m.circuits, a))
+    acyclic = parts(_positive_supports(m.cocircuits, a))
+    if reduce(or_, cyclic + acyclic, 0) != (1 << m.n) - 1:
+        raise AssertionError("active filtration does not reach the ground set")
+    return Filtration.from_masks(cyclic + acyclic[::-1], len(cyclic))
 
 
 @lru_cache(maxsize=512)
@@ -155,20 +166,16 @@ def _step_minor(m: OrientedMatroid, large: int, small: int):
     return restrict_contract(m, _elements(large), _elements(small)), _runs(large & ~small)
 
 
-def _step_minors(m: OrientedMatroid, chain, a: int):
-    """Per step F ⊂ G of the chain masks, (-_A M)(G)/F and the part G∖F:
-    the cached M(G)/F reoriented by A ∩ (G∖F), squeezed onto it."""
-    for small, large in zip(chain, chain[1:]):
-        minor, runs = _step_minor(m, large, small)
-        yield _reoriented(minor, _squeeze(a, runs)), large & ~small
-
-
 def active_minors(m: OrientedMatroid, f: Filtration, a=()) -> list[OrientedMatroid]:
     """The minors (-_A M)(G)/F for consecutive chain subsets F ⊂ G, in chain order,
     each re-indexed on 1..|part|; original identities are sorted(part).
     For the active filtration of -_A M these are bounded (upper), resp.
-    dual-bounded (lower), w.r.t. their smallest element."""
-    return [minor for minor, _ in _step_minors(m, list(map(_mask, f.chain)), _mask(a))]
+    dual-bounded (lower), w.r.t. their smallest element.  Each is the
+    cached M(G)/F reoriented by A ∩ (G∖F), squeezed onto it."""
+    a = _mask(a)
+    chain = accumulate(f.masks, or_, initial=0)
+    steps = (_step_minor(m, large, small) for small, large in pairwise(chain))
+    return [_reoriented(minor, _squeeze(a, runs)) for minor, runs in steps]
 
 
 def is_connected_filtration(m: OrientedMatroid, f: Filtration) -> bool:
@@ -192,9 +199,9 @@ def basis_pass(m: OrientedMatroid, basis: int):
     element's sign is forced by its anchor: the smallest element of its
     part within its fundamental circuit/cocircuit.
 
-    Returns (parts, cyclic_index, base_point): the parts in chain order
-    (cyclic parts by decreasing minimum, then the others by increasing
-    minimum), the number of cyclic parts and the reorientation as a mask.
+    Returns (filtration, base_point): the filtration whose parts are the
+    cyclic parts by decreasing minimum, then the others by increasing
+    minimum, and the reorientation as a mask.
     """
     parts: dict[int, int] = {}  # label -> part, labels ascending
     cyclic = base_point = 0  # cyclic: the elements of the cyclic parts so far
@@ -221,20 +228,14 @@ def basis_pass(m: OrientedMatroid, basis: int):
         parts[label] |= bit
     cyclic_parts = [parts[label] for label in reversed(parts) if not label & basis]
     acyclic_parts = [parts[label] for label in parts if label & basis]
-    return (*cyclic_parts, *acyclic_parts), len(cyclic_parts), base_point
-
-
-def _filtration_of(parts, cyclic_index: int) -> Filtration:
-    """The filtration whose chain accumulates ``parts`` (masks, chain order)."""
-    return Filtration(tuple(map(_elements, accumulate(parts, or_, initial=0))), cyclic_index)
+    return Filtration.from_masks(cyclic_parts + acyclic_parts, len(cyclic_parts)), base_point
 
 
 def active_filtration_basis(m: OrientedMatroid, b: frozenset[int]) -> Filtration:
     """The unique connected filtration attached to a basis, by the
     single-pass part mapping; the part minima are Int(B) ∪ Ext(B) and the
     cyclic flat is the union of the external parts."""
-    parts, cyclic_index, _ = basis_pass(m, _mask(b))
-    return _filtration_of(parts, cyclic_index)
+    return basis_pass(m, _mask(b))[0]
 
 
 def _flips(base: int, parts) -> list[int]:
@@ -250,26 +251,16 @@ def activity_class(m_ref: OrientedMatroid, a) -> list[frozenset[int]]:
     """All 2^(ι+ε) reorientations obtained from A by flipping unions of
     parts of the active partition of -_A M, ordered by subset rank over
     the parts sorted by their minima."""
-    parts = active_filtration_orientation(m_ref, a).parts
-    return [_elements(x) for x in _flips(_mask(a), map(_mask, parts))]
-
-
-def _basis_record(m: OrientedMatroid, basis: int):
-    """(B, Int(B), Ext(B), B∖Int(B), B∪Ext(B), parts, cyclic index, base
-    point) of a basis mask, all ints but the parts, a tuple of ints."""
-    parts, cyclic_index, base_point = basis_pass(m, basis)
-    minima = 0
-    for part in parts:
-        minima |= part & -part
-    internal, external = minima & basis, minima & ~basis
-    return basis, internal, external, basis & ~internal, basis | external, parts, cyclic_index, base_point
+    parts = active_filtration_orientation(m_ref, a).masks
+    return [_elements(x) for x in _flips(_mask(a), parts)]
 
 
 @lru_cache(maxsize=2048)
 def _interval_table(m: OrientedMatroid):
-    """The record of every basis, in the order of ``bases(m)``: one pass
-    per basis serves the classes, the intervals and the activities."""
-    return tuple(_basis_record(m, _mask(b)) for b in bases(m))
+    """The record (B, filtration, base point) of every basis mask B, in the
+    order of ``bases(m)``: one pass per basis serves the classes, the
+    intervals and the activities."""
+    return tuple((basis, *basis_pass(m, basis)) for basis in map(_mask, bases(m)))
 
 
 def _submasks(mask: int):
@@ -293,7 +284,9 @@ def _interval_walk(m: OrientedMatroid):
     owner = array(typecode, [-1]) * (1 << m.n)
     counts: dict[tuple[int, int, int, int], int] = {}
     bit_count = int.bit_count
-    for index, (_, internal, external, lo, *_) in enumerate(table):
+    for index, (basis, f, _) in enumerate(table):
+        internal, external = f.minima()
+        lo = basis & ~internal
         for sub in _submasks(internal | external):
             a = lo | sub
             if owner[a] >= 0:
@@ -321,15 +314,15 @@ def basis_of_subset(m: OrientedMatroid, a) -> frozenset[int]:
 
 def interval_of_basis(m: OrientedMatroid, b: frozenset[int]):
     """(B∖Int(B), B∪Ext(B)); over all bases these intervals partition 2^E."""
-    _, _, _, lo, hi, *_ = _basis_record(m, _mask(b))
-    return _elements(lo), _elements(hi)
+    internal, external = basis_activities(m, b)
+    return frozenset(b) - internal, frozenset(b) | external
 
 
 def subset_params(m: OrientedMatroid, a):
     """(Int(A), P(A), Ext(A), Q(A)) for the owning basis B of A:
     Int(B)∩A, Int(B)∖A, Ext(B)∖A, Ext(B)∩A."""
     a = _mask(a)
-    _, internal, external, *_ = _owner(m, a)
+    internal, external = _owner(m, a)[1].minima()
     return tuple(_elements(x) for x in (internal & a, internal & ~a, external & ~a, external & a))
 
 

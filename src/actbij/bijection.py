@@ -13,12 +13,11 @@ from functools import lru_cache
 
 from .activities import (
     Filtration,
-    _active_chain,
-    _filtration_of,
     _flips,
     _owner,
-    _step_minors,
     ActivityReport,
+    active_filtration_orientation,
+    active_minors,
     basis_pass,
     orientation_activities,
     reorientation_params,
@@ -138,10 +137,10 @@ def active_basis(m: OrientedMatroid, a=()) -> frozenset[int]:
     bases of its active minors, translated back to the original element
     indices.  The minors are built from M once per chain step and
     reoriented by A; -_A M is built whole only as its own one minor."""
-    a = _mask(a)
+    f = active_filtration_orientation(m, a)
     return frozenset().union(*(
         _translated(fully_optimal_basis(minor, 1), _positions(part))
-        for minor, part in _step_minors(m, _active_chain(m, a)[0], a)
+        for minor, part in zip(active_minors(m, f, a), f.masks)
     ))
 
 
@@ -159,9 +158,9 @@ def alpha_inverse_class(m_ref: OrientedMatroid, b: frozenset[int]) -> Reorientat
     """
     if not is_basis(m_ref, b):
         raise ValueError(f"{sorted(b)} is not a basis of the oriented matroid")
-    parts, cyclic_index, base_point = basis_pass(m_ref, _mask(b))
-    members = tuple(_elements(x) for x in _flips(base_point, parts))
-    return ReorientationClassResult(b, members, _filtration_of(parts, cyclic_index))
+    f, base_point = basis_pass(m_ref, _mask(b))
+    members = tuple(_elements(x) for x in _flips(base_point, f.masks))
+    return ReorientationClassResult(b, members, f)
 
 
 def refined_alpha(m_ref: OrientedMatroid, a) -> frozenset[int]:
@@ -179,9 +178,10 @@ def refined_alpha_inverse(m_ref: OrientedMatroid, x) -> frozenset[int]:
     interval holds X and flip its base point on the parts whose active
     element lies in P ∪ Q (flipping an active element flips its part)."""
     x = _mask(x)
-    _, internal, external, _, _, parts, _, base_point = _owner(m_ref, x)
+    _, f, base_point = _owner(m_ref, x)
+    internal, external = f.minima()
     flipped = (internal & ~x) | (external & x)
-    for part in parts:
+    for part in f.masks:
         if part & flipped:
             base_point ^= part
     return _elements(base_point)

@@ -15,7 +15,7 @@ from operator import or_
 
 from . import verify
 from .activities import (
-    _filtration_of,
+    Filtration,
     _flips,
     _interval_table,
     active_filtration_orientation,
@@ -26,7 +26,6 @@ from .core import (
     GroundSetTooLarge,
     InvalidOrientedMatroid,
     OrientedMatroid,
-    _mask,
     is_basis,
 )
 from .graphs import ParseError, _format_mask, format_elements, parse_file, parse_reorientation
@@ -38,18 +37,17 @@ from .tutte import (
 )
 
 
-def _chain_string(parts, cyclic_index: int) -> str:
-    """The chain accumulated from the parts (masks, chain order), the
-    cyclic flat starred."""
-    chain = itertools.accumulate(parts, or_, initial=0)
+def _chain_string(f: Filtration) -> str:
+    """The chain of the filtration, the cyclic flat starred."""
+    chain = itertools.accumulate(f.masks, or_, initial=0)
     return " < ".join(
-        _format_mask(s) + ("*" if i == cyclic_index else "") for i, s in enumerate(chain)
+        _format_mask(s) + ("*" if i == f.cyclic_index else "") for i, s in enumerate(chain)
     )
 
 
-def _partition_string(parts, cyclic_index: int) -> str:
+def _partition_string(f: Filtration) -> str:
     return "|".join(
-        _format_mask(p) + ("*" if i < cyclic_index else "") for i, p in enumerate(parts)
+        _format_mask(p) + ("*" if i < f.cyclic_index else "") for i, p in enumerate(f.masks)
     )
 
 
@@ -95,11 +93,10 @@ def _cmd_activities(m: OrientedMatroid, args, out) -> int:
     a = parse_reorientation(args.reorient, m.n)
     ostar, o = orientation_activities(m, a)
     f = active_filtration_orientation(m, a)
-    parts = [_mask(p) for p in f.parts]
     print(f"O\t{format_elements(o)}", file=out)
     print(f"O*\t{format_elements(ostar)}", file=out)
-    print(f"partition\t{_partition_string(parts, f.cyclic_index)}", file=out)
-    print(f"chain\t{_chain_string(parts, f.cyclic_index)}", file=out)
+    print(f"partition\t{_partition_string(f)}", file=out)
+    print(f"chain\t{_chain_string(f)}", file=out)
     return 0
 
 
@@ -121,12 +118,11 @@ def _cmd_alpha_inverse(m: OrientedMatroid, args, out) -> int:
 
 def _cmd_table(m: OrientedMatroid, args, out) -> int:
     print("filtration\tpartition\tclass\tbasis", file=out)
-    for basis, _, _, _, _, parts, cyclic_index, base_point in _interval_table(m):
-        _filtration_of(parts, cyclic_index)  # checks the chain's invariants
-        members = " ".join(map(_format_mask, _flips(base_point, parts)))
+    for basis, f, base_point in _interval_table(m):
+        members = " ".join(map(_format_mask, _flips(base_point, f.masks)))
         print(
-            f"{_chain_string(parts, cyclic_index)}\t"
-            f"{_partition_string(parts, cyclic_index)}\t"
+            f"{_chain_string(f)}\t"
+            f"{_partition_string(f)}\t"
             f"{members}\t{_format_mask(basis)}",
             file=out,
         )
@@ -137,9 +133,10 @@ def _cmd_refined(m: OrientedMatroid, args, out) -> int:
     # On the class of B, O*(-_A M) = Int(B) and O(-_A M) = Ext(B) (activity
     # preservation), and A meets Int(B) ∪ Ext(B) in its flipped active elements.
     rows = [""] * (1 << m.n)  # indexed by mask: the order of subsets_by_rank
-    for basis, internal, external, _, _, parts, _, base_point in _interval_table(m):
+    for basis, f, base_point in _interval_table(m):
+        internal, external = f.minima()
         active = internal | external
-        for a in _flips(base_point, parts):
+        for a in _flips(base_point, f.masks):
             cells = (a, basis ^ (a & active), internal & ~a, internal & a, external & ~a, external & a)
             rows[a] = "\t".join(map(_format_mask, cells))
     print("A\talpha_M(A)\ttheta*\ttheta*bar\ttheta\tthetabar", *rows, sep="\n", file=out)

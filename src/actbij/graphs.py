@@ -62,7 +62,8 @@ class OrderedDigraph:
         return OrderedDigraph(self.vertices, new)
 
 
-def _components(vertices, adjacent) -> list[set[str]]:
+def _components(vertices: set[str], adjacent) -> list[set[str]]:
+    """The vertex sets of the components of the subgraph induced on ``vertices``."""
     seen: set[str] = set()
     comps = []
     for v in vertices:
@@ -73,7 +74,7 @@ def _components(vertices, adjacent) -> list[set[str]]:
         while stack:
             u = stack.pop()
             for _, w, _ in adjacent.get(u, ()):
-                if w not in comp:
+                if w in vertices and w not in comp:
                     comp.add(w)
                     stack.append(w)
         seen |= comp
@@ -107,10 +108,12 @@ def _circuits(indexed, adjacent) -> list[SignedSubset]:
 
 
 def om_from_digraph(g: OrderedDigraph) -> OrientedMatroid:
-    """Signed circuits from simple cycles, signed cocircuits from minimal cuts.
+    """Signed circuits from simple cycles, signed cocircuits from bonds.
 
-    Cycles come from a depth-first search (see :func:`_circuits`); cut
-    enumeration is exhaustive and minimal cuts are filtered explicitly.
+    Cycles come from a depth-first search (see :func:`_circuits`).  A bond
+    is the cut of a vertex set s holding the smallest vertex of its
+    component, where s and the rest of the component both induce
+    connected subgraphs; so each bond is found once and is minimal.
     """
     vertex_set = set(g.vertices)
     for t, h in g.edges:
@@ -128,24 +131,17 @@ def om_from_digraph(g: OrderedDigraph) -> OrientedMatroid:
             adjacent.setdefault(h, []).append((k, t, False))
     circuits = _circuits(indexed, adjacent)
 
-    cuts: set[tuple[int, int]] = set()
-    for comp in _components(g.vertices, adjacent):
-        members = sorted(comp)
-        anchor = members[0]
-        for r in range(len(members)):
-            for side in itertools.combinations(members[1:], r):
+    bonds = []
+    for comp in _components(vertex_set, adjacent):
+        anchor, *others = sorted(comp)
+        for r in range(len(others)):
+            for side in itertools.combinations(others, r):
                 s = {anchor, *side}
-                pos = sum(1 << (k - 1) for k, t, h in indexed if t in s and h not in s)
-                neg = sum(1 << (k - 1) for k, t, h in indexed if h in s and t not in s)
-                if pos or neg:
-                    cuts.add((pos, neg))
-    supports = {pos | neg for pos, neg in cuts}
-    minimal = [
-        SignedSubset.from_masks(pos, neg)
-        for pos, neg in cuts
-        if not any(s != pos | neg and not s & ~(pos | neg) for s in supports)
-    ]
-    return om_from_lists(n, circuits, minimal)
+                if len(_components(s, adjacent)) == 1 == len(_components(comp - s, adjacent)):
+                    pos = sum(1 << (k - 1) for k, t, h in indexed if t in s and h not in s)
+                    neg = sum(1 << (k - 1) for k, t, h in indexed if h in s and t not in s)
+                    bonds.append(SignedSubset.from_masks(pos, neg))
+    return om_from_lists(n, circuits, bonds)
 
 
 def _content_lines(text: str):
@@ -261,11 +257,9 @@ def parse_reorientation(token: str, n: int) -> frozenset[int]:
             raise ParseError(f"expected a length-{n} bitstring, got {bits!r}")
         return frozenset(i for i, c in enumerate(bits, start=1) if c == "1")
     try:
-        elements = [int(t) for t in token.split(",") if t.strip()]
+        elements = [int(t) for t in token.split(",")]
     except ValueError:
         raise ParseError(f"bad reorientation token {token!r}") from None
-    if not elements and token:
-        raise ParseError(f"bad reorientation token {token!r}")
     for e in elements:
         if not 1 <= e <= n:
             raise ParseError(f"element {e} out of range 1..{n}")

@@ -11,6 +11,7 @@ from .activities import Filtration, _connected_step, orientation_activities
 from .bijection import _translated, fully_optimal_basis
 from .core import (
     OrientedMatroid,
+    _elements,
     _supports,
     dual,
     is_bounded,
@@ -112,11 +113,12 @@ def all_connected_filtrations(m: OrientedMatroid) -> list[Filtration]:
     ground = sorted(m.ground_set)
     if not ground:
         return [Filtration((frozenset(),), 0)]
-    memo: dict[tuple[frozenset[int], frozenset[int], bool], bool] = {}
+    memo: dict[tuple[int, int, bool], bool] = {}  # keyed on the chain masks F ⊂ G
 
-    def step_ok(small: frozenset[int], large: frozenset[int], cyclic: bool) -> bool:
+    def step_ok(small: int, large: int, cyclic: bool) -> bool:
         if (small, large, cyclic) not in memo:
-            memo[small, large, cyclic] = _connected_step(restrict_contract(m, large, small), cyclic)
+            minor = restrict_contract(m, _elements(large), _elements(small))
+            memo[small, large, cyclic] = _connected_step(minor, cyclic)
         return memo[small, large, cyclic]
 
     def set_partitions(elements: list[int]):
@@ -135,10 +137,12 @@ def all_connected_filtrations(m: OrientedMatroid) -> list[Filtration]:
             cyclic = [blocks[i] for i in range(len(blocks)) if marking >> i & 1]
             acyclic = [blocks[i] for i in range(len(blocks)) if not marking >> i & 1]
             f = Filtration.from_parts(cyclic, acyclic)
-            if all(
-                step_ok(small, large, f.part_is_cyclic(i))
-                for i, (small, large) in enumerate(zip(f.chain, f.chain[1:]))
-            ):
+            small = 0
+            for i, part in enumerate(f.masks):
+                if not step_ok(small, small | part, f.part_is_cyclic(i)):
+                    break
+                small |= part
+            else:
                 results.append(f)
     return results
 

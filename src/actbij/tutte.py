@@ -65,8 +65,8 @@ class TuttePolynomial:
 def tutte_from_bases(m: OrientedMatroid) -> TuttePolynomial:
     """Count bases by (internal activity, external activity)."""
     counts: dict[tuple[int, int], int] = {}
-    for _, internal, external, *_ in _interval_table(m):
-        key = (internal.bit_count(), external.bit_count())
+    for _, f, _ in _interval_table(m):
+        key = tuple(map(int.bit_count, f.minima()))  # (|Int(B)|, |Ext(B)|)
         counts[key] = counts.get(key, 0) + 1
     return TuttePolynomial(counts)
 

@@ -95,12 +95,10 @@ def check_activity_duality(m):
 
 def check_filtration_duality(m):
     md = core.dual(m)
-    ground = m.ground_set
     for a in activities.subsets_by_rank(m.n):
         f = activities.active_filtration_orientation(m, a)
         fd = activities.active_filtration_orientation(md, a)
-        complemented = tuple(ground - s for s in reversed(f.chain))
-        if fd.chain != complemented or fd.cyclic_index != len(f.chain) - 1 - f.cyclic_index:
+        if fd.masks != f.masks[::-1] or fd.cyclic_index != len(f.masks) - f.cyclic_index:
             _fail("filtration-duality", f"A={sorted(a)}")
 
 

@@ -129,6 +129,12 @@ def test_filtration_validation_errors():
         Filtration((fs(), fs(2, 3), ground), 0)  # upper minima not increasing
     with pytest.raises(ValueError):
         Filtration((fs(), fs(1), ground), 2)  # lower minima must decrease
+    with pytest.raises(ValueError):
+        Filtration.from_masks((0b011, 0b110), 0)  # parts overlap
+    with pytest.raises(ValueError):
+        Filtration.from_masks((0b001, 0), 0)  # an empty part
+    with pytest.raises(ValueError):
+        Filtration.from_masks((0b001,), 2)  # cyclic flat index out of range
 
 
 def test_is_connected_filtration_examples(k4_om):

@@ -163,6 +163,9 @@ def test_parse_reorientation_tokens():
         parse_reorientation("b:0101", 6)
     with pytest.raises(ParseError):
         parse_reorientation("a,b", 6)
+    for token in ("1,,2", "1,", ",1", ""):  # an empty item is not an index
+        with pytest.raises(ParseError):
+            parse_reorientation(token, 6)
 
 
 def test_parse_reorientation_rejects_repeated_indices():

@@ -1,20 +1,36 @@
-"""Property tests: graph circuits against a brute force, one-step minors
-against graph minors, the mask encoding of signed sets against the
-element-set formulas, the forward map on (M, A) against the same map on
-the reorientation -_A M itself, `refined` against the direct forward map
-and `table` against the per-basis class route."""
+"""Property tests: graph circuits and cocircuits against a brute force,
+one-step minors against graph minors, the mask encoding of signed sets
+and of filtrations against the element-set formulas, the forward map on
+(M, A) against the same map on the reorientation -_A M itself, `refined`
+against the direct forward map and `table` against the per-basis class
+route."""
+
+import copy
+import pickle
 
 from hypothesis import example, given, settings, strategies as st
 
 from actbij.activities import (
+    Filtration,
+    active_filtration_basis,
     active_filtration_orientation,
     active_minors,
     activity_class,
+    basis_activities,
     orientation_activities,
     reorientation_params,
 )
 from actbij.bijection import active_basis, refined_alpha
-from actbij.core import SignedSubset, compose, reorient, restrict_contract
+from actbij.core import (
+    SignedSubset,
+    _elements,
+    bases,
+    compose,
+    fundamental_circuit,
+    fundamental_cocircuit,
+    reorient,
+    restrict_contract,
+)
 from actbij.graphs import OrderedDigraph, om_from_digraph
 from conftest import refined_by_direct_route, refined_stdout, table_by_class_route, table_stdout
 
@@ -104,6 +120,38 @@ def test_graph_circuits_are_the_simple_cycles(g):
             assert flow == 0
 
 
+def brute_force_bond_supports(g: OrderedDigraph) -> set[int]:
+    """The minimal nonempty edge sets whose removal leaves more components,
+    counted by union-find over all vertices.  Removing more edges never
+    joins components, so a disconnecting set is minimal iff keeping any
+    one of its edges leaves a set that does not disconnect."""
+
+    def components(kept: int) -> int:
+        root = {v: v for v in g.vertices}
+
+        def find(v):
+            while root[v] != v:
+                v = root[v]
+            return v
+
+        for i, (t, h) in enumerate(g.edges):
+            if kept >> i & 1:
+                root[find(t)] = find(h)
+        return sum(root[v] == v for v in g.vertices)
+
+    full = (1 << g.n) - 1
+    whole = components(full)
+    cuts = {chosen for chosen in range(1, full + 1) if components(full & ~chosen) > whole}
+    return {c for c in cuts if not any(c >> i & 1 and c & ~(1 << i) in cuts for i in range(g.n))}
+
+
+@settings(steady, max_examples=300)
+@given(digraphs(max_edges=9))
+def test_graph_cocircuits_are_the_bonds(g):
+    m = om_from_digraph(g)
+    assert {d.pos | d.neg for d in m.cocircuits} == brute_force_bond_supports(g)
+
+
 @st.composite
 def signed_sets(draw):
     signs = draw(st.lists(st.sampled_from((0, 1, -1)), min_size=N, max_size=N))
@@ -181,6 +229,33 @@ def test_the_forward_map_on_m_and_a_is_the_map_on_the_reorientation(g, data):
     assert activity_class(m, a) == [a ^ x for x in activity_class(r, ())]
     assert reorientation_params(m, a) == (ostar - a, ostar & a, o - a, o & a)
     assert refined_alpha(m, a) == (b - (a & ostar)) | (a & o)
+
+
+def check_filtration_encoding(f: Filtration) -> None:
+    """The mask-backed filtration against its element-set views."""
+    again = Filtration(f.chain, f.cyclic_index)
+    assert again == f and hash(again) == hash(f)
+    assert pickle.loads(pickle.dumps(f)) == f and copy.copy(f) == f and copy.deepcopy(f) == f
+    assert f.parts == tuple(large - small for small, large in zip(f.chain, f.chain[1:]))
+    assert f.masks == tuple(sum(1 << (e - 1) for e in part) for part in f.parts)
+
+
+@settings(steady, max_examples=100)
+@given(digraphs(max_edges=9), st.data())
+def test_filtrations_are_stored_as_part_masks(g, data):
+    # the minima of the parts, split at the cyclic flat, are (Int(B), Ext(B))
+    # for a basis and (O*, O) for a reorientation
+    m = om_from_digraph(g)
+    for b in bases(m):
+        f = active_filtration_basis(m, b)
+        check_filtration_encoding(f)
+        internal = {e for e in b if min(fundamental_cocircuit(m, b, e).support) == e}
+        external = {e for e in m.ground_set - b if min(fundamental_circuit(m, b, e).support) == e}
+        assert tuple(map(_elements, f.minima())) == basis_activities(m, b) == (internal, external)
+    a = data.draw(st.frozensets(st.integers(1, m.n))) if m.n else frozenset()
+    f = active_filtration_orientation(m, a)
+    check_filtration_encoding(f)
+    assert tuple(map(_elements, f.minima())) == orientation_activities(m, a)
 
 
 @settings(steady, max_examples=40)
