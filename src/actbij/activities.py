@@ -42,10 +42,13 @@ class Filtration(namedtuple("_Parts", ["masks", "cyclic_index"])):
 
     Two filtrations are equal iff their chains and cyclic-flat indices
     are equal; the partition alone does not determine the placement of
-    the cyclic flat.
+    the cyclic flat.  ``_make`` and ``_replace`` go through :meth:`from_masks`;
+    equality stays tuple equality, as an ``__eq__`` in Python would slow
+    every comparison and cache lookup.
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls.from_masks(*fields))
 
     def __new__(cls, chain, cyclic_index: int) -> Filtration:
         chain = list(map(_mask, chain))

@@ -71,9 +71,12 @@ def _elements(mask: int) -> frozenset[int]:
 
 class SignedSubset(namedtuple("_Masks", ["pos", "neg"])):
     """A pair of disjoint element sets (positive part, negative part),
-    stored as the int masks ``pos`` and ``neg``."""
+    stored as the int masks ``pos`` and ``neg``.  ``_make`` and ``_replace``
+    go through :meth:`from_masks`; equality stays tuple equality, as an
+    ``__eq__`` in Python would slow every OM comparison and cache lookup."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls.from_masks(*fields))
 
     def __new__(cls, positive, negative) -> SignedSubset:
         return cls.from_masks(_mask(positive), _mask(negative))
@@ -365,11 +368,15 @@ def is_dual_bounded(m: OrientedMatroid, p: int) -> bool:
 
 @lru_cache(maxsize=4096)
 def bases(m: OrientedMatroid) -> tuple[frozenset[int], ...]:
-    """All maximal circuit-support-free subsets, in lexicographic order."""
+    """All maximal circuit-support-free subsets, in lexicographic order: the independent
+    sets grow level by level, and adding e tests only the circuits whose largest element is e."""
     check_enumeration_cap(m.n)
-    supports = _supports(m.circuits)
-    combos = (sum(c) for c in itertools.combinations([1 << i for i in range(m.n)], m.rank))
-    return tuple(_elements(b) for b in combos if all(s & ~b for s in supports))
+    by_top = [[s for s in _supports(m.circuits) if s.bit_length() == e + 1] for e in range(m.n)]
+    level = [0]
+    for size in range(m.rank):  # e leaves room for the rank - size - 1 elements still to come
+        grown = ((b, e) for b in level for e in range(b.bit_length(), m.n - m.rank + size + 1))
+        level = [b | 1 << e for b, e in grown if all(s & ~(b | 1 << e) for s in by_top[e])]
+    return tuple(map(_elements, level))
 
 
 def is_basis(m: OrientedMatroid, b) -> bool:

@@ -2,7 +2,8 @@
 serving maps against: the recursive definition of the active basis, the
 threshold induction sets, the active duality identities, the exhaustive
 connected filtrations and deletion/contraction.  Exponential, desk scale
-only; no serving module imports them, and every memo lives for one call.
+only; no serving module imports them, and every memo lives for one call,
+or for one check when passed in.
 """
 
 from __future__ import annotations
@@ -24,42 +25,46 @@ from .core import (
 from .tutte import TuttePolynomial
 
 
-def active_basis_recursive(m: OrientedMatroid, *, circuit_induction: bool = False) -> frozenset[int]:
+def active_basis_recursive(m: OrientedMatroid, *, circuit_induction: bool = False, memo=None) -> frozenset[int]:
     """Alternate evaluator of the active basis by the recursive definition:
     fully optimal basis in the bounded/dual-bounded case, duality, and
     induction on the minor cut out by the greatest dual-active element
-    (or greatest active element when ``circuit_induction``)."""
-    n = m.n
-    if n == 0:
+    (or greatest active element when ``circuit_induction``).  ``memo`` maps
+    (minor, circuit_induction) to its basis and goes on through the dual hop
+    and to both minors; when not passed in it lives for this call."""
+    memo = {} if memo is None else memo
+    if (m, circuit_induction) not in memo:
+        memo[m, circuit_induction] = _recursive_step(m, circuit_induction, memo)
+    return memo[m, circuit_induction]
+
+
+def _recursive_step(m: OrientedMatroid, circuit_induction: bool, memo: dict) -> frozenset[int]:
+    def recurse(minor: OrientedMatroid) -> frozenset[int]:
+        return active_basis_recursive(minor, circuit_induction=circuit_induction, memo=memo)
+
+    if m.n == 0:
         return frozenset()
     p = 1
     if is_bounded(m, p) or is_dual_bounded(m, p):
         return fully_optimal_basis(m, p)
     ostar, o = orientation_activities(m)
     ground = m.ground_set
+    active = o if circuit_induction else ostar
+    if not active:
+        # acyclic (circuit style) or totally cyclic: hop to the dual, same style
+        return ground - recurse(dual(m))
+    top = max(active)
     if circuit_induction:
-        if not o:
-            # acyclic: hop to the (totally cyclic) dual, same induction style
-            return ground - active_basis_recursive(dual(m), circuit_induction=True)
-        top = max(o)
         part = frozenset().union(
             *(c.support for c in positive_circuits(m) if min(c.support) == top)
         )
     else:
-        if not ostar:
-            return ground - active_basis_recursive(dual(m), circuit_induction=False)
-        top = max(ostar)
         part = ground - frozenset().union(
             *(d.support for d in positive_cocircuits(m) if min(d.support) == top)
         )
     inside = restrict_contract(m, part, frozenset())
     outside = restrict_contract(m, ground, part)
-    return _translated(
-        active_basis_recursive(inside, circuit_induction=circuit_induction), sorted(part)
-    ) | _translated(
-        active_basis_recursive(outside, circuit_induction=circuit_induction),
-        sorted(ground - part),
-    )
+    return _translated(recurse(inside), sorted(part)) | _translated(recurse(outside), sorted(ground - part))
 
 
 def induction_step_sets(m: OrientedMatroid) -> list[frozenset[int]]:

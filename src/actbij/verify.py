@@ -24,14 +24,32 @@ def _fail(name: str, detail: str):
     raise VerificationFailure(f"{name}: {detail}")
 
 
-def _classes(m):
-    """Each activity class once: (its first member in subset-rank order, its members)."""
-    processed: set[frozenset[int]] = set()
-    for a in activities.subsets_by_rank(m.n):
-        if a not in processed:
-            members = activities.activity_class(m, a)
-            processed.update(members)
-            yield a, members
+class Sweep:
+    """M's forward values for one ``run_all`` call: ``value(fn, a)`` is
+    fn(M, A), computed on first request and kept in a list per function
+    indexed by A's mask.  Checks look fn up at call time, so a planted or
+    failing one fails in the check that first asks, at the same A."""
+
+    def __init__(self, m):
+        self.m, self._classes = m, None
+        self._tables = defaultdict(lambda: [None] * (1 << m.n))
+
+    def value(self, fn, a):
+        table, i = self._tables[fn], core._mask(a)
+        if table[i] is None:
+            table[i] = fn(self.m, a)
+        return table[i]
+
+    def classes(self):
+        """Each activity class once: (its first member in subset-rank order, its members)."""
+        if self._classes is None:
+            self._classes, processed = [], set()
+            for a in activities.subsets_by_rank(self.m.n):
+                if a not in processed:
+                    members = activities.activity_class(self.m, a)
+                    processed.update(members)
+                    self._classes.append((a, members))
+        return self._classes
 
 
 def _interval(lo, hi):
@@ -40,7 +58,7 @@ def _interval(lo, hi):
     return {lo | frozenset(free[i - 1] for i in sub) for sub in activities.subsets_by_rank(len(free))}
 
 
-def check_structure(m):
+def check_structure(m, sweep):
     core.om_from_lists(m.n, m.circuits, m.cocircuits)
     if core.dual(core.dual(m)) != m:
         _fail("structure", "dual is not an involution")
@@ -48,7 +66,7 @@ def check_structure(m):
         _fail("structure", "reorientation is not an involution")
 
 
-def check_pivot_property(m):
+def check_pivot_property(m, sweep):
     for b in core.bases(m):
         for elt in b:
             d = core.fundamental_cocircuit(m, b, elt)
@@ -58,7 +76,7 @@ def check_pivot_property(m):
                     _fail("pivot", f"B={sorted(b)}, b={elt}, e={e}")
 
 
-def check_compose_full_support(m):
+def check_compose_full_support(m, sweep):
     zero = core.SignedSubset(frozenset(), frozenset())
     loops = frozenset(
         e for c in m.circuits if len(c.support) == 1 for e in c.support
@@ -79,7 +97,7 @@ def check_compose_full_support(m):
             _fail("compose", f"vector support wrong for B={sorted(b)}")
 
 
-def check_activity_duality(m):
+def check_activity_duality(m, sweep):
     md = core.dual(m)
     for b in core.bases(m):
         internal, external = activities.basis_activities(m, b)
@@ -87,16 +105,16 @@ def check_activity_duality(m):
         if internal != co_external or external != co_internal:
             _fail("activity-duality", f"B={sorted(b)}")
     for a in activities.subsets_by_rank(m.n):
-        ostar, o = activities.orientation_activities(m, a)
+        ostar, o = sweep.value(activities.orientation_activities, a)
         dstar, do = activities.orientation_activities(md, a)
         if ostar != do or o != dstar:
             _fail("activity-duality", f"A={sorted(a)}")
 
 
-def check_filtration_duality(m):
+def check_filtration_duality(m, sweep):
     md = core.dual(m)
     for a in activities.subsets_by_rank(m.n):
-        f = activities.active_filtration_orientation(m, a)
+        f = sweep.value(activities.active_filtration_orientation, a)
         fd = activities.active_filtration_orientation(md, a)
         if fd.masks != f.masks[::-1] or fd.cyclic_index != len(f.masks) - f.cyclic_index:
             _fail("filtration-duality", f"A={sorted(a)}")
@@ -111,9 +129,9 @@ def _unbounded_part(m, f, a=()):
     return None
 
 
-def check_bounded_minors(m):
+def check_bounded_minors(m, sweep):
     for a in activities.subsets_by_rank(m.n):
-        f = activities.active_filtration_orientation(m, a)
+        f = sweep.value(activities.active_filtration_orientation, a)
         if not activities.is_connected_filtration(m, f):
             _fail("bounded-minors", f"A={sorted(a)}: filtration not connected")
         i = _unbounded_part(m, f, a)
@@ -121,28 +139,27 @@ def check_bounded_minors(m):
             _fail("bounded-minors", f"A={sorted(a)}, part {i}")
 
 
-def check_class_invariance(m):
-    def invariants(x):
-        return activities.active_filtration_orientation(m, x), activities.orientation_activities(m, x)
-
-    for a, members in _classes(m):
-        want = invariants(a)
+def check_class_invariance(m, sweep):
+    invariants = (activities.active_filtration_orientation, activities.orientation_activities)
+    for a, members in sweep.classes():
         for member in members:
-            if invariants(member) != want:
+            if any(sweep.value(fn, member) != sweep.value(fn, a) for fn in invariants):
                 _fail("class-invariance", f"A={sorted(a)}, member={sorted(member)}")
 
 
-def check_fixed_representative(m):
-    for a, members in _classes(m):
-        fixed = [x for x in members if not x & frozenset().union(*activities.orientation_activities(m, x))]
+def check_fixed_representative(m, sweep):
+    for a, members in sweep.classes():
+        fixed = [
+            x for x in members if not x & frozenset.union(*sweep.value(activities.orientation_activities, x))
+        ]
         if len(fixed) != 1:
             _fail("fixed-representative", f"A={sorted(a)}: {len(fixed)} fixed members")
 
 
-def check_bijection(m):
+def check_bijection(m, sweep):
     preimages = defaultdict(set)
     for a in activities.subsets_by_rank(m.n):
-        preimages[bijection.active_basis(m, a)].add(a)
+        preimages[sweep.value(bijection.active_basis, a)].add(a)
     all_bases = set(core.bases(m))
     if set(preimages) != all_bases:
         _fail("bijection", "active basis map is not onto the bases")
@@ -155,18 +172,19 @@ def check_bijection(m):
             _fail("bijection", f"B={sorted(b)}: inverse class mismatch")
 
 
-def check_activity_preservation(m):
+def check_activity_preservation(m, sweep):
     for a in activities.subsets_by_rank(m.n):
-        b = bijection.active_basis(m, a)
+        b = sweep.value(bijection.active_basis, a)
         internal, external = activities.basis_activities(m, b)
-        ostar, o = activities.orientation_activities(m, a)
+        ostar, o = sweep.value(activities.orientation_activities, a)
         if internal != ostar or external != o:
             _fail("activity-preservation", f"A={sorted(a)}")
-        if activities.active_filtration_basis(m, b) != activities.active_filtration_orientation(m, a):
+        f = sweep.value(activities.active_filtration_orientation, a)
+        if activities.active_filtration_basis(m, b) != f:
             _fail("activity-preservation", f"A={sorted(a)}: filtrations differ")
 
 
-def check_refined_bijection(m):
+def check_refined_bijection(m, sweep):
     images = {}
     for a in activities.subsets_by_rank(m.n):
         x = images[a] = bijection.refined_alpha(m, a)
@@ -179,14 +197,14 @@ def check_refined_bijection(m):
     if len(set(images.values())) != 1 << m.n:
         _fail("refined-bijection", "not a permutation of the power set")
     # activity classes map onto basis intervals
-    for a, members in _classes(m):
-        b = bijection.active_basis(m, a)
+    for a, members in sweep.classes():
+        b = sweep.value(bijection.active_basis, a)
         lo, hi = activities.interval_of_basis(m, b)
         if {images[member] for member in members} != _interval(lo, hi):
             _fail("refined-bijection", f"A={sorted(a)}: class does not fill the interval")
 
 
-def check_full_optimality_uniqueness(m):
+def check_full_optimality_uniqueness(m, sweep):
     if m.n == 0:
         return
     for a in activities.subsets_by_rank(m.n):
@@ -198,15 +216,15 @@ def check_full_optimality_uniqueness(m):
             _fail("full-optimality", f"A={sorted(a)}: {len(hits)} optimal bases")
 
 
-def check_duality_of_alpha(m):
+def check_duality_of_alpha(m, sweep):
     md = core.dual(m)
     ground = m.ground_set
     for a in activities.subsets_by_rank(m.n):
-        if bijection.active_basis(md, a) != ground - bijection.active_basis(m, a):
+        if bijection.active_basis(md, a) != ground - sweep.value(bijection.active_basis, a):
             _fail("alpha-duality", f"A={sorted(a)}")
 
 
-def check_active_duality_bounded(m):
+def check_active_duality_bounded(m, sweep):
     if m.n <= 1:
         return
     for a in activities.subsets_by_rank(m.n):
@@ -215,17 +233,18 @@ def check_active_duality_bounded(m):
             _fail("active-duality", f"A={sorted(a)}")
 
 
-def check_recursive_definitions(m):
+def check_recursive_definitions(m, sweep):
+    memo: dict = {}  # shared by both induction styles, which stay apart in its key
     for a in activities.subsets_by_rank(m.n):
         r = core.reorient(m, a)
-        b = bijection.active_basis(m, a)
-        if oracles.active_basis_recursive(r) != b:
+        b = sweep.value(bijection.active_basis, a)
+        if oracles.active_basis_recursive(r, memo=memo) != b:
             _fail("recursive-alpha", f"A={sorted(a)}: cocircuit induction")
-        if oracles.active_basis_recursive(r, circuit_induction=True) != b:
+        if oracles.active_basis_recursive(r, circuit_induction=True, memo=memo) != b:
             _fail("recursive-alpha", f"A={sorted(a)}: circuit induction")
 
 
-def check_tutte_routes(m):
+def check_tutte_routes(m, sweep):
     by_bases = tutte.tutte_from_bases(m)
     if tutte.tutte_from_orientations(m) != by_bases:
         _fail("tutte", "orientation route disagrees with basis route")
@@ -245,11 +264,11 @@ def check_tutte_routes(m):
         _fail("tutte", "b_00 nonzero for a nonempty ground set")
 
 
-def check_class_counts(m):
+def check_class_counts(m, sweep):
     t = tutte.tutte_from_bases(m)
     reps = acyclic_reps = cyclic_reps = active_fixed = dual_fixed = 0
     for a in activities.subsets_by_rank(m.n):
-        ostar, o = activities.orientation_activities(m, a)
+        ostar, o = sweep.value(activities.orientation_activities, a)
         if not (a & o):
             active_fixed += 1
         if not (a & ostar):
@@ -272,7 +291,7 @@ def check_class_counts(m):
             _fail("class-counts", f"{label}: {got} != {want}")
 
 
-def check_interval_unions(m):
+def check_interval_unions(m, sweep):
     independents = set()
     spanning = set()
     supports = m.circuit_supports()
@@ -293,7 +312,7 @@ def check_interval_unions(m):
         _fail("interval-unions", "upper intervals are not the spanning sets")
 
 
-def check_filtration_uniqueness(m):
+def check_filtration_uniqueness(m, sweep):
     if m.n > FILTRATION_UNIQUENESS_CAP:
         return
     filtrations = oracles.all_connected_filtrations(m)
@@ -328,11 +347,12 @@ ALL_CHECKS = [
 
 
 def run_all(m, report=print) -> bool:
-    """Run the whole suite; report one line per check.  Returns success."""
+    """Run the whole suite on one :class:`Sweep` of M; report one line per check.  Returns success."""
     core.check_enumeration_cap(m.n)
+    sweep = Sweep(m)
     for name, check in ALL_CHECKS:
         try:
-            check(m)
+            check(m, sweep)
         except AssertionError as exc:  # a bare one comes from a serving self-test
             report(f"FAIL {exc}" if isinstance(exc, VerificationFailure) else f"FAIL {name}: {exc}")
             return False

@@ -135,6 +135,13 @@ def test_filtration_validation_errors():
         Filtration.from_masks((0b001, 0), 0)  # an empty part
     with pytest.raises(ValueError):
         Filtration.from_masks((0b001,), 2)  # cyclic flat index out of range
+    # the namedtuple constructors go through from_masks too
+    with pytest.raises(ValueError):
+        Filtration._make(((0b011, 0b110), 0))  # parts overlap
+    f = Filtration.from_masks((0b001, 0b110), 0)
+    with pytest.raises(ValueError):
+        f._replace(cyclic_index=5)
+    assert f._replace(cyclic_index=1) == Filtration.from_masks((0b001, 0b110), 1)
 
 
 def test_is_connected_filtration_examples(k4_om):

@@ -34,6 +34,7 @@ from actbij.core import (
 )
 from actbij.oracles import active_basis_recursive, check_active_duality, induction_step_sets
 from conftest import random_om, subsets
+from examples import diamond_doubled, k4, w4
 
 
 def fs(*elements):
@@ -159,6 +160,19 @@ def test_recursive_definitions_agree(k4_om):
             b = active_basis(r)
             assert active_basis_recursive(r) == b
             assert active_basis_recursive(r, circuit_induction=True) == b
+
+
+@pytest.mark.parametrize("m", [k4(), diamond_doubled(), w4()], ids=["K4", "diamond_doubled", "W4"])
+def test_a_shared_recursion_memo_changes_no_result(m):
+    # one memo for both induction styles, as the recursive-definitions check
+    # passes it; the style is in the key, so neither reads the other's bases
+    memo: dict = {}
+    for a in subsets(m.n):
+        r = reorient(m, a)
+        for circuit_induction in (False, True):
+            alone = active_basis_recursive(r, circuit_induction=circuit_induction)
+            assert active_basis_recursive(r, circuit_induction=circuit_induction, memo=memo) == alone
+    assert {style for _, style in memo} == {False, True}
 
 
 def test_threshold_induction_variants(k4_om):

@@ -113,7 +113,7 @@ def test_verify_subcommand_passes():
 
 
 def test_verify_failure_exit_code(monkeypatch):
-    def broken(m):
+    def broken(m, sweep):
         raise verify.VerificationFailure("structure: injected failure")
 
     monkeypatch.setattr(verify, "ALL_CHECKS", [("structure", broken)])

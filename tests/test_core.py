@@ -113,6 +113,12 @@ def digraph_fundamental_cocircuit(g, tree, b):
 def test_signed_subset_disjointness():
     with pytest.raises(ValueError):
         SignedSubset(frozenset({1}), frozenset({1}))
+    # the namedtuple constructors go through from_masks too
+    with pytest.raises(ValueError):
+        SignedSubset._make((3, 3))
+    with pytest.raises(ValueError):
+        ss(1, -2)._replace(neg=1)
+    assert ss(1, -2)._replace(neg=4) == ss(1, -3)
 
 
 def test_canonical_representative():

@@ -2,10 +2,11 @@
 one-step minors against graph minors, the mask encoding of signed sets
 and of filtrations against the element-set formulas, the forward map on
 (M, A) against the same map on the reorientation -_A M itself, `refined`
-against the direct forward map and `table` against the per-basis class
-route."""
+against the direct forward map, `table` against the per-basis class
+route and the bases against the scan of every rank-sized subset."""
 
 import copy
+import itertools
 import pickle
 
 from hypothesis import example, given, settings, strategies as st
@@ -26,12 +27,13 @@ from actbij.core import (
     _elements,
     bases,
     compose,
+    dual,
     fundamental_circuit,
     fundamental_cocircuit,
     reorient,
     restrict_contract,
 )
-from actbij.graphs import OrderedDigraph, om_from_digraph
+from actbij.graphs import OrderedDigraph, om_from_digraph, parse_om_file, serialize_om
 from conftest import refined_by_direct_route, refined_stdout, table_by_class_route, table_stdout
 
 VERTICES = "abcde"
@@ -276,3 +278,24 @@ def test_table_is_the_class_route_on_every_basis(g):
     # calls alpha_inverse_class on each basis and formats without the library
     m = om_from_digraph(g)
     assert table_stdout(m) == table_by_class_route(m)
+
+
+def scanned_bases(m) -> tuple[frozenset[int], ...]:
+    """Every rank-sized subset in lexicographic order that holds no circuit."""
+    supports = [frozenset(c.support) for c in m.circuits]
+    return tuple(
+        frozenset(b)
+        for b in itertools.combinations(range(1, m.n + 1), m.rank)
+        if not any(s <= frozenset(b) for s in supports)
+    )
+
+
+@settings(steady, max_examples=200)
+@given(digraphs(max_edges=9))
+@example(OrderedDigraph(("a",), ()))  # n = 0
+@example(OrderedDigraph(("a",), (("a", "a"), ("a", "a"))))  # loops only: rank 0, its dual rank 2
+def test_bases_are_the_full_subset_scan(g):
+    # the graph's matroid, and its dual read back from an om file
+    m = om_from_digraph(g)
+    for x in (m, parse_om_file(serialize_om(dual(m)))):
+        assert bases(x) == scanned_bases(x)

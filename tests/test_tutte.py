@@ -5,6 +5,7 @@ from collections import defaultdict
 import pytest
 
 from actbij.activities import active_filtration_orientation, orientation_activities
+from actbij.bijection import active_basis
 from actbij.core import (
     GroundSetTooLarge,
     SignedSubset,
@@ -14,7 +15,7 @@ from actbij.core import (
     subset_rank,
 )
 from actbij.graphs import OrderedDigraph, om_from_digraph
-from actbij.oracles import all_connected_filtrations, tutte_delcon_oracle
+from actbij.oracles import active_basis_recursive, all_connected_filtrations, tutte_delcon_oracle
 from actbij.tutte import (
     TuttePolynomial,
     beta,
@@ -218,7 +219,7 @@ def test_oracles_keep_no_state_between_calls():
 
     rng = random.Random(11)
     modules = (activities, oracles, tutte)
-    for oracle, max_edges in ((tutte_delcon_oracle, 8), (all_connected_filtrations, 6)):
+    for oracle, max_edges in ((tutte_delcon_oracle, 8), (all_connected_filtrations, 6), (active_basis_recursive, 8)):
         oms = [random_om(rng, max_edges=max_edges, min_edges=4) for _ in range(2)]
         before = [_module_state(module) for module in modules]
         results = [oracle(m) for m in oms]
@@ -226,8 +227,10 @@ def test_oracles_keep_no_state_between_calls():
         for m, result in zip(oms, results):
             if oracle is tutte_delcon_oracle:
                 assert result == tutte_from_bases(m)
-            else:
+            elif oracle is all_connected_filtrations:
                 assert active_filtration_orientation(m) in result
+            else:
+                assert result == active_basis(m)
 
 
 def test_bases_route_matches_networkx():

@@ -1,9 +1,11 @@
 """The verify suite: which modules may use the oracles, that every cache
-in the library is bounded, and that its named checks report a planted
-fault under their own names."""
+in the library is bounded, that no function declares a global, that one
+run maps each reorientation of M once, and that its named checks report
+a planted fault under their own names."""
 
 import ast
 import dataclasses
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -11,7 +13,7 @@ import pytest
 from actbij import activities, bijection, core, oracles, verify
 from actbij.activities import Filtration
 from actbij.tutte import TuttePolynomial
-from examples import k3
+from examples import k3, k4
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "actbij"
 SERVING = ("core", "graphs", "activities", "bijection", "tutte", "cli")
@@ -66,6 +68,39 @@ def test_every_cache_in_src_has_a_finite_maxsize():
     }
     assert "core.bases" in sizes
     assert [name for name, size in sizes.items() if type(size) is not int] == []
+
+
+def test_no_function_in_src_declares_a_global():
+    # the verify record and the oracle memos live for one call or one check;
+    # a `global` statement would let one call see the state of the last
+    found = [
+        f"{path.stem}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Global)
+    ]
+    assert found == []
+
+
+def test_a_run_maps_each_reorientation_once(monkeypatch):
+    # per A: the record of M, refined_alpha and the dual side of alpha-duality
+    # call the forward map; the two inductions share minors through the memo
+    calls: Counter = Counter()
+
+    def counted(module, attr):
+        real = getattr(module, attr)
+
+        def wrapper(*args, **kwargs):
+            calls[attr] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, wrapper)
+
+    counted(bijection, "active_basis")
+    counted(oracles, "restrict_contract")
+    assert verify.run_all(k4(), report=lambda line: None)
+    assert calls["active_basis"] <= 3 << 6
+    assert calls["restrict_contract"] <= 300
 
 
 PLANTED = [
@@ -167,11 +202,14 @@ def test_a_planted_fault_fails_its_check(monkeypatch, check, module, attr, fault
 
 
 def test_a_failed_self_test_inside_a_check_is_reported_as_its_failure(monkeypatch):
-    def planted(m, b):
+    def planted(*args):
         raise AssertionError("planted")
 
-    monkeypatch.setattr(bijection, "alpha_inverse_class", planted)
-    assert_fails_at("bijection", "FAIL bijection: planted")
+    # bijection is the first check to ask the run's record for an active basis
+    for attr in ("alpha_inverse_class", "active_basis"):
+        with monkeypatch.context() as patch:
+            patch.setattr(bijection, attr, planted)
+            assert_fails_at("bijection", "FAIL bijection: planted")
 
 
 def assert_fails_at(check, fail_line):
