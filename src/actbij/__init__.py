@@ -56,8 +56,6 @@ from .graphs import (
     parse_graph_file,
     parse_om_file,
     parse_reorientation,
-    serialize_graph,
-    serialize_om,
 )
 from .oracles import check_active_duality, tutte_delcon_oracle
 from .tutte import (

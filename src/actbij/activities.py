@@ -29,6 +29,7 @@ from .core import (
     _reoriented,
     _runs,
     _squeeze,
+    _submasks,
     bases,
     is_connected_matroid,
     restrict_contract,
@@ -102,14 +103,6 @@ class Filtration(namedtuple("_Parts", ["masks", "cyclic_index"])):
         (O*, O) for the active filtration of a reorientation."""
         lows = [part & -part for part in self.masks]
         return reduce(or_, lows[self.cyclic_index:], 0), reduce(or_, lows[: self.cyclic_index], 0)
-
-    @classmethod
-    def from_parts(cls, cyclic_parts, acyclic_parts) -> Filtration:
-        """Assemble the chain: cyclic parts by decreasing minimum from ∅,
-        then acyclic parts by increasing minimum."""
-        cyclic = sorted(map(_mask, cyclic_parts), key=lambda part: part & -part, reverse=True)
-        acyclic = sorted(map(_mask, acyclic_parts), key=lambda part: part & -part)
-        return cls.from_masks(cyclic + acyclic, len(cyclic))
 
 
 def basis_activities(m: OrientedMatroid, b: frozenset[int]) -> tuple[frozenset[int], frozenset[int]]:
@@ -266,16 +259,6 @@ def _interval_table(m: OrientedMatroid):
     return tuple((basis, *basis_pass(m, basis)) for basis in map(_mask, bases(m)))
 
 
-def _submasks(mask: int):
-    """Every submask of ``mask``, the mask itself first and 0 last."""
-    sub = mask
-    while True:
-        yield sub
-        if not sub:
-            return
-        sub = (sub - 1) & mask
-
-
 @lru_cache(maxsize=8)
 def _interval_walk(m: OrientedMatroid):
     """One walk over every basis interval [B∖Int(B), B∪Ext(B)], which must
@@ -311,7 +294,8 @@ def _owner(m: OrientedMatroid, a: int):
 
 
 def basis_of_subset(m: OrientedMatroid, a) -> frozenset[int]:
-    """The unique basis whose interval [B∖Int(B), B∪Ext(B)] contains A."""
+    """The basis of A in Crapo's partition of 2^E into the basis intervals
+    [B∖Int(B), B∪Ext(B)]: the unique basis whose interval contains A."""
     return _elements(_owner(m, _mask(a))[0])
 
 

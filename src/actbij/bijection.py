@@ -82,12 +82,10 @@ def _composition_criterion(funds, basis: int, bounded: bool) -> bool:
     return cov_ok and vec_ok
 
 
-def _is_bounded_wrt(m: OrientedMatroid, p: int) -> bool:
-    """Whether M is bounded, else dual-bounded, w.r.t. p = min(E); raises if neither."""
-    if p != min(m.ground_set):
-        raise ValueError("full optimality is defined w.r.t. the smallest element")
-    bounded = is_bounded(m, p)
-    if not bounded and not is_dual_bounded(m, p):
+def _is_bounded_wrt(m: OrientedMatroid) -> bool:
+    """Whether M is bounded, else dual-bounded, w.r.t. p = min(E) = 1; raises if neither."""
+    bounded = is_bounded(m, 1)
+    if not bounded and not is_dual_bounded(m, 1):
         raise ValueError("oriented matroid is neither bounded nor dual-bounded w.r.t. p")
     return bounded
 
@@ -104,7 +102,7 @@ def _passes_both_criteria(m: OrientedMatroid, basis: int, bounded: bool) -> bool
     return by_signs
 
 
-def is_fully_optimal(m: OrientedMatroid, b: frozenset[int], p: int) -> bool:
+def is_fully_optimal(m: OrientedMatroid, b: frozenset[int]) -> bool:
     """Whether B satisfies the full optimality criterion of the bounded
     (resp. dual-bounded) oriented matroid M w.r.t. p = min(E).
 
@@ -112,17 +110,17 @@ def is_fully_optimal(m: OrientedMatroid, b: frozenset[int], p: int) -> bool:
     criterion are evaluated; a disagreement means corrupted input or an
     implementation bug and raises.
     """
-    return _passes_both_criteria(m, _mask(b), _is_bounded_wrt(m, p))
+    return _passes_both_criteria(m, _mask(b), _is_bounded_wrt(m))
 
 
 @lru_cache(maxsize=65536)
-def fully_optimal_basis(m: OrientedMatroid, p: int) -> frozenset[int]:
+def fully_optimal_basis(m: OrientedMatroid) -> frozenset[int]:
     """The unique basis passing :func:`is_fully_optimal`, by scan over all
     bases, cached per minor.  Uniactive internal when M is bounded,
     uniactive external when dual-bounded; zero or several hits raise."""
     if m.n == 0:
         return frozenset()
-    bounded = _is_bounded_wrt(m, p)
+    bounded = _is_bounded_wrt(m)
     hits = [b for b in bases(m) if _passes_both_criteria(m, _mask(b), bounded)]
     if len(hits) != 1:
         raise AssertionError(
@@ -139,7 +137,7 @@ def active_basis(m: OrientedMatroid, a=()) -> frozenset[int]:
     reoriented by A; -_A M is built whole only as its own one minor."""
     f = active_filtration_orientation(m, a)
     return frozenset().union(*(
-        _translated(fully_optimal_basis(minor, 1), _positions(part))
+        _translated(fully_optimal_basis(minor), _positions(part))
         for minor, part in zip(active_minors(m, f, a), f.masks)
     ))
 

@@ -69,6 +69,16 @@ def _elements(mask: int) -> frozenset[int]:
     return frozenset(_positions(mask))
 
 
+def _submasks(mask: int):
+    """Every submask of ``mask``, the mask itself first and 0 last."""
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
+
+
 class SignedSubset(namedtuple("_Masks", ["pos", "neg"])):
     """A pair of disjoint element sets (positive part, negative part),
     stored as the int masks ``pos`` and ``neg``.  ``_make`` and ``_replace``
@@ -110,19 +120,10 @@ class SignedSubset(namedtuple("_Masks", ["pos", "neg"])):
     def negated(self) -> SignedSubset:
         return _new(SignedSubset, (self.neg, self.pos))
 
-    def canonical(self) -> SignedSubset:
-        """The representative of {X, -X} whose smallest support element is positive."""
-        support = self.pos | self.neg
-        return self.negated() if self.neg & support & -support else self
-
     def reoriented(self, flipped) -> SignedSubset:
         """Swap the sign of every element of ``flipped``."""
         flip = (self.pos | self.neg) & _mask(flipped)
         return _new(SignedSubset, (self.pos ^ flip, self.neg ^ flip))
-
-    def restricted(self, kept) -> SignedSubset:
-        kept = _mask(kept)
-        return _new(SignedSubset, (self.pos & kept, self.neg & kept))
 
     @classmethod
     def from_string(cls, s: str) -> SignedSubset:
@@ -323,13 +324,13 @@ def restrict_contract(m: OrientedMatroid, keep, contracted) -> OrientedMatroid:
 
 
 def delete(m: OrientedMatroid, removed) -> OrientedMatroid:
-    """Delete the element set: keep circuits avoiding it, restrict cocircuits.
+    """The deletion M∖X: keep circuits avoiding X, restrict cocircuits.
     New element i is the i-th smallest kept original element."""
     return restrict_contract(m, m.ground_set - frozenset(removed), ())
 
 
 def contract(m: OrientedMatroid, removed) -> OrientedMatroid:
-    """Contract the element set; dual rules to :func:`delete`."""
+    """The contraction M/X; dual rules to :func:`delete`."""
     return restrict_contract(m, m.ground_set, removed)
 
 
@@ -409,14 +410,16 @@ def _fundamentals(m: OrientedMatroid, basis: int) -> list[SignedSubset]:
 
 
 def fundamental_circuit(m: OrientedMatroid, b: frozenset[int], e: int) -> SignedSubset:
-    """The unique circuit inside B ∪ {e}, sign-normalized so that e is positive."""
+    """The fundamental circuit of e w.r.t. B: the unique circuit inside
+    B ∪ {e}, sign-normalized so that e is positive."""
     if e in b:
         raise ValueError(f"element {e} lies in the basis")
     return _fundamentals(m, _mask(b))[e - 1]
 
 
 def fundamental_cocircuit(m: OrientedMatroid, b: frozenset[int], elt: int) -> SignedSubset:
-    """The unique cocircuit inside (E∖B) ∪ {b}, sign-normalized so that b is positive."""
+    """The fundamental cocircuit of b w.r.t. B: the unique cocircuit inside
+    (E∖B) ∪ {b}, sign-normalized so that b is positive."""
     if elt not in b:
         raise ValueError(f"element {elt} is not in the basis")
     return _fundamentals(m, _mask(b))[elt - 1]

@@ -20,7 +20,6 @@ for the empty set, or a length-n bitstring prefixed ``b:``.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .core import (
@@ -29,6 +28,7 @@ from .core import (
     _fundamentals,
     _mask,
     _positions,
+    _submasks,
     bases,
     check_enumeration_cap,
     om_from_lists,
@@ -52,34 +52,18 @@ class OrderedDigraph:
     def n(self) -> int:
         return len(self.edges)
 
-    def reversed_edges(self, flipped) -> OrderedDigraph:
-        """Flip the arcs whose indices lie in ``flipped``."""
-        a = frozenset(flipped)
-        new = tuple(
-            (h, t) if i in a else (t, h)
-            for i, (t, h) in enumerate(self.edges, start=1)
-        )
-        return OrderedDigraph(self.vertices, new)
 
-
-def _components(vertices: set[str], adjacent) -> list[set[str]]:
-    """The vertex sets of the components of the subgraph induced on ``vertices``."""
-    seen: set[str] = set()
-    comps = []
-    for v in vertices:
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for _, w, _ in adjacent.get(u, ()):
-                if w in vertices and w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        comps.append(comp)
-    return comps
+def _reach(within: int, nbr: list[int]) -> int:
+    """The vertices of the mask ``within`` that its lowest vertex reaches inside it,
+    by one flood fill over the neighbour masks ``nbr``."""
+    reached, frontier = 0, within & -within
+    while frontier:
+        reached |= frontier
+        grown = 0
+        for v in _positions(frontier):
+            grown |= nbr[v - 1]
+        frontier = grown & within & ~reached
+    return reached
 
 
 def _circuits(indexed, adjacent) -> list[SignedSubset]:
@@ -111,9 +95,11 @@ def om_from_digraph(g: OrderedDigraph) -> OrientedMatroid:
     """Signed circuits from simple cycles, signed cocircuits from bonds.
 
     Cycles come from a depth-first search (see :func:`_circuits`).  A bond
-    is the cut of a vertex set s holding the smallest vertex of its
+    is the cut of a vertex set s holding the first vertex of its
     component, where s and the rest of the component both induce
     connected subgraphs; so each bond is found once and is minimal.
+    Vertex sets are masks: the sides are the submasks of the component,
+    and each is tested by one flood fill (:func:`_reach`).
     """
     vertex_set = set(g.vertices)
     for t, h in g.edges:
@@ -131,16 +117,23 @@ def om_from_digraph(g: OrderedDigraph) -> OrientedMatroid:
             adjacent.setdefault(h, []).append((k, t, False))
     circuits = _circuits(indexed, adjacent)
 
-    bonds = []
-    for comp in _components(vertex_set, adjacent):
-        anchor, *others = sorted(comp)
-        for r in range(len(others)):
-            for side in itertools.combinations(others, r):
-                s = {anchor, *side}
-                if len(_components(s, adjacent)) == 1 == len(_components(comp - s, adjacent)):
-                    pos = sum(1 << (k - 1) for k, t, h in indexed if t in s and h not in s)
-                    neg = sum(1 << (k - 1) for k, t, h in indexed if h in s and t not in s)
-                    bonds.append(SignedSubset.from_masks(pos, neg))
+    index = {v: i for i, v in enumerate(g.vertices)}
+    ends = [(1 << index[t], 1 << index[h]) for t, h in g.edges]  # per edge: tail, head as masks
+    nbr = [0] * len(g.vertices)  # per vertex: its neighbours
+    for (t, h), (tail, head) in zip(g.edges, ends):
+        nbr[index[t]] |= head
+        nbr[index[h]] |= tail
+    bonds, unreached = [], (1 << len(g.vertices)) - 1
+    while unreached:
+        comp = _reach(unreached, nbr)
+        unreached ^= comp
+        anchor = comp & -comp
+        for rest in _submasks(comp ^ anchor):
+            s, other = anchor | rest, comp ^ anchor ^ rest
+            if other and _reach(s, nbr) == s and _reach(other, nbr) == other:
+                pos = sum(1 << k for k, (t, h) in enumerate(ends) if t & s and h & other)
+                neg = sum(1 << k for k, (t, h) in enumerate(ends) if h & s and t & other)
+                bonds.append(SignedSubset.from_masks(pos, neg))
     return om_from_lists(n, circuits, bonds)
 
 
@@ -185,12 +178,6 @@ def parse_graph_file(text: str) -> OrderedDigraph:
     return OrderedDigraph(tuple(names), tuple(edges))
 
 
-def serialize_graph(g: OrderedDigraph) -> str:
-    lines = [f"graph {len(g.vertices)}"]
-    lines += [f"{t} {h}" for t, h in g.edges]
-    return "\n".join(lines) + "\n"
-
-
 def parse_om_file(text: str) -> OrientedMatroid:
     lines = list(_content_lines(text))
     if not lines:
@@ -225,13 +212,6 @@ def parse_om_file(text: str) -> OrientedMatroid:
     for b in bases(m):
         _fundamentals(m, _mask(b))
     return m
-
-
-def serialize_om(m: OrientedMatroid) -> str:
-    lines = [f"om {m.n}"]
-    lines += [f"C {c.to_string(m.n)}" for c in m.circuits]
-    lines += [f"D {d.to_string(m.n)}" for d in m.cocircuits]
-    return "\n".join(lines) + "\n"
 
 
 def parse_file(text: str) -> OrientedMatroid:

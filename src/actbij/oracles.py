@@ -1,7 +1,7 @@
 """Independent routes that ``actbij verify`` and the tests check the
 serving maps against: the recursive definition of the active basis, the
-threshold induction sets, the active duality identities, the exhaustive
-connected filtrations and deletion/contraction.  Exponential, desk scale
+threshold induction sets, the active duality identities, the connected
+filtrations by chain growth and deletion/contraction.  Exponential, desk scale
 only; no serving module imports them, and every memo lives for one call,
 or for one check when passed in.
 """
@@ -13,6 +13,7 @@ from .bijection import _translated, fully_optimal_basis
 from .core import (
     OrientedMatroid,
     _elements,
+    _submasks,
     _supports,
     dual,
     is_bounded,
@@ -44,9 +45,8 @@ def _recursive_step(m: OrientedMatroid, circuit_induction: bool, memo: dict) -> 
 
     if m.n == 0:
         return frozenset()
-    p = 1
-    if is_bounded(m, p) or is_dual_bounded(m, p):
-        return fully_optimal_basis(m, p)
+    if is_bounded(m, 1) or is_dual_bounded(m, 1):
+        return fully_optimal_basis(m)
     ostar, o = orientation_activities(m)
     ground = m.ground_set
     active = o if circuit_induction else ostar
@@ -89,36 +89,32 @@ def induction_step_sets(m: OrientedMatroid) -> list[frozenset[int]]:
 
 
 def check_active_duality(m: OrientedMatroid) -> bool:
-    """Both duality identities on a bounded M (|E| > 1):
+    """Both duality identities on a bounded M (|E| > 1), w.r.t. p = 1:
     the active basis of -_p M* complements α(M) up to swapping the two
     smallest elements, and α(M*) = E ∖ α(M) for the dual-bounded M*."""
     if m.n <= 1:
         raise ValueError("active duality needs at least two elements")
-    p = 1
-    if not is_bounded(m, p):
+    if not is_bounded(m, 1):
         raise ValueError("active duality applies to a bounded oriented matroid")
-    p_next = 2
     ground = m.ground_set
-    lhs = fully_optimal_basis(m, p)
-    companion = reorient(dual(m), frozenset({p}))
-    via_active_duality = (ground - fully_optimal_basis(companion, p)) - {p_next} | {p}
-    plain = fully_optimal_basis(dual(m), p) == ground - lhs
+    lhs = fully_optimal_basis(m)
+    companion = reorient(dual(m), frozenset({1}))
+    via_active_duality = (ground - fully_optimal_basis(companion)) - {2} | {1}
+    plain = fully_optimal_basis(dual(m)) == ground - lhs
     return lhs == via_active_duality and plain
 
 
 def all_connected_filtrations(m: OrientedMatroid) -> list[Filtration]:
-    """Exhaustive enumeration of the connected filtrations of M.
-
-    A filtration is a set partition of E with a subset of blocks marked
-    cyclic (the chain is recovered from the block minima), so walk all
-    partitions and all markings, filtering by minor connectivity; each
-    chain step's verdict is memoized for the duration of the call.
+    """The connected filtrations of M, each chain grown from ∅ one part at
+    a time: cyclic parts by decreasing minimum, the cyclic flat closed at
+    any step, then acyclic parts each holding the smallest element left.
+    A chain is dropped at its first step whose minor is not connected;
+    each step's verdict is memoized for the duration of the call.
     Exponential; desk scale only.
     """
-    ground = sorted(m.ground_set)
-    if not ground:
-        return [Filtration((frozenset(),), 0)]
+    full = (1 << m.n) - 1
     memo: dict[tuple[int, int, bool], bool] = {}  # keyed on the chain masks F ⊂ G
+    results = []
 
     def step_ok(small: int, large: int, cyclic: bool) -> bool:
         if (small, large, cyclic) not in memo:
@@ -126,29 +122,24 @@ def all_connected_filtrations(m: OrientedMatroid) -> list[Filtration]:
             memo[small, large, cyclic] = _connected_step(minor, cyclic)
         return memo[small, large, cyclic]
 
-    def set_partitions(elements: list[int]):
-        if not elements:
-            yield []
+    def acyclic(parts: list[int], placed: int, cyclic_index: int) -> None:
+        left = full & ~placed
+        if not left:
+            results.append(Filtration.from_masks(parts, cyclic_index))
             return
-        first, rest = elements[0], elements[1:]
-        for blocks in set_partitions(rest):
-            for i in range(len(blocks)):
-                yield blocks[:i] + [blocks[i] | {first}] + blocks[i + 1:]
-            yield [*blocks, frozenset({first})]
+        low = left & -left
+        for rest in _submasks(left ^ low):
+            if step_ok(placed, placed | low | rest, False):
+                acyclic([*parts, low | rest], placed | low | rest, cyclic_index)
 
-    results = []
-    for blocks in set_partitions(ground):
-        for marking in range(1 << len(blocks)):
-            cyclic = [blocks[i] for i in range(len(blocks)) if marking >> i & 1]
-            acyclic = [blocks[i] for i in range(len(blocks)) if not marking >> i & 1]
-            f = Filtration.from_parts(cyclic, acyclic)
-            small = 0
-            for i, part in enumerate(f.masks):
-                if not step_ok(small, small | part, f.part_is_cyclic(i)):
-                    break
-                small |= part
-            else:
-                results.append(f)
+    def cyclic(parts: list[int], placed: int) -> None:
+        acyclic(parts, placed, len(parts))
+        below = parts[-1] & -parts[-1] if parts else full + 1
+        for part in _submasks(full & ~placed):
+            if part and part & -part < below and step_ok(placed, placed | part, True):
+                cyclic([*parts, part], placed | part)
+
+    cyclic([], 0)
     return results
 
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 from array import array
 from functools import lru_cache
 
-from .activities import _interval_table, _interval_walk, _submasks
-from .core import OrientedMatroid, check_enumeration_cap
+from .activities import _interval_table, _interval_walk
+from .core import OrientedMatroid, _submasks, check_enumeration_cap
 
 
 class TuttePolynomial:
@@ -119,12 +119,14 @@ def tutte_from_orientations(m: OrientedMatroid) -> TuttePolynomial:
 
 
 def beta(m: OrientedMatroid) -> int:
-    """b_{1,0}: 1 for an isthmus, 0 for a loop, else the connectivity count."""
+    """Crapo's beta invariant b_{1,0}: 1 for an isthmus, 0 for a loop, else
+    the connectivity count."""
     return tutte_from_bases(m).coefficient(1, 0)
 
 
 def beta_star(m: OrientedMatroid) -> int:
-    """b_{0,1}: 0 for an isthmus, 1 for a loop; equals beta when |E| > 1."""
+    """The dual beta invariant b_{0,1}: 0 for an isthmus, 1 for a loop;
+    equals beta when |E| > 1."""
     return tutte_from_bases(m).coefficient(0, 1)
 
 

@@ -54,8 +54,8 @@ class Sweep:
 
 def _interval(lo, hi):
     """Every set between lo and hi."""
-    free = sorted(hi - lo)
-    return {lo | frozenset(free[i - 1] for i in sub) for sub in activities.subsets_by_rank(len(free))}
+    lo = core._mask(lo)
+    return {core._elements(lo | sub) for sub in core._submasks(core._mask(hi) & ~lo)}
 
 
 def check_structure(m, sweep):
@@ -68,11 +68,10 @@ def check_structure(m, sweep):
 
 def check_pivot_property(m, sweep):
     for b in core.bases(m):
+        supports = core._supports(core._fundamentals(m, core._mask(b)))
         for elt in b:
-            d = core.fundamental_cocircuit(m, b, elt)
             for e in m.ground_set - b:
-                c = core.fundamental_circuit(m, b, e)
-                if (e in d.support) != (elt in c.support):
+                if (supports[elt - 1] >> (e - 1) & 1) != (supports[e - 1] >> (elt - 1) & 1):
                     _fail("pivot", f"B={sorted(b)}, b={elt}, e={e}")
 
 
@@ -85,14 +84,15 @@ def check_compose_full_support(m, sweep):
         e for d in m.cocircuits if len(d.support) == 1 for e in d.support
     )
     for b in core.bases(m):
+        funds = core._fundamentals(m, core._mask(b))
         cov = zero
         for elt in sorted(b):
-            cov = core.compose(cov, core.fundamental_cocircuit(m, b, elt))
+            cov = core.compose(cov, funds[elt - 1])
         if cov.support != m.ground_set - loops:
             _fail("compose", f"covector support wrong for B={sorted(b)}")
         vec = zero
         for e in sorted(m.ground_set - b):
-            vec = core.compose(vec, core.fundamental_circuit(m, b, e))
+            vec = core.compose(vec, funds[e - 1])
         if vec.support != m.ground_set - isthmuses:
             _fail("compose", f"vector support wrong for B={sorted(b)}")
 
@@ -211,7 +211,7 @@ def check_full_optimality_uniqueness(m, sweep):
         r = core.reorient(m, a)
         if not (core.is_bounded(r, 1) or core.is_dual_bounded(r, 1)):
             continue
-        hits = [b for b in core.bases(r) if bijection.is_fully_optimal(r, b, 1)]
+        hits = [b for b in core.bases(r) if bijection.is_fully_optimal(r, b)]
         if len(hits) != 1:
             _fail("full-optimality", f"A={sorted(a)}: {len(hits)} optimal bases")
 
@@ -317,9 +317,8 @@ def check_filtration_uniqueness(m, sweep):
         return
     filtrations = oracles.all_connected_filtrations(m)
     for a in activities.subsets_by_rank(m.n):
-        r = core.reorient(m, a)
         valid = [f for f in filtrations if _unbounded_part(m, f, a) is None]
-        if len(valid) != 1 or valid[0] != activities.active_filtration_orientation(r):
+        if len(valid) != 1 or valid[0] != sweep.value(activities.active_filtration_orientation, a):
             _fail("filtration-uniqueness", f"A={sorted(a)}: {len(valid)} decompositions")
 
 

@@ -39,6 +39,14 @@ def random_connected_om(rng: random.Random, max_vertices=5, max_edges=8):
             return m
 
 
+def serialize_om(m) -> str:
+    """The om file of m: the header, then a sign line per stored circuit and cocircuit."""
+    lines = [f"om {m.n}"]
+    lines += [f"C {c.to_string(m.n)}" for c in m.circuits]
+    lines += [f"D {d.to_string(m.n)}" for d in m.cocircuits]
+    return "\n".join(lines) + "\n"
+
+
 def refined_stdout(m) -> str:
     """What `actbij refined` prints for the oriented matroid m."""
     out = io.StringIO()

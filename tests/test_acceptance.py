@@ -215,7 +215,7 @@ def test_criterion_07_full_optimality_uniqueness():
                 continue
             # is_fully_optimal raises if the two criterion formulations
             # ever disagree, so this scan also checks their equivalence
-            hits = [b for b in bases(r) if is_fully_optimal(r, b, 1)]
+            hits = [b for b in bases(r) if is_fully_optimal(r, b)]
             assert len(hits) == 1
     _ok(7, "exactly one fully optimal basis; both criteria agree on every basis")
 

@@ -33,6 +33,7 @@ from actbij.graphs import om_from_digraph, OrderedDigraph
 from actbij.oracles import all_connected_filtrations
 from actbij.tutte import beta, beta_star
 from conftest import random_om, subsets
+from examples import w4
 
 
 def fs(*elements):
@@ -412,6 +413,10 @@ def test_subsets_by_rank_order():
 
 
 # --------------------------------------------- exhaustive filtration oracle
+
+def test_connected_filtration_counts(k4_om, diamond_om):
+    assert [len(all_connected_filtrations(m)) for m in (k4_om, diamond_om, w4())] == [14, 13, 40]
+
 
 def test_unique_connected_filtration_matches_formulas(k4_om):
     filtrations = all_connected_filtrations(k4_om)

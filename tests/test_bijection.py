@@ -45,34 +45,31 @@ def fs(*elements):
 
 def test_is_fully_optimal_fixtures(k3_om, k4_om):
     bounded = reorient(k4_om, {3, 5, 6})
-    assert is_fully_optimal(bounded, fs(1, 3, 6), 1)
-    assert not is_fully_optimal(bounded, fs(1, 3, 5), 1)
-    assert sum(is_fully_optimal(bounded, b, 1) for b in bases(bounded)) == 1
-    assert is_fully_optimal(reorient(k3_om, {3}), fs(1, 3), 1)
+    assert is_fully_optimal(bounded, fs(1, 3, 6))
+    assert not is_fully_optimal(bounded, fs(1, 3, 5))
+    assert sum(is_fully_optimal(bounded, b) for b in bases(bounded)) == 1
+    assert is_fully_optimal(reorient(k3_om, {3}), fs(1, 3))
 
 
 def test_is_fully_optimal_preconditions(k3_om, k4_om):
     with pytest.raises(ValueError):
-        is_fully_optimal(k4_om, fs(1, 2, 4), 1)  # not bounded
-    with pytest.raises(ValueError):
-        is_fully_optimal(reorient(k3_om, {3}), fs(1, 3), 2)  # p must be min(E)
+        is_fully_optimal(k4_om, fs(1, 2, 4))  # not bounded
 
 
 def test_fully_optimal_basis_fixtures(k4_om):
-    assert fully_optimal_basis(reorient(k4_om, {3, 5, 6}), 1) == fs(1, 3, 6)
-    assert fully_optimal_basis(reorient(k4_om, {3, 5}), 1) == fs(1, 3, 5)
+    assert fully_optimal_basis(reorient(k4_om, {3, 5, 6})) == fs(1, 3, 6)
+    assert fully_optimal_basis(reorient(k4_om, {3, 5})) == fs(1, 3, 5)
     # opposite reorientations share the fully optimal basis
-    assert fully_optimal_basis(reorient(k4_om, {1, 2, 4}), 1) == fs(1, 3, 6)
-    assert fully_optimal_basis(reorient(k4_om, {1, 2, 4, 6}), 1) == fs(1, 3, 5)
+    assert fully_optimal_basis(reorient(k4_om, {1, 2, 4})) == fs(1, 3, 6)
+    assert fully_optimal_basis(reorient(k4_om, {1, 2, 4, 6})) == fs(1, 3, 5)
 
 
 def test_fully_optimal_basis_contract(k3_om, k4_om):
-    assert fully_optimal_basis(om_from_lists(0, [], []), 1) == fs()
+    assert fully_optimal_basis(om_from_lists(0, [], [])) == fs()
     # a failed call is not cached: the second call raises again
-    for m, p in ((reorient(k3_om, {3}), 2), (k4_om, 1)):  # p not min(E); neither bounded
-        for _ in range(2):
-            with pytest.raises(ValueError):
-                fully_optimal_basis(m, p)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            fully_optimal_basis(k4_om)  # neither bounded nor dual-bounded
 
 
 def test_fully_optimal_basis_decides_boundedness_once_per_minor(k4_om, monkeypatch):
@@ -85,7 +82,7 @@ def test_fully_optimal_basis_decides_boundedness_once_per_minor(k4_om, monkeypat
     bijection.fully_optimal_basis.cache_clear()
     for a, want in (({3, 5, 6}, fs(1, 3, 6)), ({2, 4}, fs(2, 3, 6))):  # bounded, dual-bounded
         for _ in range(3):
-            assert fully_optimal_basis(reorient(k4_om, a), 1) == want
+            assert fully_optimal_basis(reorient(k4_om, a)) == want
     assert calls == ["is_bounded", "is_bounded", "is_dual_bounded"]
 
 
@@ -100,7 +97,7 @@ def test_full_optimality_uniqueness_random():
             r = reorient(m, a)
             if not (is_bounded(r, 1) or is_dual_bounded(r, 1)):
                 continue
-            hits = [b for b in bases(r) if is_fully_optimal(r, b, 1)]
+            hits = [b for b in bases(r) if is_fully_optimal(r, b)]
             assert len(hits) == 1
             tested += 1
     assert tested > 20

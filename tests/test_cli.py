@@ -6,8 +6,7 @@ import pytest
 
 from actbij import activities, bijection, cli, core, verify
 from actbij.cli import main
-from actbij.graphs import serialize_om
-from conftest import refined_by_direct_route, refined_stdout, table_stdout
+from conftest import refined_by_direct_route, refined_stdout, serialize_om, table_stdout
 from examples import diamond_doubled, k3, k4, w4
 
 DATA = Path(__file__).resolve().parent.parent / "data"

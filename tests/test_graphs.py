@@ -13,10 +13,8 @@ from actbij.graphs import (
     parse_graph_file,
     parse_om_file,
     parse_reorientation,
-    serialize_graph,
-    serialize_om,
 )
-from conftest import random_multigraph
+from conftest import random_multigraph, serialize_om
 
 
 def forest_count(g: OrderedDigraph) -> int:
@@ -110,8 +108,9 @@ def test_graph_round_trip():
     rng = random.Random(11)
     for _ in range(20):
         g = random_multigraph(rng)
-        text = serialize_graph(g)
-        assert serialize_graph(parse_graph_file(text)) == text
+        text = "".join([f"graph {len(g.vertices)}\n", *(f"{t} {h}\n" for t, h in g.edges)])
+        parsed = parse_graph_file(text)
+        assert (len(parsed.vertices), parsed.edges) == (len(g.vertices), g.edges)
 
 
 def test_parse_om_file_matches_serialization(k4_om):
@@ -194,7 +193,8 @@ def test_reorienting_arcs_matches_reorient():
         if g.n == 0:
             continue
         a = frozenset(e for e in range(1, g.n + 1) if rng.random() < 0.5)
-        assert om_from_digraph(g.reversed_edges(a)) == reorient(om_from_digraph(g), a)
+        flipped = tuple((h, t) if k in a else (t, h) for k, (t, h) in enumerate(g.edges, start=1))
+        assert om_from_digraph(OrderedDigraph(g.vertices, flipped)) == reorient(om_from_digraph(g), a)
 
 
 def test_bases_match_forest_count():

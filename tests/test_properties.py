@@ -1,9 +1,11 @@
 """Property tests: graph circuits and cocircuits against a brute force,
 one-step minors against graph minors, the mask encoding of signed sets
-and of filtrations against the element-set formulas, the forward map on
-(M, A) against the same map on the reorientation -_A M itself, `refined`
-against the direct forward map, `table` against the per-basis class
-route and the bases against the scan of every rank-sized subset."""
+and of filtrations against the element-set formulas, the chain walk of
+the connected filtrations against every set partition and cyclic marking,
+the forward map on (M, A) against the same map on the reorientation
+-_A M itself, `refined` against the direct forward map, `table` against
+the per-basis class route and the bases against the scan of every
+rank-sized subset."""
 
 import copy
 import itertools
@@ -13,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from actbij.activities import (
     Filtration,
+    _connected_step,
     active_filtration_basis,
     active_filtration_orientation,
     active_minors,
@@ -24,6 +27,7 @@ from actbij.activities import (
 from actbij.bijection import active_basis, refined_alpha
 from actbij.core import (
     SignedSubset,
+    _canonical_list,
     _elements,
     bases,
     compose,
@@ -33,8 +37,10 @@ from actbij.core import (
     reorient,
     restrict_contract,
 )
-from actbij.graphs import OrderedDigraph, om_from_digraph, parse_om_file, serialize_om
-from conftest import refined_by_direct_route, refined_stdout, table_by_class_route, table_stdout
+from actbij.graphs import OrderedDigraph, om_from_digraph, parse_om_file
+from actbij.oracles import all_connected_filtrations
+from conftest import refined_by_direct_route, refined_stdout, serialize_om, table_by_class_route, table_stdout
+from examples import diamond_doubled_digraph, k4_digraph, w4_digraph
 
 VERTICES = "abcde"
 N = 8  # ground set of the signed-set properties
@@ -182,14 +188,12 @@ def test_element_and_mask_constructors_agree(parts):
 
 @steady
 @given(signed_sets(), element_sets)
-def test_reoriented_and_restricted_match_set_formulas(parts, a):
+def test_reoriented_matches_set_formulas(parts, a):
     pos, neg = parts
     x = SignedSubset(pos, neg)
     flipped = x.reoriented(a)
     assert flipped.positive == (pos - a) | (neg & a)
     assert flipped.negative == (neg - a) | (pos & a)
-    kept = x.restricted(a)
-    assert (kept.positive, kept.negative) == (pos & a, neg & a)
 
 
 @steady
@@ -198,10 +202,10 @@ def test_canonical_matches_set_formula(parts):
     pos, neg = parts
     x = SignedSubset(pos, neg)
     if not pos | neg:
-        assert x.canonical() == x
+        assert _canonical_list([x]) == (x,)
     else:
         first_positive = min(pos | neg) in pos
-        assert x.canonical() == (x if first_positive else SignedSubset(neg, pos))
+        assert _canonical_list([x, x.negated()]) == (x if first_positive else SignedSubset(neg, pos),)
 
 
 @steady
@@ -258,6 +262,59 @@ def test_filtrations_are_stored_as_part_masks(g, data):
     f = active_filtration_orientation(m, a)
     check_filtration_encoding(f)
     assert tuple(map(_elements, f.minima())) == orientation_activities(m, a)
+
+
+def exhaustive_connected_filtrations(m) -> list[Filtration]:
+    """Every set partition of E times every cyclic marking of its blocks,
+    as a filtration (cyclic blocks by decreasing minimum from ∅, then the
+    others by increasing minimum), kept when every chain step's minor is
+    connected; each step's verdict is memoized for the call."""
+    memo: dict[tuple[int, int, bool], bool] = {}
+
+    def step_ok(small: int, large: int, cyclic: bool) -> bool:
+        if (small, large, cyclic) not in memo:
+            minor = restrict_contract(m, _elements(large), _elements(small))
+            memo[small, large, cyclic] = _connected_step(minor, cyclic)
+        return memo[small, large, cyclic]
+
+    def set_partitions(bits: list[int]):
+        if not bits:
+            yield []
+            return
+        for blocks in set_partitions(bits[1:]):
+            for i in range(len(blocks)):
+                yield blocks[:i] + [blocks[i] | bits[0]] + blocks[i + 1:]
+            yield [*blocks, bits[0]]
+
+    def low(part: int) -> int:
+        return part & -part
+
+    results = []
+    for blocks in set_partitions([1 << i for i in range(m.n)]):
+        for marking in range(1 << len(blocks)):
+            cyclic = sorted((b for i, b in enumerate(blocks) if marking >> i & 1), key=low, reverse=True)
+            acyclic = sorted((b for i, b in enumerate(blocks) if not marking >> i & 1), key=low)
+            f = Filtration.from_masks(cyclic + acyclic, len(cyclic))
+            small = 0
+            for i, part in enumerate(f.masks):
+                if not step_ok(small, small | part, f.part_is_cyclic(i)):
+                    break
+                small |= part
+            else:
+                results.append(f)
+    return results
+
+
+@settings(steady, max_examples=60)
+@given(digraphs(max_edges=6))
+@example(k4_digraph())
+@example(diamond_doubled_digraph())
+@example(w4_digraph())
+def test_the_chain_walk_finds_every_connected_filtration_once(g):
+    m = om_from_digraph(g)
+    walked = all_connected_filtrations(m)
+    assert len(set(walked)) == len(walked)
+    assert set(walked) == set(exhaustive_connected_filtrations(m))
 
 
 @settings(steady, max_examples=40)
