@@ -1,9 +1,9 @@
 """Fully optimal bases and the canonical and refined active bijections.
 
 The map from a basis to its reorientation class is a cheap single pass;
-the map from a reorientation to its basis goes through criterion-checked
-search over all bases of the bounded/dual-bounded active minors, whose
-uniqueness theorem doubles as a permanent self-test.
+the map from a reorientation to its basis builds the fully optimal basis
+of each active minor by deletion/contraction of its greatest element, and
+both full optimality criteria check every step as a permanent self-test.
 """
 
 from __future__ import annotations
@@ -29,9 +29,10 @@ from .core import (
     _elements,
     _mask,
     _fundamentals,
+    _minor,
     _positions,
-    bases,
     compose,
+    dual,
     is_basis,
     is_bounded,
     is_dual_bounded,
@@ -61,21 +62,17 @@ def _sign_opposition_criterion(funds, basis: int, bounded: bool) -> bool:
 
 
 def _composition_criterion(funds, basis: int, bounded: bool) -> bool:
-    # Adjacency/Dual-Adjacency characterize the fully optimal basis only
-    # among uniactive bases; activities come from unsigned data alone.
+    # Adjacency/Dual-Adjacency characterize the fully optimal basis only among uniactive
+    # bases; activities come from unsigned data alone, and p = 1 is always active.
+    if basis & 1 != bounded or any(s & -s == 1 << e for e, s in enumerate(x.pos | x.neg for x in funds) if e):
+        return False
     full = (1 << len(funds)) - 1
-    active = 0
     covector = vector = SignedSubset.from_masks(0, 0)
     for e, x in enumerate(funds):
-        support = x.pos | x.neg
-        if support & -support == 1 << e:
-            active |= 1 << e
         if basis >> e & 1:
             covector = compose(covector, x)
         else:
             vector = compose(vector, x)
-    if active != 1 or basis & 1 != bounded:
-        return False
     all_positive, negative_exactly_on_p = (full, 0), (full & ~1, 1)
     cov_ok = not basis or covector == (all_positive if bounded else negative_exactly_on_p)
     vec_ok = basis == full or vector == (negative_exactly_on_p if bounded else all_positive)
@@ -113,21 +110,30 @@ def is_fully_optimal(m: OrientedMatroid, b: frozenset[int]) -> bool:
     return _passes_both_criteria(m, _mask(b), _is_bounded_wrt(m))
 
 
+def _only_passing(m: OrientedMatroid, candidates, bounded: bool) -> frozenset[int]:
+    """The one candidate basis of M passing both criteria; zero or several raise."""
+    hits = [b for b in candidates if _passes_both_criteria(m, _mask(b), bounded)]
+    if len(hits) != 1:
+        found = [sorted(b) for b in hits]
+        raise AssertionError(f"expected exactly one fully optimal basis, found {len(hits)}: {found}")
+    return hits[0]
+
+
 @lru_cache(maxsize=65536)
 def fully_optimal_basis(m: OrientedMatroid) -> frozenset[int]:
-    """The unique basis passing :func:`is_fully_optimal`, by scan over all
-    bases, cached per minor.  Uniactive internal when M is bounded,
-    uniactive external when dual-bounded; zero or several hits raise."""
+    """The unique basis passing :func:`is_fully_optimal`, cached per minor: E ∖ α(M*) for a
+    dual-bounded M; for a bounded M, n ≥ 2 and ω = max(E), the one of α(M/ω) ∪ {ω} and α(M∖ω),
+    over the two minors that are bounded, that passes both criteria (zero or two raise)."""
     if m.n == 0:
         return frozenset()
-    bounded = _is_bounded_wrt(m)
-    hits = [b for b in bases(m) if _passes_both_criteria(m, _mask(b), bounded)]
-    if len(hits) != 1:
-        raise AssertionError(
-            f"expected exactly one fully optimal basis, found {len(hits)}: "
-            f"{[sorted(b) for b in hits]}"
-        )
-    return hits[0]
+    if not _is_bounded_wrt(m):
+        return m.ground_set - fully_optimal_basis(dual(m))
+    if m.n == 1:
+        return frozenset({1})
+    full, omega = (1 << m.n) - 1, 1 << (m.n - 1)
+    minors = ((_minor(m, full, omega), frozenset({m.n})), (_minor(m, full ^ omega, 0), frozenset()))
+    candidates = [fully_optimal_basis(minor) | top for minor, top in minors if is_bounded(minor, 1)]
+    return _only_passing(m, candidates, True)
 
 
 def active_basis(m: OrientedMatroid, a=()) -> frozenset[int]:

@@ -315,7 +315,11 @@ def restrict_contract(m: OrientedMatroid, keep, contracted) -> OrientedMatroid:
     to keep - contracted of the circuits inside keep, and dually the
     cocircuits are those of the cocircuits avoiding contracted.
     """
-    keep, contracted = _mask(keep), _mask(contracted)
+    return _minor(m, _mask(keep), _mask(contracted))
+
+
+def _minor(m: OrientedMatroid, keep: int, contracted: int) -> OrientedMatroid:
+    """:func:`restrict_contract` on masks."""
     ground = keep & ~contracted
     runs, size = _runs(ground), ground.bit_count()
     circuits = _minor_sets(m.circuits, ~keep, ground, runs)
@@ -367,17 +371,25 @@ def is_dual_bounded(m: OrientedMatroid, p: int) -> bool:
     return is_totally_cyclic(m) and all((c.pos | c.neg) & bit for c in positive_circuits(m))
 
 
-@lru_cache(maxsize=4096)
 def bases(m: OrientedMatroid) -> tuple[frozenset[int], ...]:
-    """All maximal circuit-support-free subsets, in lexicographic order: the independent
-    sets grow level by level, and adding e tests only the circuits whose largest element is e."""
-    check_enumeration_cap(m.n)
-    by_top = [[s for s in _supports(m.circuits) if s.bit_length() == e + 1] for e in range(m.n)]
+    """All maximal circuit-support-free subsets, in lexicographic order, cached on
+    (n, rank, circuit supports) so that every reorientation of M shares one entry."""
+    return _bases(m.n, m.rank, tuple(_supports(m.circuits)))
+
+
+@lru_cache(maxsize=4096)
+def _bases(n: int, rank: int, supports: tuple[int, ...]) -> tuple[frozenset[int], ...]:
+    # the independent sets grow level by level; adding e tests the circuits whose largest element is e
+    check_enumeration_cap(n)
+    by_top = [[s for s in supports if s.bit_length() == e + 1] for e in range(n)]
     level = [0]
-    for size in range(m.rank):  # e leaves room for the rank - size - 1 elements still to come
-        grown = ((b, e) for b in level for e in range(b.bit_length(), m.n - m.rank + size + 1))
+    for size in range(rank):  # e leaves room for the rank - size - 1 elements still to come
+        grown = ((b, e) for b in level for e in range(b.bit_length(), n - rank + size + 1))
         level = [b | 1 << e for b, e in grown if all(s & ~(b | 1 << e) for s in by_top[e])]
     return tuple(map(_elements, level))
+
+
+bases.cache_info = _bases.cache_info  # the statistics of the shared cache, as bench/tracer.py reads them
 
 
 def is_basis(m: OrientedMatroid, b) -> bool:

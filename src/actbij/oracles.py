@@ -1,20 +1,20 @@
-"""Independent routes that ``actbij verify`` and the tests check the
-serving maps against: the recursive definition of the active basis, the
-threshold induction sets, the active duality identities, the connected
-filtrations by chain growth and deletion/contraction.  Exponential, desk scale
-only; no serving module imports them, and every memo lives for one call,
-or for one check when passed in.
-"""
+"""Independent routes that ``actbij verify`` and the tests check the serving
+maps against: the fully optimal basis by scan over all bases, the recursive
+definition of the active basis, the threshold induction sets, the active duality
+identities, the connected filtrations by chain growth and deletion/contraction.
+Exponential, desk scale only; no serving module imports them, and every memo
+lives for one call, or for one check when passed in."""
 
 from __future__ import annotations
 
 from .activities import Filtration, _connected_step, orientation_activities
-from .bijection import _translated, fully_optimal_basis
+from .bijection import _is_bounded_wrt, _only_passing, _translated
 from .core import (
     OrientedMatroid,
     _elements,
     _submasks,
     _supports,
+    bases,
     dual,
     is_bounded,
     is_dual_bounded,
@@ -26,9 +26,14 @@ from .core import (
 from .tutte import TuttePolynomial
 
 
+def fully_optimal_basis_scan(m: OrientedMatroid) -> frozenset[int]:
+    """The fully optimal basis of M (n ≥ 1): the one basis passing both criteria."""
+    return _only_passing(m, bases(m), _is_bounded_wrt(m))
+
+
 def active_basis_recursive(m: OrientedMatroid, *, circuit_induction: bool = False, memo=None) -> frozenset[int]:
     """Alternate evaluator of the active basis by the recursive definition:
-    fully optimal basis in the bounded/dual-bounded case, duality, and
+    fully optimal basis by scan in the bounded/dual-bounded case, duality, and
     induction on the minor cut out by the greatest dual-active element
     (or greatest active element when ``circuit_induction``).  ``memo`` maps
     (minor, circuit_induction) to its basis and goes on through the dual hop
@@ -46,7 +51,7 @@ def _recursive_step(m: OrientedMatroid, circuit_induction: bool, memo: dict) -> 
     if m.n == 0:
         return frozenset()
     if is_bounded(m, 1) or is_dual_bounded(m, 1):
-        return fully_optimal_basis(m)
+        return fully_optimal_basis_scan(m)
     ostar, o = orientation_activities(m)
     ground = m.ground_set
     active = o if circuit_induction else ostar
@@ -97,10 +102,10 @@ def check_active_duality(m: OrientedMatroid) -> bool:
     if not is_bounded(m, 1):
         raise ValueError("active duality applies to a bounded oriented matroid")
     ground = m.ground_set
-    lhs = fully_optimal_basis(m)
+    lhs = fully_optimal_basis_scan(m)
     companion = reorient(dual(m), frozenset({1}))
-    via_active_duality = (ground - fully_optimal_basis(companion)) - {2} | {1}
-    plain = fully_optimal_basis(dual(m)) == ground - lhs
+    via_active_duality = (ground - fully_optimal_basis_scan(companion)) - {2} | {1}
+    plain = fully_optimal_basis_scan(dual(m)) == ground - lhs
     return lhs == via_active_duality and plain
 
 

@@ -207,13 +207,15 @@ def check_refined_bijection(m, sweep):
 def check_full_optimality_uniqueness(m, sweep):
     if m.n == 0:
         return
+    all_bases = core.bases(m)  # the bases of -_A M are those of M
     for a in activities.subsets_by_rank(m.n):
         r = core.reorient(m, a)
-        if not (core.is_bounded(r, 1) or core.is_dual_bounded(r, 1)):
-            continue
-        hits = [b for b in core.bases(r) if bijection.is_fully_optimal(r, b)]
-        if len(hits) != 1:
-            _fail("full-optimality", f"A={sorted(a)}: {len(hits)} optimal bases")
+        if core.is_bounded(r, 1) or core.is_dual_bounded(r, 1):
+            hits = [b for b in all_bases if bijection.is_fully_optimal(r, b)]
+            if len(hits) != 1:
+                _fail("full-optimality", f"A={sorted(a)}: {len(hits)} optimal bases")
+            if hits[0] != (served := sweep.value(bijection.active_basis, a)):
+                _fail("full-optimality", f"A={sorted(a)}: scan {sorted(hits[0])} != served {sorted(served)}")
 
 
 def check_duality_of_alpha(m, sweep):
@@ -227,7 +229,7 @@ def check_duality_of_alpha(m, sweep):
 def check_active_duality_bounded(m, sweep):
     if m.n <= 1:
         return
-    for a in activities.subsets_by_rank(m.n):
+    for a in activities.subsets_by_rank(m.n - 1):  # -_A M = -_(E∖A) M: each pair at its mask without n
         r = core.reorient(m, a)
         if core.is_bounded(r, 1) and not oracles.check_active_duality(r):
             _fail("active-duality", f"A={sorted(a)}")

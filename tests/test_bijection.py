@@ -75,15 +75,32 @@ def test_fully_optimal_basis_contract(k3_om, k4_om):
 def test_fully_optimal_basis_decides_boundedness_once_per_minor(k4_om, monkeypatch):
     import actbij.bijection as bijection
 
-    calls = []
+    asked = []
     for name in ("is_bounded", "is_dual_bounded"):
         real = getattr(bijection, name)
-        monkeypatch.setattr(bijection, name, lambda m, p, real=real, name=name: calls.append(name) or real(m, p))
+        monkeypatch.setattr(bijection, name, lambda m, p, real=real, name=name: asked.append((name, m)) or real(m, p))
     bijection.fully_optimal_basis.cache_clear()
     for a, want in (({3, 5, 6}, fs(1, 3, 6)), ({2, 4}, fs(2, 3, 6))):  # bounded, dual-bounded
-        for _ in range(3):
+        assert fully_optimal_basis(reorient(k4_om, a)) == want
+        first = len(asked)
+        for _ in range(2):
             assert fully_optimal_basis(reorient(k4_om, a)) == want
-    assert calls == ["is_bounded", "is_bounded", "is_dual_bounded"]
+        assert len(asked) == first  # a repeat call decides nothing again
+    # only a minor's own first call asks whether it is dual-bounded
+    dual_asks = [m for name, m in asked if name == "is_dual_bounded"]
+    assert reorient(k4_om, {2, 4}) in dual_asks and len(dual_asks) == len(set(dual_asks))
+
+
+@pytest.mark.parametrize("verdict, found", [(False, 0), (True, 2)])
+def test_fully_optimal_basis_raises_unless_one_candidate_passes(k4_om, monkeypatch, request, verdict, found):
+    import actbij.bijection as bijection
+
+    monkeypatch.setattr(bijection, "_passes_both_criteria", lambda m, basis, bounded: verdict)
+    bijection.fully_optimal_basis.cache_clear()
+    request.addfinalizer(bijection.fully_optimal_basis.cache_clear)  # no entry made under the patch stays
+    for a in ({3, 5, 6}, {2, 4}):  # bounded, dual-bounded
+        with pytest.raises(AssertionError, match=f"expected exactly one fully optimal basis, found {found}"):
+            fully_optimal_basis(reorient(k4_om, a))
 
 
 def test_full_optimality_uniqueness_random():

@@ -4,8 +4,9 @@ and of filtrations against the element-set formulas, the chain walk of
 the connected filtrations against every set partition and cyclic marking,
 the forward map on (M, A) against the same map on the reorientation
 -_A M itself, `refined` against the direct forward map, `table` against
-the per-basis class route and the bases against the scan of every
-rank-sized subset."""
+the per-basis class route, the bases against the scan of every
+rank-sized subset and the served fully optimal basis against the oracle
+scan over all bases."""
 
 import copy
 import itertools
@@ -24,7 +25,7 @@ from actbij.activities import (
     orientation_activities,
     reorientation_params,
 )
-from actbij.bijection import active_basis, refined_alpha
+from actbij.bijection import active_basis, fully_optimal_basis, refined_alpha
 from actbij.core import (
     SignedSubset,
     _canonical_list,
@@ -34,11 +35,13 @@ from actbij.core import (
     dual,
     fundamental_circuit,
     fundamental_cocircuit,
+    is_bounded,
+    is_dual_bounded,
     reorient,
     restrict_contract,
 )
 from actbij.graphs import OrderedDigraph, om_from_digraph, parse_om_file
-from actbij.oracles import all_connected_filtrations
+from actbij.oracles import all_connected_filtrations, fully_optimal_basis_scan
 from conftest import refined_by_direct_route, refined_stdout, serialize_om, table_by_class_route, table_stdout
 from examples import diamond_doubled_digraph, k4_digraph, w4_digraph
 
@@ -55,6 +58,17 @@ def digraphs(draw, max_edges=8):
     vertices = VERTICES[: draw(st.integers(1, len(VERTICES)))]
     vertex = st.sampled_from(vertices)
     edges = draw(st.lists(st.tuples(vertex, vertex), max_size=max_edges))
+    return OrderedDigraph(tuple(vertices), tuple(edges))
+
+
+@st.composite
+def connected_digraphs(draw, max_edges=8):
+    """A spanning tree, then loops, parallel edges and chords, all shuffled."""
+    vertices = VERTICES[: draw(st.integers(1, len(VERTICES)))]
+    edges = [(v, draw(st.sampled_from(vertices[:i]))) for i, v in enumerate(vertices) if i]
+    vertex = st.sampled_from(vertices)
+    edges += draw(st.lists(st.tuples(vertex, vertex), max_size=max_edges - len(edges)))
+    edges = [e if draw(st.booleans()) else e[::-1] for e in draw(st.permutations(edges))]
     return OrderedDigraph(tuple(vertices), tuple(edges))
 
 
@@ -356,3 +370,17 @@ def test_bases_are_the_full_subset_scan(g):
     m = om_from_digraph(g)
     for x in (m, parse_om_file(serialize_om(dual(m)))):
         assert bases(x) == scanned_bases(x)
+
+
+@settings(steady, max_examples=60)
+@given(connected_digraphs(max_edges=8))
+@example(k4_digraph())  # both M/ω and M∖ω are bounded on four reorientations
+@example(diamond_doubled_digraph())
+def test_the_served_fully_optimal_basis_is_the_scan(g):
+    # deletion/contraction of the greatest element against every basis
+    # tested on both criteria, on each bounded or dual-bounded reorientation
+    m = om_from_digraph(g)
+    for a in map(_elements, range(1 << m.n)):
+        r = reorient(m, a)
+        if m.n and (is_bounded(r, 1) or is_dual_bounded(r, 1)):
+            assert fully_optimal_basis(r) == fully_optimal_basis_scan(r), sorted(a)

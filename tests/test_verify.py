@@ -2,11 +2,14 @@
 in the library is bounded, that no function declares a global, that
 every public function or class has a caller outside the tests or names
 a notion of the paper, that one run maps each reorientation of M once,
-and that its named checks report a planted fault under their own names."""
+that its named checks report a planted fault under their own names, and
+that full-optimality-uniqueness fails when the served basis is not the
+scan's."""
 
 import ast
 import dataclasses
 import importlib
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -69,7 +72,7 @@ def test_every_cache_in_src_has_a_finite_maxsize():
         for path in sorted(SRC.glob("*.py"))
         for name, size in cache_sizes(path).items()
     }
-    assert "core.bases" in sizes
+    assert "core._bases" in sizes
     assert [name for name, size in sizes.items() if type(size) is not int] == []
 
 
@@ -249,6 +252,15 @@ def test_a_failed_self_test_inside_a_check_is_reported_as_its_failure(monkeypatc
         with monkeypatch.context() as patch:
             patch.setattr(bijection, attr, planted)
             assert_fails_at("bijection", "FAIL bijection: planted")
+
+
+def test_full_optimality_fails_when_the_served_basis_is_not_the_scans(monkeypatch):
+    m = k3()
+    real = bijection.active_basis
+    monkeypatch.setattr(bijection, "active_basis", lambda m, a=(): real(m, a) ^ {1})
+    message = "full-optimality: A=[2]: scan [2, 3] != served [1, 2, 3]"
+    with pytest.raises(verify.VerificationFailure, match=re.escape(message)):
+        verify.check_full_optimality_uniqueness(m, verify.Sweep(m))
 
 
 def assert_fails_at(check, fail_line):
