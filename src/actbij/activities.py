@@ -86,6 +86,7 @@ class Filtration(namedtuple("_Parts", ["masks", "cyclic_index"])):
 
     @property
     def cyclic_flat(self) -> frozenset[int]:
+        """The cyclic flat F_c: the union of the parts below it."""
         return _elements(reduce(or_, self.masks[: self.cyclic_index], 0))
 
     @property
@@ -251,7 +252,7 @@ def activity_class(m_ref: OrientedMatroid, a) -> list[frozenset[int]]:
     return [_elements(x) for x in _flips(_mask(a), parts)]
 
 
-@lru_cache(maxsize=2048)
+@lru_cache(maxsize=8)  # as many as the walk that reads it
 def _interval_table(m: OrientedMatroid):
     """The record (B, filtration, base point) of every basis mask B, in the
     order of ``bases(m)``: one pass per basis serves the classes, the

@@ -118,6 +118,7 @@ class SignedSubset(namedtuple("_Masks", ["pos", "neg"])):
         return 1 if self.pos & bit else -1 if self.neg & bit else 0
 
     def negated(self) -> SignedSubset:
+        """The opposite signed set −X: every sign swapped."""
         return _new(SignedSubset, (self.neg, self.pos))
 
     def reoriented(self, flipped) -> SignedSubset:
@@ -132,9 +133,6 @@ class SignedSubset(namedtuple("_Masks", ["pos", "neg"])):
         if bad:
             raise ValueError(f"invalid sign character {bad[0]!r}")
         return cls.from_masks(*(sum(1 << i for i, c in enumerate(s) if c == sign) for sign in "+-"))
-
-    def to_string(self, n: int) -> str:
-        return "".join("0+-"[self.sign(i)] for i in range(1, n + 1))
 
     def __repr__(self) -> str:
         body = ",".join(f"{'+-'[self.sign(e) < 0]}{e}" for e in _positions(self.pos | self.neg))

@@ -1,17 +1,23 @@
 """Independent routes that ``actbij verify`` and the tests check the serving
 maps against: the fully optimal basis by scan over all bases, the recursive
-definition of the active basis, the threshold induction sets, the active duality
-identities, the connected filtrations by chain growth and deletion/contraction.
-Exponential, desk scale only; no serving module imports them, and every memo
-lives for one call, or for one check when passed in."""
+definition of the active basis and its threshold induction sets (positive sets
+and minors from ``core`` alone, on masks), the active duality identities, the
+connected filtrations by chain growth and deletion/contraction.  Exponential,
+desk scale only; no serving module imports them, and every memo lives for one
+call, or for one check when passed in."""
 
 from __future__ import annotations
 
-from .activities import Filtration, _connected_step, orientation_activities
+from functools import reduce
+from operator import or_
+
+from .activities import Filtration, _connected_step
 from .bijection import _is_bounded_wrt, _only_passing, _translated
 from .core import (
     OrientedMatroid,
     _elements,
+    _minor,
+    _positions,
     _submasks,
     _supports,
     bases,
@@ -21,7 +27,6 @@ from .core import (
     positive_circuits,
     positive_cocircuits,
     reorient,
-    restrict_contract,
 )
 from .tutte import TuttePolynomial
 
@@ -52,45 +57,30 @@ def _recursive_step(m: OrientedMatroid, circuit_induction: bool, memo: dict) -> 
         return frozenset()
     if is_bounded(m, 1) or is_dual_bounded(m, 1):
         return fully_optimal_basis_scan(m)
-    ostar, o = orientation_activities(m)
-    ground = m.ground_set
-    active = o if circuit_induction else ostar
-    if not active:
+    full = (1 << m.n) - 1
+    supports = _supports(positive_circuits(m) if circuit_induction else positive_cocircuits(m))
+    if not supports:
         # acyclic (circuit style) or totally cyclic: hop to the dual, same style
-        return ground - recurse(dual(m))
-    top = max(active)
-    if circuit_induction:
-        part = frozenset().union(
-            *(c.support for c in positive_circuits(m) if min(c.support) == top)
-        )
-    else:
-        part = ground - frozenset().union(
-            *(d.support for d in positive_cocircuits(m) if min(d.support) == top)
-        )
-    inside = restrict_contract(m, part, frozenset())
-    outside = restrict_contract(m, ground, part)
-    return _translated(recurse(inside), sorted(part)) | _translated(recurse(outside), sorted(ground - part))
+        return m.ground_set - recurse(dual(m))
+    top = max(s & -s for s in supports)  # the greatest active (dual-active) element, as a bit
+    part = reduce(or_, (s for s in supports if s & -s == top))
+    if not circuit_induction:
+        part ^= full
+    inside, outside = _minor(m, part, 0), _minor(m, full, part)
+    return _translated(recurse(inside), _positions(part)) | _translated(recurse(outside), _positions(full ^ part))
 
 
 def induction_step_sets(m: OrientedMatroid) -> list[frozenset[int]]:
     """All proper nonempty sets F usable in the threshold variants of the
     recursion: complements of unions of positive cocircuits with minimum
     above a threshold, and unions of positive circuits likewise."""
-    ground = m.ground_set
+    full = (1 << m.n) - 1
+    cosupports, supports = _supports(positive_cocircuits(m)), _supports(positive_circuits(m))
     candidates = set()
-    for t in range(0, m.n + 1):
-        f = ground - frozenset().union(
-            *(d.support for d in positive_cocircuits(m) if min(d.support) > t)
-        )
-        candidates.add(f)
-        g = frozenset().union(
-            *(c.support for c in positive_circuits(m) if min(c.support) > t)
-        )
-        candidates.add(g)
-    return sorted(
-        (f for f in candidates if f and f != ground),
-        key=lambda f: (len(f), sorted(f)),
-    )
+    for t in range(m.n + 1):  # the minimum of s is above t iff its bit survives the shift
+        candidates.add(full ^ reduce(or_, (s for s in cosupports if (s & -s) >> t), 0))
+        candidates.add(reduce(or_, (s for s in supports if (s & -s) >> t), 0))
+    return sorted((_elements(f) for f in candidates if f and f != full), key=lambda f: (len(f), sorted(f)))
 
 
 def check_active_duality(m: OrientedMatroid) -> bool:
@@ -123,8 +113,7 @@ def all_connected_filtrations(m: OrientedMatroid) -> list[Filtration]:
 
     def step_ok(small: int, large: int, cyclic: bool) -> bool:
         if (small, large, cyclic) not in memo:
-            minor = restrict_contract(m, _elements(large), _elements(small))
-            memo[small, large, cyclic] = _connected_step(minor, cyclic)
+            memo[small, large, cyclic] = _connected_step(_minor(m, large, small), cyclic)
         return memo[small, large, cyclic]
 
     def acyclic(parts: list[int], placed: int, cyclic_index: int) -> None:

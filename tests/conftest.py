@@ -39,11 +39,16 @@ def random_connected_om(rng: random.Random, max_vertices=5, max_edges=8):
             return m
 
 
+def to_string(x, n: int) -> str:
+    """The sign string of the signed set x over ``+ - 0``; position i is element i (1-based)."""
+    return "".join("0+-"[x.sign(i)] for i in range(1, n + 1))
+
+
 def serialize_om(m) -> str:
     """The om file of m: the header, then a sign line per stored circuit and cocircuit."""
     lines = [f"om {m.n}"]
-    lines += [f"C {c.to_string(m.n)}" for c in m.circuits]
-    lines += [f"D {d.to_string(m.n)}" for d in m.cocircuits]
+    lines += [f"C {to_string(c, m.n)}" for c in m.circuits]
+    lines += [f"D {to_string(d, m.n)}" for d in m.cocircuits]
     return "\n".join(lines) + "\n"
 
 

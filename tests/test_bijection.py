@@ -3,6 +3,7 @@ from collections import defaultdict
 
 import pytest
 
+from actbij import activities
 from actbij.activities import (
     active_filtration_basis,
     active_filtration_orientation,
@@ -28,6 +29,8 @@ from actbij.core import (
     is_bounded,
     is_dual_bounded,
     om_from_lists,
+    positive_circuits,
+    positive_cocircuits,
     reorient,
     restrict_contract,
     SignedSubset,
@@ -187,6 +190,48 @@ def test_a_shared_recursion_memo_changes_no_result(m):
             alone = active_basis_recursive(r, circuit_induction=circuit_induction)
             assert active_basis_recursive(r, circuit_induction=circuit_induction, memo=memo) == alone
     assert {style for _, style in memo} == {False, True}
+
+
+def induction_step_sets_on_element_sets(m):
+    """The threshold induction sets computed on element sets: the reference
+    that the mask form in the oracles must reproduce exactly."""
+    ground = m.ground_set
+    candidates = set()
+    for t in range(0, m.n + 1):
+        f = ground - frozenset().union(
+            *(d.support for d in positive_cocircuits(m) if min(d.support) > t)
+        )
+        candidates.add(f)
+        g = frozenset().union(
+            *(c.support for c in positive_circuits(m) if min(c.support) > t)
+        )
+        candidates.add(g)
+    return sorted(
+        (f for f in candidates if f and f != ground),
+        key=lambda f: (len(f), sorted(f)),
+    )
+
+
+@pytest.mark.parametrize("m", [k4(), diamond_doubled(), w4()], ids=["K4", "diamond_doubled", "W4"])
+def test_induction_step_sets_match_the_element_set_reference(m):
+    # gluing alpha over a set is not enough: wrong sets glue back too
+    for a in subsets(m.n):
+        r = reorient(m, a)
+        assert induction_step_sets(r) == induction_step_sets_on_element_sets(r)
+
+
+def test_the_recursive_oracle_never_reads_the_serving_activities(monkeypatch):
+    def planted(*args):
+        raise AssertionError("the oracle read the serving positivity predicate")
+
+    monkeypatch.setattr(activities, "_positive_supports", planted)
+    monkeypatch.setattr(activities, "orientation_activities", planted)
+    for m in (k4(), w4()):
+        for a in subsets(m.n):
+            r = reorient(m, a)
+            active_basis_recursive(r)
+            active_basis_recursive(r, circuit_induction=True)
+            induction_step_sets(r)
 
 
 def test_threshold_induction_variants(k4_om):

@@ -23,7 +23,7 @@ from actbij.core import (
     positive_cocircuits,
     reorient,
 )
-from conftest import random_multigraph, random_om, subsets
+from conftest import random_multigraph, random_om, subsets, to_string
 from actbij.graphs import om_from_digraph
 
 
@@ -160,7 +160,7 @@ def test_compose_associative():
 def test_sign_string_round_trip():
     x = SignedSubset.from_string("++-000")
     assert x == ss(1, 2, -3)
-    assert x.to_string(6) == "++-000"
+    assert to_string(x, 6) == "++-000"
 
 
 # ------------------------------------------------------------ construction

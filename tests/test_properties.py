@@ -42,7 +42,14 @@ from actbij.core import (
 )
 from actbij.graphs import OrderedDigraph, om_from_digraph, parse_om_file
 from actbij.oracles import all_connected_filtrations, fully_optimal_basis_scan
-from conftest import refined_by_direct_route, refined_stdout, serialize_om, table_by_class_route, table_stdout
+from conftest import (
+    refined_by_direct_route,
+    refined_stdout,
+    serialize_om,
+    table_by_class_route,
+    table_stdout,
+    to_string,
+)
 from examples import diamond_doubled_digraph, k4_digraph, w4_digraph
 
 VERTICES = "abcde"
@@ -197,7 +204,7 @@ def test_element_and_mask_constructors_agree(parts):
     y = SignedSubset.from_masks(mask(pos), mask(neg))
     assert x == y and hash(x) == hash(y)
     assert (y.positive, y.negative, y.support) == (pos, neg, pos | neg)
-    assert SignedSubset.from_string(x.to_string(N)) == x
+    assert SignedSubset.from_string(to_string(x, N)) == x
 
 
 @steady
