@@ -81,10 +81,6 @@ class Filtration(namedtuple("_Parts", ["masks", "cyclic_index"])):
         return tuple(map(_elements, accumulate(self.masks, or_, initial=0)))
 
     @property
-    def ground_set(self) -> frozenset[int]:
-        return _elements(reduce(or_, self.masks, 0))
-
-    @property
     def cyclic_flat(self) -> frozenset[int]:
         """The cyclic flat F_c: the union of the parts below it."""
         return _elements(reduce(or_, self.masks[: self.cyclic_index], 0))

@@ -81,8 +81,8 @@ def _composition_criterion(funds, basis: int, bounded: bool) -> bool:
 
 def _is_bounded_wrt(m: OrientedMatroid) -> bool:
     """Whether M is bounded, else dual-bounded, w.r.t. p = min(E) = 1; raises if neither."""
-    bounded = is_bounded(m, 1)
-    if not bounded and not is_dual_bounded(m, 1):
+    bounded = is_bounded(m)
+    if not bounded and not is_dual_bounded(m):
         raise ValueError("oriented matroid is neither bounded nor dual-bounded w.r.t. p")
     return bounded
 
@@ -132,7 +132,7 @@ def fully_optimal_basis(m: OrientedMatroid) -> frozenset[int]:
         return frozenset({1})
     full, omega = (1 << m.n) - 1, 1 << (m.n - 1)
     minors = ((_minor(m, full, omega), frozenset({m.n})), (_minor(m, full ^ omega, 0), frozenset()))
-    candidates = [fully_optimal_basis(minor) | top for minor, top in minors if is_bounded(minor, 1)]
+    candidates = [fully_optimal_basis(minor) | top for minor, top in minors if is_bounded(minor)]
     return _only_passing(m, candidates, True)
 
 

@@ -1,6 +1,7 @@
 """Signed sets and oriented matroids on a linearly ordered ground set.
 
-Elements are the integers 1..n and the linear order is numeric order.
+Elements are the integers 1..n and the linear order is numeric order;
+boundedness is w.r.t. its least element 1 = min(E).
 A signed set is two disjoint int masks ``pos`` and ``neg``, bit e-1
 standing for element e: the support is ``pos | neg``, reorientation is
 an XOR and X ⊆ Y is ``X & ~Y == 0``.  Its element sets (``positive``,
@@ -122,7 +123,7 @@ class SignedSubset(namedtuple("_Masks", ["pos", "neg"])):
         return _new(SignedSubset, (self.neg, self.pos))
 
     def reoriented(self, flipped) -> SignedSubset:
-        """Swap the sign of every element of ``flipped``."""
+        """The reorientation of X on ``flipped``: every sign there swapped."""
         flip = (self.pos | self.neg) & _mask(flipped)
         return _new(SignedSubset, (self.pos ^ flip, self.neg ^ flip))
 
@@ -353,20 +354,14 @@ def is_totally_cyclic(m: OrientedMatroid) -> bool:
     return not positive_cocircuits(m)
 
 
-def is_bounded(m: OrientedMatroid, p: int) -> bool:
-    """Acyclic and every positive cocircuit contains p (single isthmus counts)."""
-    if not 1 <= p <= m.n:
-        raise ValueError(f"element {p} not in the ground set")
-    bit = 1 << (p - 1)
-    return is_acyclic(m) and all((d.pos | d.neg) & bit for d in positive_cocircuits(m))
+def is_bounded(m: OrientedMatroid) -> bool:
+    """Acyclic and every positive cocircuit contains 1 = min(E) (single isthmus counts)."""
+    return is_acyclic(m) and all((d.pos | d.neg) & 1 for d in positive_cocircuits(m))
 
 
-def is_dual_bounded(m: OrientedMatroid, p: int) -> bool:
-    """Totally cyclic and every positive circuit contains p (single loop counts)."""
-    if not 1 <= p <= m.n:
-        raise ValueError(f"element {p} not in the ground set")
-    bit = 1 << (p - 1)
-    return is_totally_cyclic(m) and all((c.pos | c.neg) & bit for c in positive_circuits(m))
+def is_dual_bounded(m: OrientedMatroid) -> bool:
+    """Totally cyclic and every positive circuit contains 1 = min(E) (single loop counts)."""
+    return is_totally_cyclic(m) and all((c.pos | c.neg) & 1 for c in positive_circuits(m))
 
 
 def bases(m: OrientedMatroid) -> tuple[frozenset[int], ...]:

@@ -14,6 +14,9 @@ OM file format::
     C <s>                # s is a length-n string over + - 0
     D <s>
 
+Both open with a ``<kind> <count>`` header line, read in one place; an
+error names its line, the header's own after comments and blank lines.
+
 Reorientation tokens are comma-separated distinct 1-based indices, ``-``
 for the empty set, or a length-n bitstring prefixed ``b:``.
 """
@@ -144,24 +147,30 @@ def _content_lines(text: str):
             yield lineno, line
 
 
-def parse_graph_file(text: str) -> OrderedDigraph:
+def _header(text: str, kind: str, count: str, noun: str):
+    """The (line number, line) pairs after the ``<kind> <count>`` header, and the count."""
     lines = list(_content_lines(text))
     if not lines:
-        raise ParseError("empty graph file")
+        raise ParseError(f"empty {kind} file")
     lineno, header = lines[0]
     parts = header.split()
-    if len(parts) != 2 or parts[0] != "graph":
-        raise ParseError(f"expected 'graph <num_vertices>', got {header!r}", lineno)
+    if len(parts) != 2 or parts[0] != kind:
+        raise ParseError(f"expected '{kind} <{count}>', got {header!r}", lineno)
     try:
-        declared = int(parts[1])
+        value = int(parts[1])
     except ValueError:
-        raise ParseError(f"bad vertex count {parts[1]!r}", lineno) from None
-    if declared < 0:
-        raise ParseError("vertex count must be nonnegative", lineno)
+        raise ParseError(f"bad {noun} {parts[1]!r}", lineno) from None
+    if value < 0:
+        raise ParseError(f"{noun} must be nonnegative", lineno)
+    return lines[1:], value
+
+
+def parse_graph_file(text: str) -> OrderedDigraph:
+    lines, declared = _header(text, "graph", "num_vertices", "vertex count")
     edges = []
     names: list[str] = []
     seen: set[str] = set()
-    for lineno, line in lines[1:]:
+    for lineno, line in lines:
         toks = line.split()
         if len(toks) != 2:
             raise ParseError(f"expected '<tail> <head>', got {line!r}", lineno)
@@ -179,21 +188,9 @@ def parse_graph_file(text: str) -> OrderedDigraph:
 
 
 def parse_om_file(text: str) -> OrientedMatroid:
-    lines = list(_content_lines(text))
-    if not lines:
-        raise ParseError("empty om file")
-    lineno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 2 or parts[0] != "om":
-        raise ParseError(f"expected 'om <n>', got {header!r}", lineno)
-    try:
-        n = int(parts[1])
-    except ValueError:
-        raise ParseError(f"bad ground set size {parts[1]!r}", lineno) from None
-    if n < 0:
-        raise ParseError("ground set size must be nonnegative", lineno)
+    lines, n = _header(text, "om", "n", "ground set size")
     circuits, cocircuits = [], []
-    for lineno, line in lines[1:]:
+    for lineno, line in lines:
         toks = line.split()
         if len(toks) != 2 or toks[0] not in ("C", "D"):
             raise ParseError(f"expected 'C <signs>' or 'D <signs>', got {line!r}", lineno)
@@ -216,13 +213,13 @@ def parse_om_file(text: str) -> OrientedMatroid:
 
 def parse_file(text: str) -> OrientedMatroid:
     """Dispatch on the header: a graph file or an om file."""
-    for _, line in _content_lines(text):
+    for lineno, line in _content_lines(text):
         kind = line.split()[0]
         if kind == "graph":
             return om_from_digraph(parse_graph_file(text))
         if kind == "om":
             return parse_om_file(text)
-        raise ParseError(f"unrecognized header {line!r}", 1)
+        raise ParseError(f"unrecognized header {line!r}", lineno)
     raise ParseError("empty input file")
 
 

@@ -55,7 +55,7 @@ def _recursive_step(m: OrientedMatroid, circuit_induction: bool, memo: dict) -> 
 
     if m.n == 0:
         return frozenset()
-    if is_bounded(m, 1) or is_dual_bounded(m, 1):
+    if is_bounded(m) or is_dual_bounded(m):
         return fully_optimal_basis_scan(m)
     full = (1 << m.n) - 1
     supports = _supports(positive_circuits(m) if circuit_induction else positive_cocircuits(m))
@@ -89,7 +89,7 @@ def check_active_duality(m: OrientedMatroid) -> bool:
     smallest elements, and α(M*) = E ∖ α(M) for the dual-bounded M*."""
     if m.n <= 1:
         raise ValueError("active duality needs at least two elements")
-    if not is_bounded(m, 1):
+    if not is_bounded(m):
         raise ValueError("active duality applies to a bounded oriented matroid")
     ground = m.ground_set
     lhs = fully_optimal_basis_scan(m)

@@ -85,7 +85,7 @@ def _positive_minima(m: OrientedMatroid, signed_sets) -> array:
     return minima
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=8)
 def _reorientation_histogram(m: OrientedMatroid):
     """Counts of (|Θ*|, |Θ̄*|, |Θ|, |Θ̄|) over all 2^n reorientations."""
     check_enumeration_cap(m.n)
@@ -147,13 +147,3 @@ def four_var_reorientation_sum(m_ref: OrientedMatroid, x: int, u: int, y: int, v
         for (ts, tsb, th, thb), c in _reorientation_histogram(m_ref).items()
     )
 
-
-__all__ = [
-    "TuttePolynomial",
-    "beta",
-    "beta_star",
-    "four_var_reorientation_sum",
-    "four_var_subset_sum",
-    "tutte_from_bases",
-    "tutte_from_orientations",
-]

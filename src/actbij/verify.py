@@ -115,7 +115,7 @@ def _unbounded_part(m, f, a=()):
     """The first part of f whose minor of -_A M is not dual-bounded (cyclic
     part) or bounded (acyclic part) w.r.t. its smallest element, else None."""
     for i, minor in enumerate(activities.active_minors(m, f, a)):
-        if not (core.is_dual_bounded if f.part_is_cyclic(i) else core.is_bounded)(minor, 1):
+        if not (core.is_dual_bounded if f.part_is_cyclic(i) else core.is_bounded)(minor):
             return i
     return None
 
@@ -200,7 +200,7 @@ def check_full_optimality_uniqueness(m, sweep):
         return
     for a in activities.subsets_by_rank(m.n):
         r = core.reorient(m, a)
-        if core.is_bounded(r, 1) or core.is_dual_bounded(r, 1):
+        if core.is_bounded(r) or core.is_dual_bounded(r):
             try:
                 hit = oracles.fully_optimal_basis_scan(r)
             except AssertionError as exc:  # no or several optimal bases, or the criteria disagree
@@ -222,7 +222,7 @@ def check_active_duality_bounded(m, sweep):
         return
     for a in activities.subsets_by_rank(m.n - 1):  # -_A M = -_(E∖A) M: each pair at its mask without n
         r = core.reorient(m, a)
-        if core.is_bounded(r, 1) and not oracles.check_active_duality(r):
+        if core.is_bounded(r) and not oracles.check_active_duality(r):
             _fail("active-duality", f"A={sorted(a)}")
 
 

@@ -211,7 +211,7 @@ def test_criterion_07_full_optimality_uniqueness():
             continue
         for a in subsets(m.n):
             r = reorient(m, a)
-            if not (is_bounded(r, 1) or is_dual_bounded(r, 1)):
+            if not (is_bounded(r) or is_dual_bounded(r)):
                 continue
             # is_fully_optimal raises if the two criterion formulations
             # ever disagree, so this scan also checks their equivalence
@@ -257,7 +257,7 @@ def test_criterion_10_duality_suite():
     checked = 0
     for a in subsets(6):
         r = reorient(K4, a)
-        if is_bounded(r, 1):
+        if is_bounded(r):
             assert check_active_duality(r)
             checked += 1
     assert checked == 4
@@ -266,7 +266,7 @@ def test_criterion_10_duality_suite():
         m = random_connected_om(rng, max_vertices=5, max_edges=8)
         for a in subsets(m.n):
             r = reorient(m, a)
-            if is_bounded(r, 1):
+            if is_bounded(r):
                 assert check_active_duality(r)
     _ok(10, "alpha duality on K3/K4; active duality on all bounded reorientations")
 
@@ -298,7 +298,7 @@ def _unique_decomposition(m):
             ok = True
             for i, minor in enumerate(active_minors(r, f)):
                 want_dual = f.part_is_cyclic(i)
-                good = is_dual_bounded(minor, 1) if want_dual else is_bounded(minor, 1)
+                good = is_dual_bounded(minor) if want_dual else is_bounded(minor)
                 if not good:
                     ok = False
                     break

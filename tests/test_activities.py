@@ -99,7 +99,7 @@ def test_active_minors_structure(k4_om):
     assert [m.rank for m in minors] == [1, 1, 1]
     assert len(minors[1].circuits) == 1  # two parallel elements
     assert len(minors[2].circuits) == 3  # three parallel elements
-    assert all(is_bounded(m, 1) for m in minors)
+    assert all(is_bounded(m) for m in minors)
 
 
 def test_active_minors_trivial_filtration(k4_om):
@@ -115,9 +115,9 @@ def test_bounded_dual_bounded_minors_everywhere(k4_om):
         f = active_filtration_orientation(r)
         for i, minor in enumerate(active_minors(r, f)):
             if f.part_is_cyclic(i):
-                assert is_dual_bounded(minor, 1)
+                assert is_dual_bounded(minor)
             else:
-                assert is_bounded(minor, 1)
+                assert is_bounded(minor)
 
 
 def test_filtration_validation_errors():
@@ -303,9 +303,9 @@ def test_reorientation_decomposition_counts(k4_om):
             for sub in subsets(len(part)):
                 flipped = reorient(minor, sub)
                 if f.part_is_cyclic(i):
-                    minor_count += is_dual_bounded(flipped, 1)
+                    minor_count += is_dual_bounded(flipped)
                 else:
-                    minor_count += is_bounded(flipped, 1)
+                    minor_count += is_bounded(flipped)
             product *= minor_count
         assert product == size
 
@@ -427,7 +427,7 @@ def test_unique_connected_filtration_matches_formulas(k4_om):
             ok = True
             for i, minor in enumerate(active_minors(r, f)):
                 want_dual = f.part_is_cyclic(i)
-                good = is_dual_bounded(minor, 1) if want_dual else is_bounded(minor, 1)
+                good = is_dual_bounded(minor) if want_dual else is_bounded(minor)
                 if not good:
                     ok = False
                     break

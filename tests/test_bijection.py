@@ -81,7 +81,7 @@ def test_fully_optimal_basis_decides_boundedness_once_per_minor(k4_om, monkeypat
     asked = []
     for name in ("is_bounded", "is_dual_bounded"):
         real = getattr(bijection, name)
-        monkeypatch.setattr(bijection, name, lambda m, p, real=real, name=name: asked.append((name, m)) or real(m, p))
+        monkeypatch.setattr(bijection, name, lambda m, real=real, name=name: asked.append((name, m)) or real(m))
     bijection.fully_optimal_basis.cache_clear()
     for a, want in (({3, 5, 6}, fs(1, 3, 6)), ({2, 4}, fs(2, 3, 6))):  # bounded, dual-bounded
         assert fully_optimal_basis(reorient(k4_om, a)) == want
@@ -115,7 +115,7 @@ def test_full_optimality_uniqueness_random():
         m = random_connected_om(rng, max_vertices=5, max_edges=8)
         for a in subsets(m.n):
             r = reorient(m, a)
-            if not (is_bounded(r, 1) or is_dual_bounded(r, 1)):
+            if not (is_bounded(r) or is_dual_bounded(r)):
                 continue
             hits = [b for b in bases(r) if is_fully_optimal(r, b)]
             assert len(hits) == 1
@@ -398,10 +398,10 @@ def test_plain_duality_of_alpha(k3_om, k4_om):
 def test_active_duality_fixtures(k4_om, digon_om):
     for a in ({3, 5}, {3, 5, 6}, {1, 2, 4}, {1, 2, 4, 6}):
         bounded = reorient(k4_om, a)
-        assert is_bounded(bounded, 1)
+        assert is_bounded(bounded)
         assert check_active_duality(bounded)
     # smallest nontrivial case: the digon
-    assert is_bounded(digon_om, 1)
+    assert is_bounded(digon_om)
     assert check_active_duality(digon_om)
 
 
@@ -414,7 +414,7 @@ def test_active_duality_random():
         m = random_connected_om(rng, max_vertices=5, max_edges=7)
         for a in subsets(m.n):
             r = reorient(m, a)
-            if is_bounded(r, 1):
+            if is_bounded(r):
                 assert check_active_duality(r)
                 tested += 1
 

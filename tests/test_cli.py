@@ -104,11 +104,19 @@ def test_output_is_deterministic():
         assert run(argv) == run(argv)
 
 
-def test_verify_subcommand_passes():
-    code, out = run(["verify", str(DATA / "k3.graph")])
-    assert code == 0
-    assert all(line.startswith("ok ") for line in out.splitlines())
-    assert len(out.splitlines()) == len(verify.ALL_CHECKS)
+def test_verify_subcommand_passes(tmp_path):
+    # besides K3, the smallest inputs: no element, one loop, one isthmus,
+    # a parallel pair and a path of two edges
+    tiny = ["graph 1\n", "om 0\n", "graph 1\na a\n", "graph 2\na b\n", "graph 2\na b\na b\n", "graph 3\na b\nb c\n"]
+    paths = [DATA / "k3.graph"]
+    for i, text in enumerate(tiny):
+        paths.append(tmp_path / f"tiny{i}.txt")
+        paths[-1].write_text(text)
+    for path in paths:
+        code, out = run(["verify", str(path)])
+        assert code == 0, path.read_text()
+        assert all(line.startswith("ok ") for line in out.splitlines())
+        assert len(out.splitlines()) == len(verify.ALL_CHECKS) == 19
 
 
 def test_verify_failure_exit_code(monkeypatch):
@@ -133,6 +141,14 @@ def test_parse_error_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("name, content, message", [
     ("bytes.graph", b"\xff\xfe", "error: not a UTF-8 text file: "),
     ("negative.om", b"om -1\n", "error: line 1: ground set size must be nonnegative\n"),
+    ("bare.graph", b"graph\n", "error: line 1: expected 'graph <num_vertices>', got 'graph'\n"),
+    ("negative.graph", b"graph -1\n", "error: line 1: vertex count must be nonnegative\n"),
+    ("bare.om", b"om\n", "error: line 1: expected 'om <n>', got 'om'\n"),
+    ("letter.om", b"om x\n", "error: line 1: bad ground set size 'x'\n"),
+    ("positive.om", b"om 2\nC ++\nD ++\n",
+     "error: orthogonality fails for circuit SignedSubset(+1,+2) and cocircuit SignedSubset(+1,+2)\n"),
+    # the header is reported on its own line, after comments and blank lines
+    ("unknown.graph", b"# c\n\nfoo 3\n", "error: line 3: unrecognized header 'foo 3'\n"),
 ])
 def test_unreadable_input_is_a_parse_error(tmp_path, capsys, name, content, message):
     path = tmp_path / name

@@ -364,9 +364,9 @@ def test_compose_all_cocircuits_is_positive_for_optimal(k4_om):
 # ------------------------------------------------------------- boundedness
 
 def test_boundedness_fixtures(k4_om):
-    assert is_bounded(reorient(k4_om, {3, 5}), 1)
-    assert is_bounded(reorient(k4_om, {3, 5, 6}), 1)
-    assert not is_bounded(k4_om, 1)
-    assert is_bounded(u11(), 1)
-    assert is_dual_bounded(u10(), 1)
-    assert is_dual_bounded(reorient(k4_om, {2, 4, 6}), 1)
+    assert is_bounded(reorient(k4_om, {3, 5}))
+    assert is_bounded(reorient(k4_om, {3, 5, 6}))
+    assert not is_bounded(k4_om)
+    assert is_bounded(u11())
+    assert is_dual_bounded(u10())
+    assert is_dual_bounded(reorient(k4_om, {2, 4, 6}))

@@ -389,5 +389,5 @@ def test_the_served_fully_optimal_basis_is_the_scan(g):
     m = om_from_digraph(g)
     for a in map(_elements, range(1 << m.n)):
         r = reorient(m, a)
-        if m.n and (is_bounded(r, 1) or is_dual_bounded(r, 1)):
+        if m.n and (is_bounded(r) or is_dual_bounded(r)):
             assert fully_optimal_basis(r) == fully_optimal_basis_scan(r), sorted(a)

@@ -94,10 +94,12 @@ def test_no_function_in_src_declares_a_global():
 PAPER_NOTIONS = {
     "activities.ActivityReport": "subset parameters",
     "activities.Filtration.cyclic_flat": "cyclic flat",
+    "activities.Filtration.parts": "partition",
     "activities.basis_of_subset": "basis intervals",
     "bijection.activity_report": "subset parameters",
     "bijection.is_fully_optimal": "full optimality criterion",
     "core.SignedSubset.negated": "opposite signed set",
+    "core.SignedSubset.reoriented": "reorientation",
     "core.contract": "contraction",
     "core.delete": "deletion",
     "core.fundamental_circuit": "fundamental circuit",
@@ -108,13 +110,22 @@ PAPER_NOTIONS = {
 }
 
 
-def names_used_outside_the_tests() -> set:
-    # a re-export from __init__ is not a use; the CLI is cli.py under src
+def names_used_outside_the_tests(members: bool = False) -> set:
+    """Every name read in src or bench; with ``members``, only the attributes
+    read off something other than one of bench's own modules, so that a
+    local variable or a bench function does not hide a method or property
+    of the same name.  A re-export from __init__ is not a use; the CLI is
+    cli.py under src."""
+    bench_modules = {path.stem for path in BENCH.glob("*.py")}
     used = set()
     for path in [*SRC.glob("*.py"), *BENCH.glob("*.py")]:
         if path.name != "__init__.py":
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                used.add(node.id if isinstance(node, ast.Name) else getattr(node, "attr", None))
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    if not (members and getattr(node.value, "id", None) in bench_modules):
+                        used.add(node.attr)
+                elif isinstance(node, ast.Name) and not members:
+                    used.add(node.id)
     return used
 
 
@@ -140,8 +151,9 @@ def test_every_public_function_and_class_has_a_caller_outside_the_tests():
 
 
 def test_every_public_method_and_property_has_a_caller_outside_the_tests():
-    # a member is used where any attribute of that name is read in src or bench
-    used = names_used_outside_the_tests()
+    # a member is used where an attribute of that name is read in src or
+    # bench; two members of the same name still count as one (ground_set)
+    used = names_used_outside_the_tests(members=True)
     members = [
         member
         for path in sorted(SRC.glob("*.py"))
@@ -179,7 +191,7 @@ PLANTED = [
         "bounded-minors",
         core,
         "is_bounded",
-        lambda real: lambda m, p: False,
+        lambda real: lambda m: False,
         "bounded-minors: A=[], part 0",
     ),
     (
