@@ -155,38 +155,23 @@ def main(argv=None) -> int:
         "read from a graph or om file.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("tutte", help="Tutte polynomial coefficients as TSV")
-    p.add_argument("file")
-    p.add_argument("--check", action="store_true", help="run all four routes")
-    p.set_defaults(run=_cmd_tutte)
-
-    p = sub.add_parser("activities", help="orientation activities and active partition")
-    p.add_argument("file")
-    p.add_argument("--reorient", default="-", metavar="T")
-    p.set_defaults(run=_cmd_activities)
-
-    p = sub.add_parser("alpha", help="the active basis of a reorientation")
-    p.add_argument("file")
-    p.add_argument("--reorient", default="-", metavar="T")
-    p.set_defaults(run=_cmd_alpha)
-
-    p = sub.add_parser("alpha-inverse", help="all reorientations mapping onto a basis")
-    p.add_argument("file")
-    p.add_argument("--basis", required=True, metavar="B")
-    p.set_defaults(run=_cmd_alpha_inverse)
-
-    p = sub.add_parser("table", help="the canonical active bijection, one row per basis")
-    p.add_argument("file")
-    p.set_defaults(run=_cmd_table)
-
-    p = sub.add_parser("refined", help="the refined bijection over all 2^n reorientations")
-    p.add_argument("file")
-    p.set_defaults(run=_cmd_refined)
-
-    p = sub.add_parser("verify", help="run the full invariant suite")
-    p.add_argument("file")
-    p.set_defaults(run=_cmd_verify)
+    reorient = ("--reorient", {"default": "-", "metavar": "T"})
+    for name, run, help_text, option in (
+        ("tutte", _cmd_tutte, "Tutte polynomial coefficients as TSV",
+         ("--check", {"action": "store_true", "help": "run all four routes"})),
+        ("activities", _cmd_activities, "orientation activities and active partition", reorient),
+        ("alpha", _cmd_alpha, "the active basis of a reorientation", reorient),
+        ("alpha-inverse", _cmd_alpha_inverse, "all reorientations mapping onto a basis",
+         ("--basis", {"required": True, "metavar": "B"})),
+        ("table", _cmd_table, "the canonical active bijection, one row per basis", None),
+        ("refined", _cmd_refined, "the refined bijection over all 2^n reorientations", None),
+        ("verify", _cmd_verify, "run the full invariant suite", None),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("file")
+        if option:
+            p.add_argument(option[0], **option[1])
+        p.set_defaults(run=run)
 
     args = parser.parse_args(argv)
     try:

@@ -12,7 +12,7 @@ from functools import reduce
 from operator import or_
 
 from .activities import Filtration, _connected_step
-from .bijection import _is_bounded_wrt, _only_passing, _translated
+from .bijection import _only_passing, _translated
 from .core import (
     OrientedMatroid,
     _elements,
@@ -31,9 +31,13 @@ from .core import (
 from .tutte import TuttePolynomial
 
 
-def fully_optimal_basis_scan(m: OrientedMatroid) -> frozenset[int]:
-    """The fully optimal basis of M (n ≥ 1): the one basis passing both criteria."""
-    return _only_passing(m, bases(m), _is_bounded_wrt(m))
+def fully_optimal_basis_scan(m: OrientedMatroid) -> frozenset[int] | None:
+    """The fully optimal basis of M (n ≥ 1): the one basis passing both
+    criteria; None when M is neither bounded nor dual-bounded w.r.t. p = 1."""
+    bounded = is_bounded(m)
+    if bounded or is_dual_bounded(m):
+        return _only_passing(m, bases(m), bounded)
+    return None
 
 
 def active_basis_recursive(m: OrientedMatroid, *, circuit_induction: bool = False, memo=None) -> frozenset[int]:
@@ -55,8 +59,8 @@ def _recursive_step(m: OrientedMatroid, circuit_induction: bool, memo: dict) -> 
 
     if m.n == 0:
         return frozenset()
-    if is_bounded(m) or is_dual_bounded(m):
-        return fully_optimal_basis_scan(m)
+    if (basis := fully_optimal_basis_scan(m)) is not None:
+        return basis
     full = (1 << m.n) - 1
     supports = _supports(positive_circuits(m) if circuit_induction else positive_cocircuits(m))
     if not supports:
@@ -86,15 +90,18 @@ def induction_step_sets(m: OrientedMatroid) -> list[frozenset[int]]:
 def check_active_duality(m: OrientedMatroid) -> bool:
     """Both duality identities on a bounded M (|E| > 1), w.r.t. p = 1:
     the active basis of -_p M* complements α(M) up to swapping the two
-    smallest elements, and α(M*) = E ∖ α(M) for the dual-bounded M*."""
+    smallest elements, and α(M*) = E ∖ α(M) for the dual-bounded M*.
+    False when -_p M* is neither bounded nor dual-bounded."""
     if m.n <= 1:
         raise ValueError("active duality needs at least two elements")
     if not is_bounded(m):
         raise ValueError("active duality applies to a bounded oriented matroid")
     ground = m.ground_set
     lhs = fully_optimal_basis_scan(m)
-    companion = reorient(dual(m), frozenset({1}))
-    via_active_duality = (ground - fully_optimal_basis_scan(companion)) - {2} | {1}
+    companion = fully_optimal_basis_scan(reorient(dual(m), frozenset({1})))
+    if companion is None:
+        return False
+    via_active_duality = (ground - companion) - {2} | {1}
     plain = fully_optimal_basis_scan(dual(m)) == ground - lhs
     return lhs == via_active_duality and plain
 

@@ -130,20 +130,17 @@ def beta_star(m: OrientedMatroid) -> int:
     return tutte_from_bases(m).coefficient(0, 1)
 
 
+def _four_var_sum(counts, x: int, u: int, y: int, v: int) -> int:
+    return sum(c * x**i * u**p * y**e * v**q for (i, p, e, q), c in counts.items())
+
+
 def four_var_subset_sum(m: OrientedMatroid, x: int, u: int, y: int, v: int) -> int:
     """Σ_A x^|Int(A)| u^|P(A)| y^|Ext(A)| v^|Q(A)| over all subsets;
     equals t(x+u, y+v)."""
-    return sum(
-        c * x**i * u**p * y**e * v**q
-        for (i, p, e, q), c in _interval_walk(m)[1].items()
-    )
+    return _four_var_sum(_interval_walk(m)[1], x, u, y, v)
 
 
 def four_var_reorientation_sum(m_ref: OrientedMatroid, x: int, u: int, y: int, v: int) -> int:
     """Σ_A x^|Θ*(A)| u^|Θ̄*(A)| y^|Θ(A)| v^|Θ̄(A)| over all reorientations;
     equals t(x+u, y+v) for any reference orientation."""
-    return sum(
-        c * x**ts * u**tsb * y**th * v**thb
-        for (ts, tsb, th, thb), c in _reorientation_histogram(m_ref).items()
-    )
-
+    return _four_var_sum(_reorientation_histogram(m_ref), x, u, y, v)

@@ -199,14 +199,12 @@ def check_full_optimality_uniqueness(m, sweep):
     if m.n == 0:
         return
     for a in activities.subsets_by_rank(m.n):
-        r = core.reorient(m, a)
-        if core.is_bounded(r) or core.is_dual_bounded(r):
-            try:
-                hit = oracles.fully_optimal_basis_scan(r)
-            except AssertionError as exc:  # no or several optimal bases, or the criteria disagree
-                _fail("full-optimality", f"A={sorted(a)}: {exc}")
-            if hit != (served := sweep.value(bijection.active_basis, a)):
-                _fail("full-optimality", f"A={sorted(a)}: scan {sorted(hit)} != served {sorted(served)}")
+        try:  # None where -_A M is neither bounded nor dual-bounded
+            hit = oracles.fully_optimal_basis_scan(core.reorient(m, a))
+        except AssertionError as exc:  # no or several optimal bases, or the criteria disagree
+            _fail("full-optimality", f"A={sorted(a)}: {exc}")
+        if hit is not None and hit != (served := sweep.value(bijection.active_basis, a)):
+            _fail("full-optimality", f"A={sorted(a)}: scan {sorted(hit)} != served {sorted(served)}")
 
 
 def check_duality_of_alpha(m, sweep):

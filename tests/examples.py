@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from actbij.core import OrientedMatroid
+from actbij.core import OrientedMatroid, om_from_lists
 from actbij.graphs import OrderedDigraph, om_from_digraph
 
 
@@ -40,6 +40,13 @@ def k3() -> OrientedMatroid:
 
 def k4() -> OrientedMatroid:
     return om_from_digraph(k4_digraph())
+
+
+def k4_missing_a_cocircuit() -> OrientedMatroid:
+    """K4 less its cocircuit +1,+2,-5,-6, the cut between {a, d} and {b, c}:
+    om_from_lists accepts it, the om-file reader refuses it as incomplete."""
+    m = k4()
+    return om_from_lists(6, m.circuits, [d for d in m.cocircuits if d.pos | d.neg != 0b110011])
 
 
 def diamond_doubled() -> OrientedMatroid:

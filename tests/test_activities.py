@@ -4,6 +4,7 @@ from collections import defaultdict
 
 import pytest
 
+from actbij import activities
 from actbij.activities import (
     Filtration,
     activity_class,
@@ -33,7 +34,7 @@ from actbij.graphs import om_from_digraph, OrderedDigraph
 from actbij.oracles import all_connected_filtrations
 from actbij.tutte import beta, beta_star
 from conftest import random_om, subsets
-from examples import w4
+from examples import k4_missing_a_cocircuit, w4
 
 
 def fs(*elements):
@@ -355,6 +356,40 @@ def test_intervals_partition_power_set():
         for b in bases(m):
             lo, hi = interval_of_basis(m, b)
             assert counts[b] == 1 << len(hi - lo)
+
+
+@pytest.fixture
+def fresh_records():
+    """No basis records cached before or after: a planted pass neither
+    reads the real ones nor leaves its own behind."""
+    for cached in (activities._interval_table, activities._interval_walk):
+        cached.cache_clear()
+    yield
+    for cached in (activities._interval_table, activities._interval_walk):
+        cached.cache_clear()
+
+
+@pytest.mark.parametrize("parts, message", [
+    ([1, 2, 4], "subset 111 lies in two basis intervals"),  # each interval is all of 2^E
+    ([7], "subset 0 not covered by any basis interval"),  # each interval holds 2 subsets, 6 in all
+])
+def test_intervals_that_do_not_partition_fail_the_walks_self_test(monkeypatch, fresh_records, k3_om, parts, message):
+    monkeypatch.setattr(activities, "basis_pass", lambda m, b: (Filtration.from_masks(parts, 0), b))
+    with pytest.raises(AssertionError, match=f"^{message}$"):
+        activities._interval_walk(k3_om)
+
+
+def test_a_filtration_missing_elements_fails_its_self_test():
+    # without the cut of {a, d}, some elements of E lie in no positive circuit or cocircuit
+    m = k4_missing_a_cocircuit()
+    failing = []
+    for a in subsets_by_rank(m.n):
+        try:
+            active_filtration_orientation(m, a)
+        except AssertionError as exc:
+            assert str(exc) == "active filtration does not reach the ground set"
+            failing.append(a)
+    assert len(failing) == 8 and failing[0] == fs(1, 2)
 
 
 def test_owner_and_subset_params_match_an_interval_search(k4_om, diamond_om):

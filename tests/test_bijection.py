@@ -1,9 +1,10 @@
 import random
+import re
 from collections import defaultdict
 
 import pytest
 
-from actbij import activities
+from actbij import activities, bijection
 from actbij.activities import (
     active_filtration_basis,
     active_filtration_orientation,
@@ -52,6 +53,14 @@ def test_is_fully_optimal_fixtures(k3_om, k4_om):
     assert not is_fully_optimal(bounded, fs(1, 3, 5))
     assert sum(is_fully_optimal(bounded, b) for b in bases(bounded)) == 1
     assert is_fully_optimal(reorient(k3_om, {3}), fs(1, 3))
+
+
+def test_criteria_that_disagree_fail_the_self_test(monkeypatch, k3_om):
+    real = bijection._composition_criterion
+    monkeypatch.setattr(bijection, "_composition_criterion", lambda *args: not real(*args))
+    message = "full optimality criteria disagree on basis [2, 3]: sign-opposition=True, composition=False"
+    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+        is_fully_optimal(reorient(k3_om, {2}), fs(2, 3))
 
 
 def test_is_fully_optimal_preconditions(k3_om, k4_om):

@@ -7,7 +7,7 @@ import pytest
 from actbij import activities, bijection, cli, core, verify
 from actbij.cli import main
 from conftest import refined_by_direct_route, refined_stdout, serialize_om, table_stdout
-from examples import diamond_doubled, k3, k4, w4
+from examples import diamond_doubled, k3, k4, k4_missing_a_cocircuit, w4
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -74,6 +74,19 @@ def test_tutte_check_agreement():
     assert code == 0
     assert out.splitlines()[-1] == "agree=4/4"
     assert "t(x,y) = x^3 + 3x^2 + 2x + 4xy + 2y + 3y^2 + y^3" in out
+
+
+@pytest.mark.parametrize("route, attr", [
+    ("subset-sum", "four_var_subset_sum"),
+    ("reorientation-sum", "four_var_reorientation_sum"),
+])
+def test_a_four_variable_sum_off_by_one_fails_tutte_check(monkeypatch, route, attr):
+    real = getattr(cli, attr)
+    monkeypatch.setattr(cli, attr, lambda *args: real(*args) + 1)
+    code, out = run(["tutte", str(DATA / "k3.graph"), "--check"])
+    status = {"subset-sum": "ok", "reorientation-sum": "ok", route: "mismatch"}
+    assert code == 1
+    assert out.splitlines()[-3:] == [*(f"route\t{name}\t{s}" for name, s in status.items()), "agree=3/4"]
 
 
 def test_table_matches_golden_files():
@@ -220,6 +233,15 @@ def test_an_internal_error_exits_3_on_one_line(tmp_path, capsys, monkeypatch, dr
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: internal: RuntimeError: planted\n"
+
+
+def test_a_failed_self_test_exits_3_on_one_line(monkeypatch, capsys):
+    # om_from_lists accepts K4 without one cocircuit, which no om file can give
+    monkeypatch.setattr(cli, "_load", lambda path: k4_missing_a_cocircuit())
+    assert main(["activities", str(DATA / "k4.graph"), "--reorient", "1,2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal: AssertionError: active filtration does not reach the ground set\n"
 
 
 def test_om_files_missing_a_line_never_raise(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import defaultdict, deque
 
 import pytest
@@ -197,6 +198,17 @@ def test_rejects_rank_mismatch():
 def test_rejects_empty_support():
     with pytest.raises(InvalidOrientedMatroid):
         om_from_lists(2, [SignedSubset(frozenset(), frozenset())], [ss(1), ss(2)])
+
+
+def test_rejects_a_negative_ground_set_size():
+    with pytest.raises(ValueError, match="^ground set size must be nonnegative$"):
+        om_from_lists(-1, [], [])
+
+
+def test_rejects_an_element_out_of_range():
+    message = "element out of range 1..2 in SignedSubset(+1,+3)"
+    with pytest.raises(InvalidOrientedMatroid, match=f"^{re.escape(message)}$"):
+        om_from_lists(2, [ss(1, 3)], [ss(2)])
 
 
 def test_rejects_conflicting_signatures():

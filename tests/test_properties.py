@@ -385,9 +385,13 @@ def test_bases_are_the_full_subset_scan(g):
 @example(diamond_doubled_digraph())
 def test_the_served_fully_optimal_basis_is_the_scan(g):
     # deletion/contraction of the greatest element against every basis
-    # tested on both criteria, on each bounded or dual-bounded reorientation
+    # tested on both criteria; the scan alone tells which reorientations
+    # are neither bounded nor dual-bounded
     m = om_from_digraph(g)
-    for a in map(_elements, range(1 << m.n)):
+    for a in map(_elements, range(1 << m.n) if m.n else ()):  # the scan needs n ≥ 1
         r = reorient(m, a)
-        if m.n and (is_bounded(r) or is_dual_bounded(r)):
-            assert fully_optimal_basis(r) == fully_optimal_basis_scan(r), sorted(a)
+        scan = fully_optimal_basis_scan(r)
+        if is_bounded(r) or is_dual_bounded(r):
+            assert scan == fully_optimal_basis(r), sorted(a)
+        else:
+            assert scan is None, sorted(a)

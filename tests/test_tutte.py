@@ -4,6 +4,7 @@ from collections import defaultdict
 
 import pytest
 
+from actbij import tutte
 from actbij.activities import active_filtration_orientation, orientation_activities
 from actbij.bijection import active_basis
 from actbij.core import (
@@ -81,6 +82,13 @@ def test_k3_orientation_histogram(k3_om):
         ostar, o = orientation_activities(reorient(k3_om, a))
         counts[len(ostar), len(o)] += 1
     assert dict(counts) == {(2, 0): 4, (1, 0): 2, (0, 1): 2}
+
+
+def test_an_inexact_class_size_division_fails_the_self_test(monkeypatch, k3_om):
+    # one reorientation with one dual-active element: its class would have 2 members
+    monkeypatch.setattr(tutte, "_reorientation_histogram", lambda m: {(1, 0, 0, 0): 1})
+    with pytest.raises(AssertionError, match=r"^o_\(1,0\) = 1 is not divisible by 2\^1$"):
+        tutte_from_orientations(k3_om)
 
 
 def test_delcon_oracle_fixtures(k3_om):

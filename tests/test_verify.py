@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from actbij import activities, bijection, core, oracles, verify
+from actbij import activities, bijection, core, oracles, tutte, verify
 from actbij.activities import Filtration
 from actbij.tutte import TuttePolynomial
 from examples import k3, k4
@@ -188,6 +188,44 @@ def test_a_run_maps_each_reorientation_once(monkeypatch):
 
 PLANTED = [
     (
+        # K3 has rank 2 and its dual rank 1: the planted dual of M* is M* itself
+        "structure",
+        core,
+        "dual",
+        lambda real: lambda m: real(m) if m.rank == 2 else m,
+        "structure: dual is not an involution",
+    ),
+    (
+        # the fundamental cocircuit of 1 loses 3, which its fundamental circuit keeps
+        "pivot-property",
+        core,
+        "_fundamentals",
+        lambda real: lambda m, b: [core.SignedSubset.from_masks(1, 0), *real(m, b)[1:]],
+        "pivot: B=[1, 2], b=1, e=3",
+    ),
+    (
+        "compose-support",
+        core,
+        "compose",
+        lambda real: lambda x, y: x,
+        "compose: covector support wrong for B=[1, 2]",
+    ),
+    (
+        # only the dual's activities swap
+        "activity-duality",
+        activities,
+        "basis_activities",
+        lambda real: lambda m, b: real(m, b) if m.rank == 2 else real(m, b)[::-1],
+        "activity-duality: B=[1, 2]",
+    ),
+    (
+        "filtration-duality",
+        activities,
+        "active_filtration_orientation",
+        lambda real: lambda m, a=(): real(m, a) if m.rank == 2 else Filtration.from_masks([7], 0),
+        "filtration-duality: A=[]",
+    ),
+    (
         "bounded-minors",
         core,
         "is_bounded",
@@ -246,6 +284,14 @@ PLANTED = [
         "alpha-duality: A=[]",
     ),
     (
+        # the companion -_p M* of -_{1,2} M flips 2 as well: neither bounded nor dual-bounded
+        "active-duality",
+        oracles,
+        "reorient",
+        lambda real: lambda m, a: real(m, a | {2} if a == {1} else a),
+        "active-duality: A=[1, 2]",
+    ),
+    (
         "recursive-definitions",
         oracles,
         "active_basis_recursive",
@@ -293,6 +339,64 @@ def test_a_failed_self_test_inside_a_check_is_reported_as_its_failure(monkeypatc
         with monkeypatch.context() as patch:
             patch.setattr(bijection, attr, planted)
             assert_fails_at("bijection", "FAIL bijection: planted")
+
+
+# faults planted under one check called alone on a fresh record: where an
+# earlier check would read the plant first, or to reach a later condition of
+# a check than its PLANTED entry does
+PLANTED_ALONE = [
+    (
+        # tutte-routes reads tutte_from_bases before class-counts does
+        "class-counts",
+        verify.check_class_counts,
+        tutte,
+        "tutte_from_bases",
+        lambda real: lambda m: TuttePolynomial({}),
+        "class-counts: class representatives: 3 != 0",
+    ),
+    (
+        # the planted reorientation of M is M*, and that of M* is M* again
+        "structure-reorientation",
+        verify.check_structure,
+        core,
+        "reorient",
+        lambda real: lambda m, a: core.dual(m) if m.rank == 2 else m,
+        "structure: reorientation is not an involution",
+    ),
+    (
+        # only the dual's orientation activities swap
+        "activity-duality-reorientations",
+        verify.check_activity_duality,
+        activities,
+        "orientation_activities",
+        lambda real: lambda m, a=(): real(m, a) if m.rank == 2 else real(m, a)[::-1],
+        "activity-duality: A=[]",
+    ),
+    (
+        "tutte-routes-subset-sum",
+        verify.check_tutte_routes,
+        tutte,
+        "four_var_subset_sum",
+        lambda real: lambda *args: real(*args) + 1,
+        "tutte: subset sum at (0, 0, 0, 0)",
+    ),
+    (
+        "tutte-routes-reorientation-sum",
+        verify.check_tutte_routes,
+        tutte,
+        "four_var_reorientation_sum",
+        lambda real: lambda *args: real(*args) + 1,
+        "tutte: reorientation sum at (0, 0, 0, 0)",
+    ),
+]
+
+
+@pytest.mark.parametrize("name, check, module, attr, fault, message", PLANTED_ALONE, ids=[p[0] for p in PLANTED_ALONE])
+def test_a_planted_fault_fails_its_check_called_alone(monkeypatch, name, check, module, attr, fault, message):
+    monkeypatch.setattr(module, attr, fault(getattr(module, attr)))
+    m = k3()
+    with pytest.raises(verify.VerificationFailure, match=f"^{re.escape(message)}$"):
+        check(m, verify.Sweep(m))
 
 
 def test_full_optimality_fails_when_the_served_basis_is_not_the_scans(monkeypatch):
