@@ -334,9 +334,3 @@ class ActivityReport:
     theta_star_bar: frozenset[int]
     p: frozenset[int]
     q: frozenset[int]
-
-
-def subsets_by_rank(n: int):
-    """All subsets of 1..n ordered by bitmask rank (element i = bit i-1)."""
-    for mask in range(1 << n):
-        yield _elements(mask)

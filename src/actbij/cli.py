@@ -132,7 +132,7 @@ def _cmd_table(m: OrientedMatroid, args, out) -> int:
 def _cmd_refined(m: OrientedMatroid, args, out) -> int:
     # On the class of B, O*(-_A M) = Int(B) and O(-_A M) = Ext(B) (activity
     # preservation), and A meets Int(B) ∪ Ext(B) in its flipped active elements.
-    rows = [""] * (1 << m.n)  # indexed by mask: the order of subsets_by_rank
+    rows = [""] * (1 << m.n)  # indexed by mask, so A in increasing mask order
     for basis, f, base_point in _interval_table(m):
         internal, external = f.minima()
         active = internal | external

@@ -111,6 +111,7 @@ class SignedSubset(namedtuple("_Masks", ["pos", "neg"])):
 
     @property
     def support(self) -> frozenset[int]:
+        """The support of X: the elements of nonzero sign."""
         return _elements(self.pos | self.neg)
 
     def sign(self, e: int) -> int:
@@ -212,9 +213,6 @@ class OrientedMatroid:
     @property
     def ground_set(self) -> frozenset[int]:
         return frozenset(range(1, self.n + 1))
-
-    def circuit_supports(self) -> tuple[frozenset[int], ...]:
-        return tuple(c.support for c in self.circuits)
 
     def __repr__(self) -> str:
         counts = f"{len(self.circuits)} circuits, {len(self.cocircuits)} cocircuits"

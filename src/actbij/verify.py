@@ -2,8 +2,9 @@
 
 Each check returns quietly or raises :class:`VerificationFailure` with the
 first counterexample.  Checks are exhaustive over all reorientations,
-bases and subsets, so they are meant for desk-scale inputs; the heaviest
-ones (filtration uniqueness) are skipped above a size threshold.
+bases and subsets, each A ⊆ E walked as its mask in ``range(1 << n)``, so
+they are meant for desk-scale inputs.  Above n = FILTRATION_UNIQUENESS_CAP
+filtration-uniqueness returns at once and still reports ``ok``.
 """
 
 from __future__ import annotations
@@ -26,43 +27,43 @@ def _fail(name: str, detail: str):
 
 class Sweep:
     """M's forward values for one ``run_all`` call: ``value(fn, a)`` is
-    fn(M, A), computed on first request and kept in a list per function
-    indexed by A's mask.  Checks look fn up at call time, so a planted or
-    failing one fails in the check that first asks, at the same A."""
+    fn(M, A) for the mask a, computed on first request and kept in a list
+    per function indexed by a.  Checks look fn up at call time, so a planted
+    or failing one fails in the check that first asks, at the same A."""
 
     def __init__(self, m):
         self.m, self._classes = m, None
         self._tables = defaultdict(lambda: [None] * (1 << m.n))
 
     def value(self, fn, a):
-        table, i = self._tables[fn], core._mask(a)
-        if table[i] is None:
-            table[i] = fn(self.m, a)
-        return table[i]
+        table = self._tables[fn]
+        if table[a] is None:
+            table[a] = fn(self.m, core._elements(a))
+        return table[a]
 
     def classes(self):
-        """Each activity class once: (its first member in subset-rank order, its members)."""
+        """Each activity class once, as masks: (its smallest member, its members)."""
         if self._classes is None:
             self._classes, processed = [], set()
-            for a in activities.subsets_by_rank(self.m.n):
+            for a in range(1 << self.m.n):
                 if a not in processed:
-                    members = activities.activity_class(self.m, a)
+                    members = list(map(core._mask, activities.activity_class(self.m, core._elements(a))))
                     processed.update(members)
                     self._classes.append((a, members))
         return self._classes
 
 
-def _interval(lo, hi):
-    """Every set between lo and hi."""
-    lo = core._mask(lo)
-    return {core._elements(lo | sub) for sub in core._submasks(core._mask(hi) & ~lo)}
+def _interval(lo: int, hi: int) -> set[int]:
+    """Every mask between the masks lo and hi."""
+    return {lo | sub for sub in core._submasks(hi & ~lo)}
 
 
 def check_structure(m, sweep):
     core.om_from_lists(m.n, m.circuits, m.cocircuits)
     if core.dual(core.dual(m)) != m:
         _fail("structure", "dual is not an involution")
-    if core.reorient(core.reorient(m, m.ground_set), m.ground_set) != m:
+    # on a single element, as -_E M = M for signed sets stored up to sign
+    if any(core.reorient(core.reorient(m, {e}), {e}) != m for e in m.ground_set):
         _fail("structure", "reorientation is not an involution")
 
 
@@ -95,39 +96,39 @@ def check_activity_duality(m, sweep):
         co_internal, co_external = activities.basis_activities(md, m.ground_set - b)
         if internal != co_external or external != co_internal:
             _fail("activity-duality", f"B={sorted(b)}")
-    for a in activities.subsets_by_rank(m.n):
+    for a in range(1 << m.n):
         ostar, o = sweep.value(activities.orientation_activities, a)
-        dstar, do = activities.orientation_activities(md, a)
+        dstar, do = activities.orientation_activities(md, core._elements(a))
         if ostar != do or o != dstar:
-            _fail("activity-duality", f"A={sorted(a)}")
+            _fail("activity-duality", f"A={core._positions(a)}")
 
 
 def check_filtration_duality(m, sweep):
     md = core.dual(m)
-    for a in activities.subsets_by_rank(m.n):
+    for a in range(1 << m.n):
         f = sweep.value(activities.active_filtration_orientation, a)
-        fd = activities.active_filtration_orientation(md, a)
+        fd = activities.active_filtration_orientation(md, core._elements(a))
         if fd.masks != f.masks[::-1] or fd.cyclic_index != len(f.masks) - f.cyclic_index:
-            _fail("filtration-duality", f"A={sorted(a)}")
+            _fail("filtration-duality", f"A={core._positions(a)}")
 
 
-def _unbounded_part(m, f, a=()):
-    """The first part of f whose minor of -_A M is not dual-bounded (cyclic
-    part) or bounded (acyclic part) w.r.t. its smallest element, else None."""
-    for i, minor in enumerate(activities.active_minors(m, f, a)):
+def _unbounded_part(m, f, a: int):
+    """The first part of f whose minor of -_A M (A the mask a) is not dual-bounded
+    (cyclic part) or bounded (acyclic part) w.r.t. its smallest element, else None."""
+    for i, minor in enumerate(activities.active_minors(m, f, core._elements(a))):
         if not (core.is_dual_bounded if f.part_is_cyclic(i) else core.is_bounded)(minor):
             return i
     return None
 
 
 def check_bounded_minors(m, sweep):
-    for a in activities.subsets_by_rank(m.n):
+    for a in range(1 << m.n):
         f = sweep.value(activities.active_filtration_orientation, a)
         if not activities.is_connected_filtration(m, f):
-            _fail("bounded-minors", f"A={sorted(a)}: filtration not connected")
+            _fail("bounded-minors", f"A={core._positions(a)}: filtration not connected")
         i = _unbounded_part(m, f, a)
         if i is not None:
-            _fail("bounded-minors", f"A={sorted(a)}, part {i}")
+            _fail("bounded-minors", f"A={core._positions(a)}, part {i}")
 
 
 def check_class_invariance(m, sweep):
@@ -135,21 +136,20 @@ def check_class_invariance(m, sweep):
     for a, members in sweep.classes():
         for member in members:
             if any(sweep.value(fn, member) != sweep.value(fn, a) for fn in invariants):
-                _fail("class-invariance", f"A={sorted(a)}, member={sorted(member)}")
+                _fail("class-invariance", f"A={core._positions(a)}, member={core._positions(member)}")
 
 
 def check_fixed_representative(m, sweep):
     for a, members in sweep.classes():
-        fixed = [
-            x for x in members if not x & frozenset.union(*sweep.value(activities.orientation_activities, x))
-        ]
+        active = (sweep.value(activities.orientation_activities, x) for x in members)
+        fixed = [x for x, (ostar, o) in zip(members, active) if not x & core._mask(ostar | o)]
         if len(fixed) != 1:
-            _fail("fixed-representative", f"A={sorted(a)}: {len(fixed)} fixed members")
+            _fail("fixed-representative", f"A={core._positions(a)}: {len(fixed)} fixed members")
 
 
 def check_bijection(m, sweep):
     preimages = defaultdict(set)
-    for a in activities.subsets_by_rank(m.n):
+    for a in range(1 << m.n):
         preimages[sweep.value(bijection.active_basis, a)].add(a)
     all_bases = set(core.bases(m))
     if set(preimages) != all_bases:
@@ -159,80 +159,79 @@ def check_bijection(m, sweep):
         if len(pre) != 1 << (len(internal) + len(external)):
             _fail("bijection", f"B={sorted(b)} has {len(pre)} preimages")
         klass = bijection.alpha_inverse_class(m, b)
-        if set(klass.class_members) != pre:
+        if set(map(core._mask, klass.class_members)) != pre:
             _fail("bijection", f"B={sorted(b)}: inverse class mismatch")
 
 
 def check_activity_preservation(m, sweep):
-    for a in activities.subsets_by_rank(m.n):
+    for a in range(1 << m.n):
         b = sweep.value(bijection.active_basis, a)
         internal, external = activities.basis_activities(m, b)
         ostar, o = sweep.value(activities.orientation_activities, a)
         if internal != ostar or external != o:
-            _fail("activity-preservation", f"A={sorted(a)}")
+            _fail("activity-preservation", f"A={core._positions(a)}")
         f = sweep.value(activities.active_filtration_orientation, a)
         if activities.active_filtration_basis(m, b) != f:
-            _fail("activity-preservation", f"A={sorted(a)}: filtrations differ")
+            _fail("activity-preservation", f"A={core._positions(a)}: filtrations differ")
 
 
 def check_refined_bijection(m, sweep):
-    images = {}
-    for a in activities.subsets_by_rank(m.n):
-        x = images[a] = bijection.refined_alpha(m, a)
-        if bijection.refined_alpha_inverse(m, x) != a:
-            _fail("refined-bijection", f"A={sorted(a)}")
-        ts, tsb, th, thb = activities.reorientation_params(m, a)
-        internal, p, external, q = activities.subset_params(m, x)
-        if (internal, p, external, q) != (ts, tsb, th, thb):
-            _fail("refined-bijection", f"A={sorted(a)}: parameter transport")
-    if len(set(images.values())) != 1 << m.n:
+    images = []  # by mask, the mask of the refined image
+    for a in range(1 << m.n):
+        x = bijection.refined_alpha(m, core._elements(a))
+        images.append(core._mask(x))
+        if bijection.refined_alpha_inverse(m, x) != core._elements(a):
+            _fail("refined-bijection", f"A={core._positions(a)}")
+        if activities.subset_params(m, x) != activities.reorientation_params(m, core._elements(a)):
+            _fail("refined-bijection", f"A={core._positions(a)}: parameter transport")
+    if len(set(images)) != 1 << m.n:
         _fail("refined-bijection", "not a permutation of the power set")
     # activity classes map onto basis intervals
     for a, members in sweep.classes():
         b = sweep.value(bijection.active_basis, a)
-        lo, hi = activities.interval_of_basis(m, b)
+        lo, hi = map(core._mask, activities.interval_of_basis(m, b))
         if {images[member] for member in members} != _interval(lo, hi):
-            _fail("refined-bijection", f"A={sorted(a)}: class does not fill the interval")
+            _fail("refined-bijection", f"A={core._positions(a)}: class does not fill the interval")
 
 
 def check_full_optimality_uniqueness(m, sweep):
     if m.n == 0:
         return
-    for a in activities.subsets_by_rank(m.n):
+    for a in range(1 << m.n):
         try:  # None where -_A M is neither bounded nor dual-bounded
-            hit = oracles.fully_optimal_basis_scan(core.reorient(m, a))
+            hit = oracles.fully_optimal_basis_scan(core._reoriented(m, a))
         except AssertionError as exc:  # no or several optimal bases, or the criteria disagree
-            _fail("full-optimality", f"A={sorted(a)}: {exc}")
+            _fail("full-optimality", f"A={core._positions(a)}: {exc}")
         if hit is not None and hit != (served := sweep.value(bijection.active_basis, a)):
-            _fail("full-optimality", f"A={sorted(a)}: scan {sorted(hit)} != served {sorted(served)}")
+            _fail("full-optimality", f"A={core._positions(a)}: scan {sorted(hit)} != served {sorted(served)}")
 
 
 def check_duality_of_alpha(m, sweep):
     md = core.dual(m)
     ground = m.ground_set
-    for a in activities.subsets_by_rank(m.n):
-        if bijection.active_basis(md, a) != ground - sweep.value(bijection.active_basis, a):
-            _fail("alpha-duality", f"A={sorted(a)}")
+    for a in range(1 << m.n):
+        if bijection.active_basis(md, core._elements(a)) != ground - sweep.value(bijection.active_basis, a):
+            _fail("alpha-duality", f"A={core._positions(a)}")
 
 
 def check_active_duality_bounded(m, sweep):
     if m.n <= 1:
         return
-    for a in activities.subsets_by_rank(m.n - 1):  # -_A M = -_(E∖A) M: each pair at its mask without n
-        r = core.reorient(m, a)
+    for a in range(1 << (m.n - 1)):  # -_A M = -_(E∖A) M: each pair at its mask without n
+        r = core._reoriented(m, a)
         if core.is_bounded(r) and not oracles.check_active_duality(r):
-            _fail("active-duality", f"A={sorted(a)}")
+            _fail("active-duality", f"A={core._positions(a)}")
 
 
 def check_recursive_definitions(m, sweep):
     memo: dict = {}  # shared by both induction styles, which stay apart in its key
-    for a in activities.subsets_by_rank(m.n):
-        r = core.reorient(m, a)
+    for a in range(1 << m.n):
+        r = core._reoriented(m, a)
         b = sweep.value(bijection.active_basis, a)
         if oracles.active_basis_recursive(r, memo=memo) != b:
-            _fail("recursive-alpha", f"A={sorted(a)}: cocircuit induction")
+            _fail("recursive-alpha", f"A={core._positions(a)}: cocircuit induction")
         if oracles.active_basis_recursive(r, circuit_induction=True, memo=memo) != b:
-            _fail("recursive-alpha", f"A={sorted(a)}: circuit induction")
+            _fail("recursive-alpha", f"A={core._positions(a)}: circuit induction")
 
 
 def check_tutte_routes(m, sweep):
@@ -258,8 +257,8 @@ def check_tutte_routes(m, sweep):
 def check_class_counts(m, sweep):
     t = tutte.tutte_from_bases(m)
     reps = acyclic_reps = cyclic_reps = active_fixed = dual_fixed = 0
-    for a in activities.subsets_by_rank(m.n):
-        ostar, o = sweep.value(activities.orientation_activities, a)
+    for a in range(1 << m.n):
+        ostar, o = map(core._mask, sweep.value(activities.orientation_activities, a))
         if not (a & o):
             active_fixed += 1
         if not (a & ostar):
@@ -285,18 +284,18 @@ def check_class_counts(m, sweep):
 def check_interval_unions(m, sweep):
     independents = set()
     spanning = set()
-    supports = m.circuit_supports()
-    for a in activities.subsets_by_rank(m.n):
-        if not any(s <= a for s in supports):
+    supports = core._supports(m.circuits)
+    for a in range(1 << m.n):
+        if all(s & ~a for s in supports):
             independents.add(a)
-        if core.subset_rank(m, a) == m.rank:
+        if core.subset_rank(m, core._elements(a)) == m.rank:
             spanning.add(a)
     lower_union = set()
     upper_union = set()
     for b in core.bases(m):
-        internal, external = activities.basis_activities(m, b)
-        lower_union |= _interval(b - internal, b)
-        upper_union |= _interval(b, b | external)
+        basis, internal, external = map(core._mask, (b, *activities.basis_activities(m, b)))
+        lower_union |= _interval(basis & ~internal, basis)
+        upper_union |= _interval(basis, basis | external)
     if lower_union != independents:
         _fail("interval-unions", "lower intervals are not the independent sets")
     if upper_union != spanning:
@@ -307,10 +306,10 @@ def check_filtration_uniqueness(m, sweep):
     if m.n > FILTRATION_UNIQUENESS_CAP:
         return
     filtrations = oracles.all_connected_filtrations(m)
-    for a in activities.subsets_by_rank(m.n):
+    for a in range(1 << m.n):
         valid = [f for f in filtrations if _unbounded_part(m, f, a) is None]
         if len(valid) != 1 or valid[0] != sweep.value(activities.active_filtration_orientation, a):
-            _fail("filtration-uniqueness", f"A={sorted(a)}: {len(valid)} decompositions")
+            _fail("filtration-uniqueness", f"A={core._positions(a)}: {len(valid)} decompositions")
 
 
 ALL_CHECKS = [

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from actbij.activities import reorientation_params, subsets_by_rank
+from actbij.activities import reorientation_params
 from actbij.bijection import alpha_inverse_class, refined_alpha
 from actbij.cli import _cmd_refined, _cmd_table
 from actbij.core import bases, is_connected_matroid
@@ -63,7 +63,7 @@ def refined_by_direct_route(m) -> str:
     """The `refined` table built A by A from the forward map: refined_alpha
     and reorientation_params on each reorientation, in subset-rank order."""
     lines = ["A\talpha_M(A)\ttheta*\ttheta*bar\ttheta\tthetabar"]
-    for a in subsets_by_rank(m.n):
+    for a in subsets(m.n):
         cells = [a, refined_alpha(m, a), *reorientation_params(m, a)]
         lines.append("\t".join(format_elements(s) for s in cells))
     return "\n".join(lines) + "\n"

@@ -280,7 +280,7 @@ def test_criterion_11_four_variable_identities():
             want = t.evaluate(x + u, y + v)
             assert four_var_subset_sum(m, x, u, y, v) == want
             assert four_var_reorientation_sum(m, x, u, y, v) == want
-    supports = K4.circuit_supports()
+    supports = {c.support for c in K4.circuits}
     independents = sum(1 for a in subsets(6) if not any(s <= a for s in supports))
     spanning = sum(1 for a in subsets(6) if subset_rank(K4, a) == K4.rank)
     t4 = tutte_from_bases(K4)

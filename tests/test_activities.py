@@ -18,7 +18,6 @@ from actbij.activities import (
     orientation_activities,
     reorientation_params,
     subset_params,
-    subsets_by_rank,
 )
 from actbij.core import (
     bases,
@@ -383,7 +382,7 @@ def test_a_filtration_missing_elements_fails_its_self_test():
     # without the cut of {a, d}, some elements of E lie in no positive circuit or cocircuit
     m = k4_missing_a_cocircuit()
     failing = []
-    for a in subsets_by_rank(m.n):
+    for a in subsets(m.n):
         try:
             active_filtration_orientation(m, a)
         except AssertionError as exc:
@@ -423,7 +422,7 @@ def test_subset_params_fixtures(k3_om):
 def test_subset_params_cardinalities_and_minima():
     rng = random.Random(26)
     for m in [random_om(rng, max_edges=8) for _ in range(8)]:
-        supports = m.circuit_supports()
+        supports = {c.support for c in m.circuits}
         cosupports = tuple(d.support for d in m.cocircuits)
         for a in subsets(m.n):
             internal, p, external, q = subset_params(m, a)
@@ -441,10 +440,6 @@ def test_reorientation_params_fixtures(k3_om):
     assert reorientation_params(k3_om, fs()) == (ostar, fs(), o, fs())
     assert reorientation_params(k3_om, fs(2, 3)) == (fs(1), fs(2), fs(), fs())
     assert reorientation_params(k3_om, fs(2)) == (fs(), fs(), fs(1), fs())
-
-
-def test_subsets_by_rank_order():
-    assert list(subsets_by_rank(2)) == [fs(), fs(1), fs(2), fs(1, 2)]
 
 
 # --------------------------------------------- exhaustive filtration oracle

@@ -6,7 +6,7 @@ import pytest
 
 from actbij import activities, bijection, cli, core, verify
 from actbij.cli import main
-from conftest import refined_by_direct_route, refined_stdout, serialize_om, table_stdout
+from conftest import refined_by_direct_route, refined_stdout, serialize_om, subsets, table_stdout
 from examples import diamond_doubled, k3, k4, k4_missing_a_cocircuit, w4
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -331,7 +331,7 @@ def test_alpha_builds_each_chain_step_once_and_never_reorients_m(monkeypatch):
                 monkeypatch.setattr(module, name, fake)
     activities._step_minor.cache_clear()
     steps = set()
-    for a in activities.subsets_by_rank(m.n):
+    for a in subsets(m.n):
         chain = activities.active_filtration_orientation(m, a).chain
         steps |= set(zip(chain[1:], chain))
         bijection.active_basis(m, a)
@@ -341,7 +341,7 @@ def test_alpha_builds_each_chain_step_once_and_never_reorients_m(monkeypatch):
 
 @pytest.mark.parametrize("command", ["alpha", "activities"])
 def test_alpha_and_activities_never_reorient(monkeypatch, command):
-    tokens = [",".join(map(str, sorted(a))) or "-" for a in activities.subsets_by_rank(6)]
+    tokens = [",".join(map(str, sorted(a))) or "-" for a in subsets(6)]
     want = [run([command, str(DATA / "k4.graph"), "--reorient", token]) for token in tokens]
     for module in (core, activities, bijection, cli):
         if hasattr(module, "reorient"):

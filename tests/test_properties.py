@@ -5,8 +5,9 @@ the connected filtrations against every set partition and cyclic marking,
 the forward map on (M, A) against the same map on the reorientation
 -_A M itself, `refined` against the direct forward map, `table` against
 the per-basis class route, the bases against the scan of every
-rank-sized subset and the served fully optimal basis against the oracle
-scan over all bases."""
+rank-sized subset, the served fully optimal basis against the oracle
+scan over all bases, and the served active basis against both induction
+styles of the recursive definition."""
 
 import copy
 import itertools
@@ -41,7 +42,7 @@ from actbij.core import (
     restrict_contract,
 )
 from actbij.graphs import OrderedDigraph, om_from_digraph, parse_om_file
-from actbij.oracles import all_connected_filtrations, fully_optimal_basis_scan
+from actbij.oracles import active_basis_recursive, all_connected_filtrations, fully_optimal_basis_scan
 from conftest import (
     refined_by_direct_route,
     refined_stdout,
@@ -395,3 +396,15 @@ def test_the_served_fully_optimal_basis_is_the_scan(g):
             assert scan == fully_optimal_basis(r), sorted(a)
         else:
             assert scan is None, sorted(a)
+
+
+@settings(steady, max_examples=100)
+@given(digraphs(max_edges=7), st.data())
+def test_the_recursive_definitions_give_the_served_active_basis(g, data):
+    # the oracle recursion reads -_A M built whole, the served map (M, A)
+    m = om_from_digraph(g)
+    a = data.draw(st.frozensets(st.integers(1, m.n))) if m.n else frozenset()
+    r = reorient(m, a)
+    b = active_basis(m, a)
+    assert active_basis_recursive(r) == b
+    assert active_basis_recursive(r, circuit_induction=True) == b

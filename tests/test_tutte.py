@@ -140,7 +140,7 @@ def test_four_var_sums_on_grid(k3_om, k4_om):
 
 
 def test_independent_and_spanning_counts(k4_om):
-    supports = k4_om.circuit_supports()
+    supports = {c.support for c in k4_om.circuits}
     independents = sum(
         1 for a in subsets(6) if not any(s <= a for s in supports)
     )
@@ -182,7 +182,7 @@ def test_interval_unions_are_independents_and_spanning(k4_om):
         for k in range(len(external) + 1):
             for add in itertools.combinations(sorted(external), k):
                 upper.add(b | frozenset(add))
-    supports = k4_om.circuit_supports()
+    supports = {c.support for c in k4_om.circuits}
     independents = {a for a in subsets(6) if not any(s <= a for s in supports)}
     spanning = {a for a in subsets(6) if subset_rank(k4_om, a) == k4_om.rank}
     assert lower == independents

@@ -2,9 +2,10 @@
 in the library is bounded, that no function declares a global, that
 every public function, class, method or property has a caller outside
 the tests or names a notion of the paper, that one run maps each
-reorientation of M once, that its named checks report a planted fault
-under their own names, and that full-optimality-uniqueness fails when
-the served basis is not the scan's."""
+reorientation of M once and calls ``reorient`` only on single elements,
+that its named checks report a planted fault under their own names, and
+that full-optimality-uniqueness fails when the served basis is not the
+scan's."""
 
 import ast
 import dataclasses
@@ -19,7 +20,7 @@ import pytest
 from actbij import activities, bijection, core, oracles, tutte, verify
 from actbij.activities import Filtration
 from actbij.tutte import TuttePolynomial
-from examples import k3, k4
+from examples import k3, k4, w4
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "actbij"
 BENCH = SRC.parent.parent / "bench"
@@ -100,6 +101,7 @@ PAPER_NOTIONS = {
     "bijection.is_fully_optimal": "full optimality criterion",
     "core.SignedSubset.negated": "opposite signed set",
     "core.SignedSubset.reoriented": "reorientation",
+    "core.SignedSubset.support": "support",
     "core.contract": "contraction",
     "core.delete": "deletion",
     "core.fundamental_circuit": "fundamental circuit",
@@ -184,6 +186,25 @@ def test_a_run_maps_each_reorientation_once(monkeypatch):
     assert verify.run_all(k4(), report=lambda line: None)
     assert calls["active_basis"] <= 3 << 6
     assert calls["_minor"] <= 300
+
+
+def test_a_run_reorients_through_reorient_only_on_single_elements(monkeypatch):
+    # the oracle sides reorient M by mask; structure reorients it there and back per element
+    calls = []
+    real = core.reorient
+    monkeypatch.setattr(core, "reorient", lambda m, a: calls.append(a) or real(m, a))
+    m = k4()
+    assert verify.run_all(m, report=lambda line: None)
+    assert len(calls) <= 2 * m.n
+
+
+@pytest.mark.parametrize("m", [k3(), k4(), w4()], ids=["K3", "K4", "W4"])
+def test_reorienting_a_single_element_changes_m_and_twice_restores_it(m):
+    # what the structure check's involution tests; on E it would compare M with itself
+    assert core.reorient(m, m.ground_set) == m
+    for e in m.ground_set:
+        r = core.reorient(m, {e})
+        assert r != m and core.reorient(r, {e}) == m
 
 
 PLANTED = [
@@ -341,6 +362,17 @@ def test_a_failed_self_test_inside_a_check_is_reported_as_its_failure(monkeypatc
             assert_fails_at("bijection", "FAIL bijection: planted")
 
 
+def flips_2_as_well_off_the_first_om(real):
+    """A reorient that also flips 2 unless its argument is the first OM it was given."""
+    first = []
+
+    def planted(m, a):
+        first[:] = first or [m]
+        return real(m, a if m == first[0] else {*a, 2})
+
+    return planted
+
+
 # faults planted under one check called alone on a fresh record: where an
 # earlier check would read the plant first, or to reach a later condition of
 # a check than its PLANTED entry does
@@ -361,6 +393,15 @@ PLANTED_ALONE = [
         core,
         "reorient",
         lambda real: lambda m, a: core.dual(m) if m.rank == 2 else m,
+        "structure: reorientation is not an involution",
+    ),
+    (
+        # reorienting M is right and only reorienting back is wrong: -_E M = M would hide it
+        "structure-reorientation-back",
+        verify.check_structure,
+        core,
+        "reorient",
+        flips_2_as_well_off_the_first_om,
         "structure: reorientation is not an involution",
     ),
     (
