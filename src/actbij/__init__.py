@@ -2,7 +2,6 @@
 matroids on linearly ordered ground sets."""
 
 from .activities import (
-    ActivityReport,
     Filtration,
     activity_class,
     active_filtration_basis,
@@ -19,7 +18,6 @@ from .activities import (
 from .bijection import (
     ReorientationClassResult,
     active_basis,
-    activity_report,
     alpha_inverse_class,
     fully_optimal_basis,
     is_fully_optimal,

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from array import array
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate, pairwise
 from operator import or_
@@ -317,20 +316,3 @@ def reorientation_params(m_ref: OrientedMatroid, a):
     ostar, o = orientation_activities(m_ref, a)
     return ostar - a, ostar & a, o - a, o & a
 
-
-@dataclass(frozen=True)
-class ActivityReport:
-    """All activity data of one reorientation A of a reference OM:
-    orientation activities of -_A M, the four reorientation parameters,
-    and the subset parameters of the refined image of A."""
-
-    o: frozenset[int]
-    ostar: frozenset[int]
-    internal: frozenset[int]
-    external: frozenset[int]
-    theta: frozenset[int]
-    theta_bar: frozenset[int]
-    theta_star: frozenset[int]
-    theta_star_bar: frozenset[int]
-    p: frozenset[int]
-    q: frozenset[int]

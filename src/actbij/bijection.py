@@ -15,13 +15,10 @@ from .activities import (
     Filtration,
     _flips,
     _owner,
-    ActivityReport,
     active_filtration_orientation,
     active_minors,
     basis_pass,
     orientation_activities,
-    reorientation_params,
-    subset_params,
 )
 from .core import (
     OrientedMatroid,
@@ -190,24 +187,3 @@ def refined_alpha_inverse(m_ref: OrientedMatroid, x) -> frozenset[int]:
             base_point ^= part
     return _elements(base_point)
 
-
-def activity_report(m_ref: OrientedMatroid, a) -> ActivityReport:
-    """Bundle every activity parameter of the reorientation A: orientation
-    activities of -_A M, the four reorientation parameters, and the subset
-    parameters of the refined image of A."""
-    a = frozenset(a)
-    ostar, o = orientation_activities(m_ref, a)
-    theta_star, theta_star_bar, theta, theta_bar = reorientation_params(m_ref, a)
-    internal, p, external, q = subset_params(m_ref, refined_alpha(m_ref, a))
-    return ActivityReport(
-        o=o,
-        ostar=ostar,
-        internal=internal,
-        external=external,
-        theta=theta,
-        theta_bar=theta_bar,
-        theta_star=theta_star,
-        theta_star_bar=theta_star_bar,
-        p=p,
-        q=q,
-    )

@@ -123,10 +123,11 @@ def om_from_digraph(g: OrderedDigraph) -> OrientedMatroid:
     index = {v: i for i, v in enumerate(g.vertices)}
     ends = [(1 << index[t], 1 << index[h]) for t, h in g.edges]  # per edge: tail, head as masks
     nbr = [0] * len(g.vertices)  # per vertex: its neighbours
+    bonds, unreached = [], 0  # the vertices an edge touches: an isolated vertex has no bond
     for (t, h), (tail, head) in zip(g.edges, ends):
         nbr[index[t]] |= head
         nbr[index[h]] |= tail
-    bonds, unreached = [], (1 << len(g.vertices)) - 1
+        unreached |= tail | head
     while unreached:
         comp = _reach(unreached, nbr)
         unreached ^= comp
@@ -189,6 +190,7 @@ def parse_graph_file(text: str) -> OrderedDigraph:
 
 def parse_om_file(text: str) -> OrientedMatroid:
     lines, n = _header(text, "om", "n", "ground set size")
+    check_enumeration_cap(n)
     circuits, cocircuits = [], []
     for lineno, line in lines:
         toks = line.split()

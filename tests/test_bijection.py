@@ -17,7 +17,6 @@ from actbij.activities import (
 )
 from actbij.bijection import (
     active_basis,
-    activity_report,
     alpha_inverse_class,
     fully_optimal_basis,
     is_fully_optimal,
@@ -369,28 +368,32 @@ def test_representative_maps_to_its_basis(k4_om):
         assert (refined_alpha(k4_om, a) == b) == (not (a & (ostar | o)))
 
 
-def test_activity_report_bundle(k4_om):
-    report = activity_report(k4_om, fs(1))
-    assert report.ostar == fs(1, 2, 4) and report.o == fs()
-    assert report.theta_star == fs(2, 4) and report.theta_star_bar == fs(1)
-    assert report.internal == fs(2, 4) and report.p == fs(1)
-    assert report.q == fs() and report.theta_bar == fs()
+def test_activity_parameters_of_one_reorientation(k4_om):
+    a = fs(1)
+    ostar, o = orientation_activities(k4_om, a)
+    theta_star, theta_star_bar, theta, theta_bar = reorientation_params(k4_om, a)
+    internal, p, external, q = subset_params(k4_om, refined_alpha(k4_om, a))
+    assert ostar == fs(1, 2, 4) and o == fs()
+    assert theta_star == fs(2, 4) and theta_star_bar == fs(1)
+    assert internal == fs(2, 4) and p == fs(1)
+    assert q == fs() and theta_bar == fs()
 
 
-def test_activity_report_invariants(k4_om):
+def test_activity_parameters_invariants(k4_om):
     rng = random.Random(38)
     oms = [k4_om] + [random_om(rng, max_edges=8, min_edges=1) for _ in range(4)]
     for m in oms:
         if m.n == 0:
             continue
         for a in subsets(m.n):
-            report = activity_report(m, a)
-            assert not (report.o & report.ostar)
-            assert min(m.ground_set) in report.o | report.ostar
-            assert report.theta | report.theta_bar == report.o
-            assert not (report.theta & report.theta_bar)
-            assert report.theta_star | report.theta_star_bar == report.ostar
-            assert not (report.theta_star & report.theta_star_bar)
+            ostar, o = orientation_activities(m, a)
+            theta_star, theta_star_bar, theta, theta_bar = reorientation_params(m, a)
+            assert not (o & ostar)
+            assert min(m.ground_set) in o | ostar
+            assert theta | theta_bar == o
+            assert not (theta & theta_bar)
+            assert theta_star | theta_star_bar == ostar
+            assert not (theta_star & theta_star_bar)
 
 
 # ----------------------------------------------------------------- duality

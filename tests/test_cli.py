@@ -158,6 +158,7 @@ def test_parse_error_exit_code(tmp_path, capsys):
     ("negative.graph", b"graph -1\n", "error: line 1: vertex count must be nonnegative\n"),
     ("bare.om", b"om\n", "error: line 1: expected 'om <n>', got 'om'\n"),
     ("letter.om", b"om x\n", "error: line 1: bad ground set size 'x'\n"),
+    ("big.om", b"om 25\n", "error: refusing 2^25 enumeration: ground set size 25 exceeds cap 24\n"),
     ("positive.om", b"om 2\nC ++\nD ++\n",
      "error: orthogonality fails for circuit SignedSubset(+1,+2) and cocircuit SignedSubset(+1,+2)\n"),
     # the header is reported on its own line, after comments and blank lines

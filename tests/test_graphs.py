@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from actbij.core import SignedSubset, bases, om_from_lists, reorient
+from actbij import graphs
+from actbij.core import GroundSetTooLarge, SignedSubset, bases, om_from_lists, reorient
 from actbij.graphs import (
     OrderedDigraph,
     ParseError,
@@ -111,6 +112,21 @@ def test_graph_round_trip():
         text = "".join([f"graph {len(g.vertices)}\n", *(f"{t} {h}\n" for t, h in g.edges)])
         parsed = parse_graph_file(text)
         assert (len(parsed.vertices), parsed.edges) == (len(g.vertices), g.edges)
+
+
+def test_isolated_vertices_are_not_flooded(monkeypatch):
+    # a vertex that no edge touches has no bond, so no flood fill starts from it
+    calls = []
+    real = graphs._reach
+    monkeypatch.setattr(graphs, "_reach", lambda within, nbr: calls.append(within) or real(within, nbr))
+    triangle = "a b\nb c\nc a\n"
+    assert parse_file("graph 100000\n" + triangle) == parse_file("graph 3\n" + triangle)
+    assert len(calls) <= 50
+
+
+def test_an_om_header_above_the_cap_is_refused_before_its_lines():
+    with pytest.raises(GroundSetTooLarge):
+        parse_file("om 25\n")
 
 
 def test_parse_om_file_matches_serialization(k4_om):

@@ -7,11 +7,14 @@ the forward map on (M, A) against the same map on the reorientation
 the per-basis class route, the bases against the scan of every
 rank-sized subset, the served fully optimal basis against the oracle
 scan over all bases, and the served active basis against both induction
-styles of the recursive definition."""
+styles of the recursive definition, and the active bijection onto the
+bases with 2^(|Int(B)|+|Ext(B)|) reorientations on each basis B, whose
+activities it keeps."""
 
 import copy
 import itertools
 import pickle
+from collections import Counter
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -408,3 +411,26 @@ def test_the_recursive_definitions_give_the_served_active_basis(g, data):
     b = active_basis(m, a)
     assert active_basis_recursive(r) == b
     assert active_basis_recursive(r, circuit_induction=True) == b
+
+
+@settings(steady, max_examples=50)
+@given(digraphs(max_edges=9))
+def test_alpha_is_onto_the_bases_with_two_to_the_activities_reorientations_each(g):
+    # acceptance criterion 6, whose seeded loop stays in test_acceptance.py
+    m = om_from_digraph(g)
+    preimages = Counter(active_basis(reorient(m, a)) for a in map(_elements, range(1 << m.n)))
+    assert set(preimages) == set(bases(m))
+    for b, count in preimages.items():
+        internal, external = basis_activities(m, b)
+        assert count == 1 << (len(internal) + len(external))
+
+
+@settings(steady, max_examples=50)
+@given(digraphs(max_edges=9))
+def test_alpha_keeps_the_activities_of_every_reorientation(g):
+    # acceptance criterion 9, whose seeded loop stays in test_acceptance.py:
+    # Int(α(A)) = O*(-_A M) and Ext(α(A)) = O(-_A M)
+    m = om_from_digraph(g)
+    for a in map(_elements, range(1 << m.n)):
+        r = reorient(m, a)
+        assert basis_activities(m, active_basis(r)) == orientation_activities(r)

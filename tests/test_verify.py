@@ -93,11 +93,9 @@ def test_no_function_in_src_declares_a_global():
 # public names that only the tests call, kept because each names a notion
 # of the paper: the phrase its docstring names it by
 PAPER_NOTIONS = {
-    "activities.ActivityReport": "subset parameters",
     "activities.Filtration.cyclic_flat": "cyclic flat",
     "activities.Filtration.parts": "partition",
     "activities.basis_of_subset": "basis intervals",
-    "bijection.activity_report": "subset parameters",
     "bijection.is_fully_optimal": "full optimality criterion",
     "core.SignedSubset.negated": "opposite signed set",
     "core.SignedSubset.reoriented": "reorientation",
@@ -112,6 +110,23 @@ PAPER_NOTIONS = {
 }
 
 
+def names_read(text: str, members: bool = False, skip=frozenset()) -> set:
+    """Every name read in the source; with ``members``, only the attributes
+    read off something other than a name in ``skip``.  Each attribute counts
+    bare and qualified by what it is read off: ``core.SignedSubset.from_masks``
+    reads ``from_masks`` and ``SignedSubset.from_masks``."""
+    used = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            owner = getattr(node.value, "id", None)
+            if not (members and owner in skip):
+                qualifier = owner or getattr(node.value, "attr", "")
+                used |= {node.attr, f"{qualifier}.{node.attr}"}
+        elif isinstance(node, ast.Name) and not members:
+            used.add(node.id)
+    return used
+
+
 def names_used_outside_the_tests(members: bool = False) -> set:
     """Every name read in src or bench; with ``members``, only the attributes
     read off something other than one of bench's own modules, so that a
@@ -119,16 +134,8 @@ def names_used_outside_the_tests(members: bool = False) -> set:
     of the same name.  A re-export from __init__ is not a use; the CLI is
     cli.py under src."""
     bench_modules = {path.stem for path in BENCH.glob("*.py")}
-    used = set()
-    for path in [*SRC.glob("*.py"), *BENCH.glob("*.py")]:
-        if path.name != "__init__.py":
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                    if not (members and getattr(node.value, "id", None) in bench_modules):
-                        used.add(node.attr)
-                elif isinstance(node, ast.Name) and not members:
-                    used.add(node.id)
-    return used
+    paths = [path for path in [*SRC.glob("*.py"), *BENCH.glob("*.py")] if path.name != "__init__.py"]
+    return set().union(*(names_read(path.read_text(encoding="utf-8"), members, bench_modules) for path in paths))
 
 
 def public_definitions(body, prefix: str):
@@ -152,19 +159,43 @@ def test_every_public_function_and_class_has_a_caller_outside_the_tests():
         assert notion in " ".join(doc.split()), name
 
 
-def test_every_public_method_and_property_has_a_caller_outside_the_tests():
-    # a member is used where an attribute of that name is read in src or
-    # bench; two members of the same name still count as one (ground_set)
-    used = names_used_outside_the_tests(members=True)
+def unused_members(modules: dict[str, str], used: set) -> list[str]:
+    """The public methods and properties of the public classes in
+    ``modules`` (source by module name) that ``used`` does not read.  A
+    member name that two classes define counts only where it is read off
+    its own class, as in ``Filtration.from_masks``."""
     members = [
         member
-        for path in sorted(SRC.glob("*.py"))
-        for name, node in public_definitions(ast.parse(path.read_text(encoding="utf-8")).body, path.stem)
+        for module, text in modules.items()
+        for name, node in public_definitions(ast.parse(text).body, module)
         if isinstance(node, ast.ClassDef)
         for member, _ in public_definitions(node.body, name)
     ]
-    assert "core.SignedSubset.from_masks" in members
-    assert [name for name in members if name.split(".")[2] not in used and name not in PAPER_NOTIONS] == []
+    names = [member.split(".")[2] for member in members]
+    return [
+        member
+        for member, name in zip(members, names)
+        if (member.split(".", 1)[1] if names.count(name) > 1 else name) not in used
+    ]
+
+
+def test_every_public_method_and_property_has_a_caller_outside_the_tests():
+    # a member is used where an attribute of that name is read in src or
+    # bench; from_masks, which two classes define, must be read off each
+    used = names_used_outside_the_tests(members=True)
+    assert {"Filtration.from_masks", "SignedSubset.from_masks"} <= used
+    modules = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert [name for name in unused_members(modules, used) if name not in PAPER_NOTIONS] == []
+
+
+def test_a_member_name_two_classes_share_is_used_only_where_read_off_its_class():
+    modules = {
+        "shapes": "class Square:\n    def from_masks(cls): ...\n    def area(self): ...\n"
+        "class Circle:\n    def from_masks(cls): ...\n"
+    }
+    reader = "import shapes\nshapes.Square.from_masks()\nc.from_masks()\nc.area()\n"
+    assert unused_members(modules, names_read(reader, members=True)) == ["shapes.Circle.from_masks"]
+    assert unused_members(modules, names_read(reader + "Circle.from_masks()\n", members=True)) == []
 
 
 def test_a_run_maps_each_reorientation_once(monkeypatch):
