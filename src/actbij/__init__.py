@@ -46,7 +46,6 @@ from .core import (
     reorient,
 )
 from .graphs import (
-    OrderedDigraph,
     ParseError,
     format_elements,
     om_from_digraph,

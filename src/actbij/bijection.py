@@ -38,10 +38,9 @@ from .core import (
 
 @dataclass(frozen=True)
 class ReorientationClassResult:
-    """A basis, the 2^(ι+ε) reorientations mapping onto it, and their
-    shared active filtration."""
+    """The 2^(ι+ε) reorientations that the active basis map sends onto one
+    basis, and their shared active filtration."""
 
-    basis: frozenset[int]
     class_members: tuple[frozenset[int], ...]
     filtration: Filtration
 
@@ -161,7 +160,7 @@ def alpha_inverse_class(m_ref: OrientedMatroid, b: frozenset[int]) -> Reorientat
         raise ValueError(f"{sorted(b)} is not a basis of the oriented matroid")
     f, base_point = basis_pass(m_ref, _mask(b))
     members = tuple(_elements(x) for x in _flips(base_point, f.masks))
-    return ReorientationClassResult(b, members, f)
+    return ReorientationClassResult(members, f)
 
 
 def refined_alpha(m_ref: OrientedMatroid, a) -> frozenset[int]:

@@ -5,8 +5,10 @@ Graph file format::
     graph <num_vertices>
     <tail> <head>        # one edge per line, '#' starts a comment
 
-Element k is the k-th edge line (1-based); the reference orientation is
-tail -> head and the edge order is the ground-set linear order.
+A graph is its tuple of ``(tail, head)`` edges.  Element k is the k-th
+edge line (1-based); the reference orientation is tail -> head and the edge
+order is the ground-set linear order.  The header count bounds the distinct
+vertex tokens; isolated vertices do not enter the oriented matroid.
 
 OM file format::
 
@@ -22,8 +24,6 @@ for the empty set, or a length-n bitstring prefixed ``b:``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .core import (
     OrientedMatroid,
@@ -42,18 +42,6 @@ class ParseError(ValueError):
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         super().__init__(f"line {line}: {message}" if line is not None else message)
-
-
-@dataclass(frozen=True)
-class OrderedDigraph:
-    """A multigraph with ordered edges; parallel edges and self-loops allowed."""
-
-    vertices: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.edges)
 
 
 def _reach(within: int, nbr: list[int]) -> int:
@@ -94,25 +82,21 @@ def _circuits(indexed, adjacent) -> list[SignedSubset]:
     return circuits
 
 
-def om_from_digraph(g: OrderedDigraph) -> OrientedMatroid:
-    """Signed circuits from simple cycles, signed cocircuits from bonds.
+def om_from_digraph(edges) -> OrientedMatroid:
+    """Signed circuits from simple cycles, signed cocircuits from bonds, of
+    the ordered ``(tail, head)`` edges; parallel edges and self-loops allowed.
 
     Cycles come from a depth-first search (see :func:`_circuits`).  A bond
     is the cut of a vertex set s holding the first vertex of its
     component, where s and the rest of the component both induce
     connected subgraphs; so each bond is found once and is minimal.
-    Vertex sets are masks: the sides are the submasks of the component,
-    and each is tested by one flood fill (:func:`_reach`).
+    Vertex sets are masks, the vertices numbered by first appearance: the
+    sides are the submasks of the component, and each is tested by one
+    flood fill (:func:`_reach`).
     """
-    vertex_set = set(g.vertices)
-    for t, h in g.edges:
-        if t not in vertex_set or h not in vertex_set:
-            raise ParseError(f"unknown vertex token {t if t not in vertex_set else h!r}")
-    n = g.n
-    if n == 0:
-        return om_from_lists(0, [], [])
+    n = len(edges)
     check_enumeration_cap(n)
-    indexed = [(k, t, h) for k, (t, h) in enumerate(g.edges, start=1)]
+    indexed = [(k, t, h) for k, (t, h) in enumerate(edges, start=1)]
     adjacent: dict[str, list[tuple[int, str, bool]]] = {}  # per vertex: (edge, other end, leaves it)
     for k, t, h in indexed:
         if t != h:
@@ -120,14 +104,10 @@ def om_from_digraph(g: OrderedDigraph) -> OrientedMatroid:
             adjacent.setdefault(h, []).append((k, t, False))
     circuits = _circuits(indexed, adjacent)
 
-    index = {v: i for i, v in enumerate(g.vertices)}
-    ends = [(1 << index[t], 1 << index[h]) for t, h in g.edges]  # per edge: tail, head as masks
-    nbr = [0] * len(g.vertices)  # per vertex: its neighbours
-    bonds, unreached = [], 0  # the vertices an edge touches: an isolated vertex has no bond
-    for (t, h), (tail, head) in zip(g.edges, ends):
-        nbr[index[t]] |= head
-        nbr[index[h]] |= tail
-        unreached |= tail | head
+    index = {v: i for i, v in enumerate(dict.fromkeys(v for edge in edges for v in edge))}
+    ends = [(1 << index[t], 1 << index[h]) for t, h in edges]  # per edge: tail, head as masks
+    nbr = [sum({1 << index[w] for _, w, _ in adjacent.get(v, ())}) for v in index]  # its neighbours
+    bonds, unreached = [], (1 << len(index)) - 1
     while unreached:
         comp = _reach(unreached, nbr)
         unreached ^= comp
@@ -166,26 +146,19 @@ def _header(text: str, kind: str, count: str, noun: str):
     return lines[1:], value
 
 
-def parse_graph_file(text: str) -> OrderedDigraph:
+def parse_graph_file(text: str) -> tuple[tuple[str, str], ...]:
+    """The ``(tail, head)`` edges of a graph file, in file order."""
     lines, declared = _header(text, "graph", "num_vertices", "vertex count")
     edges = []
-    names: list[str] = []
-    seen: set[str] = set()
     for lineno, line in lines:
         toks = line.split()
         if len(toks) != 2:
             raise ParseError(f"expected '<tail> <head>', got {line!r}", lineno)
-        for t in toks:
-            if t not in seen:
-                seen.add(t)
-                names.append(t)
         edges.append((toks[0], toks[1]))
-    if len(names) > declared:
-        raise ParseError(
-            f"{len(names)} vertex tokens but only {declared} declared"
-        )
-    names += [f"~{i}" for i in range(1, declared - len(names) + 1)]
-    return OrderedDigraph(tuple(names), tuple(edges))
+    tokens = len({v for edge in edges for v in edge})
+    if tokens > declared:
+        raise ParseError(f"{tokens} vertex tokens but only {declared} declared")
+    return tuple(edges)
 
 
 def parse_om_file(text: str) -> OrientedMatroid:

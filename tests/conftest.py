@@ -3,21 +3,22 @@ import random
 
 import pytest
 
-from actbij.activities import reorientation_params
+from actbij.activities import active_filtration_orientation, active_minors, reorientation_params
 from actbij.bijection import alpha_inverse_class, refined_alpha
 from actbij.cli import _cmd_refined, _cmd_table
-from actbij.core import bases, is_connected_matroid
-from actbij.graphs import OrderedDigraph, format_elements, om_from_digraph
+from actbij.core import bases, is_bounded, is_connected_matroid, is_dual_bounded, reorient
+from actbij.graphs import format_elements, om_from_digraph
+from actbij.oracles import all_connected_filtrations
 from examples import diamond_doubled, digon, k3, k4
 
 
 def random_multigraph(rng: random.Random, max_vertices=6, max_edges=10, min_edges=0):
-    """Loops, parallel edges, bridges and disconnected graphs all occur."""
+    """The ordered edges of a multigraph on at most max_vertices vertices:
+    loops, parallel edges, bridges and disconnected graphs all occur."""
     nv = rng.randint(1, max_vertices)
     vertices = tuple(chr(97 + i) for i in range(nv))
     ne = rng.randint(min_edges, max_edges)
-    edges = tuple((rng.choice(vertices), rng.choice(vertices)) for _ in range(ne))
-    return OrderedDigraph(vertices, edges)
+    return tuple((rng.choice(vertices), rng.choice(vertices)) for _ in range(ne))
 
 
 def random_om(rng: random.Random, max_vertices=6, max_edges=10, min_edges=0):
@@ -34,7 +35,7 @@ def random_connected_om(rng: random.Random, max_vertices=5, max_edges=8):
             t = rng.choice(vertices)
             h = rng.choice([v for v in vertices if v != t])
             edges.append((t, h))
-        m = om_from_digraph(OrderedDigraph(vertices, tuple(edges)))
+        m = om_from_digraph(tuple(edges))
         if m.n >= 2 and is_connected_matroid(m):
             return m
 
@@ -93,6 +94,21 @@ def table_by_class_route(m) -> str:
         members = " ".join(map(plain, result.class_members))
         lines.append(f"{chain}\t{partition}\t{members}\t{plain(b)}")
     return "\n".join(lines) + "\n"
+
+
+def assert_unique_decomposition(m) -> None:
+    """At each reorientation A, exactly one connected filtration has each
+    minor of -_A M dual-bounded (cyclic part) or bounded (acyclic part),
+    and it is the active filtration of -_A M."""
+    filtrations = all_connected_filtrations(m)
+    for a in subsets(m.n):
+        r = reorient(m, a)
+        valid = []
+        for f in filtrations:
+            minors = active_minors(r, f)
+            if all((is_dual_bounded if f.part_is_cyclic(i) else is_bounded)(x) for i, x in enumerate(minors)):
+                valid.append(f)
+        assert valid == [active_filtration_orientation(r)]
 
 
 def subsets(n: int):

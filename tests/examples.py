@@ -3,35 +3,31 @@
 from __future__ import annotations
 
 from actbij.core import OrientedMatroid, om_from_lists
-from actbij.graphs import OrderedDigraph, om_from_digraph
+from actbij.graphs import om_from_digraph
+
+Edges = tuple[tuple[str, str], ...]
 
 
-def k3_digraph() -> OrderedDigraph:
+def k3_digraph() -> Edges:
     """Triangle; edges 1=ab, 2=ac, 3=bc, all oriented alphabetically."""
-    return OrderedDigraph(("a", "b", "c"), (("a", "b"), ("a", "c"), ("b", "c")))
+    return (("a", "b"), ("a", "c"), ("b", "c"))
 
 
-def k4_digraph() -> OrderedDigraph:
+def k4_digraph() -> Edges:
     """Complete graph on four vertices; edges 1=ab, 2=ac, 3=bc, 4=ad,
     5=bd, 6=cd, all oriented alphabetically."""
-    return OrderedDigraph(
-        ("a", "b", "c", "d"),
-        (("a", "b"), ("a", "c"), ("b", "c"), ("a", "d"), ("b", "d"), ("c", "d")),
-    )
+    return (("a", "b"), ("a", "c"), ("b", "c"), ("a", "d"), ("b", "d"), ("c", "d"))
 
 
-def diamond_doubled_digraph() -> OrderedDigraph:
+def diamond_doubled_digraph() -> Edges:
     """A diamond (K4 minus an edge) with one doubled edge: rank 3 on six
     elements, with proper cyclic flats {3,5}, {2,4,6} and {1,3,4,5}."""
-    return OrderedDigraph(
-        ("u", "v", "w", "x"),
-        (("u", "v"), ("u", "x"), ("v", "w"), ("u", "w"), ("v", "w"), ("w", "x")),
-    )
+    return (("u", "v"), ("u", "x"), ("v", "w"), ("u", "w"), ("v", "w"), ("w", "x"))
 
 
-def digon_digraph() -> OrderedDigraph:
+def digon_digraph() -> Edges:
     """Two parallel edges; the smallest graph with a bounded orientation."""
-    return OrderedDigraph(("a", "b"), (("a", "b"), ("a", "b")))
+    return (("a", "b"), ("a", "b"))
 
 
 def k3() -> OrientedMatroid:
@@ -57,12 +53,12 @@ def digon() -> OrientedMatroid:
     return om_from_digraph(digon_digraph())
 
 
-def w4_digraph() -> OrderedDigraph:
+def w4_digraph() -> Edges:
     """The wheel on four rim vertices: spokes 1-4 = h r1 .. h r4, then the
     rim 5-8 = r1 r2, r2 r3, r3 r4, r4 r1."""
     rim = ("r1", "r2", "r3", "r4")
     spokes = tuple(("h", r) for r in rim)
-    return OrderedDigraph(("h", *rim), spokes + tuple(zip(rim, rim[1:] + rim[:1])))
+    return spokes + tuple(zip(rim, rim[1:] + rim[:1]))
 
 
 def w4() -> OrientedMatroid:

@@ -9,12 +9,7 @@ import time
 from collections import defaultdict
 from pathlib import Path
 
-from actbij.activities import (
-    active_filtration_orientation,
-    active_minors,
-    basis_activities,
-    orientation_activities,
-)
+from actbij.activities import basis_activities, orientation_activities
 from actbij.bijection import (
     active_basis,
     alpha_inverse_class,
@@ -30,7 +25,7 @@ from actbij.core import (
     reorient,
     subset_rank,
 )
-from actbij.oracles import all_connected_filtrations, check_active_duality, tutte_delcon_oracle
+from actbij.oracles import check_active_duality, tutte_delcon_oracle
 from actbij.tutte import (
     TuttePolynomial,
     four_var_reorientation_sum,
@@ -38,7 +33,7 @@ from actbij.tutte import (
     tutte_from_bases,
     tutte_from_orientations,
 )
-from conftest import random_connected_om, random_om, subsets
+from conftest import assert_unique_decomposition, random_connected_om, random_om, subsets
 from examples import diamond_doubled, k3, k4
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -289,30 +284,12 @@ def test_criterion_11_four_variable_identities():
     _ok(11, "four-variable sums equal t(x+u,y+v) on the {0,1,2}^4 grid; 38/38 counts")
 
 
-def _unique_decomposition(m):
-    filtrations = all_connected_filtrations(m)
-    for a in subsets(m.n):
-        r = reorient(m, a)
-        valid = []
-        for f in filtrations:
-            ok = True
-            for i, minor in enumerate(active_minors(r, f)):
-                want_dual = f.part_is_cyclic(i)
-                good = is_dual_bounded(minor) if want_dual else is_bounded(minor)
-                if not good:
-                    ok = False
-                    break
-            if ok:
-                valid.append(f)
-        assert valid == [active_filtration_orientation(r)]
-
-
 def test_criterion_12_filtration_uniqueness():
     start = time.perf_counter()
-    _unique_decomposition(K4)
+    assert_unique_decomposition(K4)
     rng = random.Random(107)
     for _ in range(20):
-        _unique_decomposition(random_om(rng, max_vertices=5, max_edges=7, min_edges=3))
+        assert_unique_decomposition(random_om(rng, max_vertices=5, max_edges=7, min_edges=3))
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     _ok(12, f"unique connected decomposition per reorientation in {elapsed:.1f}s")

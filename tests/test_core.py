@@ -52,15 +52,15 @@ def k3_by_lists():
 
 # ---------------------------------------------------------------- oracles
 
-def digraph_fundamental_circuit(g, tree, e):
+def digraph_fundamental_circuit(edges, tree, e):
     """Fundamental cycle of edge e w.r.t. spanning forest `tree`, signed by
     traversing the cycle along e.  Independent of the matroid machinery."""
-    tail, head = g.edges[e - 1]
+    tail, head = edges[e - 1]
     if tail == head:
         return ss(e)
     walk = defaultdict(list)
     for k in tree:
-        t, h = g.edges[k - 1]
+        t, h = edges[k - 1]
         walk[t].append((k, h, 1))
         walk[h].append((k, t, -1))
     prev = {head: None}
@@ -82,15 +82,15 @@ def digraph_fundamental_circuit(g, tree, e):
     return SignedSubset(frozenset(pos), frozenset(neg))
 
 
-def digraph_fundamental_cocircuit(g, tree, b):
+def digraph_fundamental_cocircuit(edges, tree, b):
     """Fundamental directed cut of tree edge b, signed away from the side
     containing b's tail, so that b is positive."""
-    tail, head = g.edges[b - 1]
+    tail, head = edges[b - 1]
     adj = defaultdict(set)
     for k in tree:
         if k == b:
             continue
-        t, h = g.edges[k - 1]
+        t, h = edges[k - 1]
         adj[t].add(h)
         adj[h].add(t)
     side = {tail}
@@ -102,7 +102,7 @@ def digraph_fundamental_cocircuit(g, tree, b):
                 side.add(w)
                 queue.append(w)
     pos, neg = set(), set()
-    for k, (t, h) in enumerate(g.edges, start=1):
+    for k, (t, h) in enumerate(edges, start=1):
         if (t in side) and (h not in side):
             pos.add(k)
         elif (h in side) and (t not in side):

@@ -1,7 +1,7 @@
 """The verify suite: which modules may use the oracles, that every cache
 in the library is bounded, that no function declares a global, that
-every public function, class, method or property has a caller outside
-the tests or names a notion of the paper, that one run maps each
+every public function, class, method, property or dataclass field has a
+caller outside the tests or names a notion of the paper, that one run maps each
 reorientation of M once and calls ``reorient`` only on single elements,
 that its named checks report a planted fault under their own names, and
 that full-optimality-uniqueness fails when the served basis is not the
@@ -96,6 +96,7 @@ PAPER_NOTIONS = {
     "activities.Filtration.cyclic_flat": "cyclic flat",
     "activities.Filtration.parts": "partition",
     "activities.basis_of_subset": "basis intervals",
+    "bijection.ReorientationClassResult.filtration": "active filtration",
     "bijection.is_fully_optimal": "full optimality criterion",
     "core.SignedSubset.negated": "opposite signed set",
     "core.SignedSubset.reoriented": "reorientation",
@@ -129,20 +130,27 @@ def names_read(text: str, members: bool = False, skip=frozenset()) -> set:
 
 def names_used_outside_the_tests(members: bool = False) -> set:
     """Every name read in src or bench; with ``members``, only the attributes
-    read off something other than one of bench's own modules, so that a
-    local variable or a bench function does not hide a method or property
-    of the same name.  A re-export from __init__ is not a use; the CLI is
-    cli.py under src."""
-    bench_modules = {path.stem for path in BENCH.glob("*.py")}
+    read off something other than one of bench's own modules or ``args``,
+    the parsed command line, so that a local variable, a bench function or
+    an option does not hide a member of the same name.  A re-export from
+    __init__ is not a use; the CLI is cli.py under src."""
+    skip = {path.stem for path in BENCH.glob("*.py")} | {"args"}
     paths = [path for path in [*SRC.glob("*.py"), *BENCH.glob("*.py")] if path.name != "__init__.py"]
-    return set().union(*(names_read(path.read_text(encoding="utf-8"), members, bench_modules) for path in paths))
+    return set().union(*(names_read(path.read_text(encoding="utf-8"), members, skip) for path in paths))
 
 
 def public_definitions(body, prefix: str):
-    """(qualified name, node) of each public function and class defined in body."""
+    """(qualified name, node) of each public function, class and annotated
+    name, such as a dataclass field, defined in body."""
     for node in body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            yield f"{prefix}.{node.name}", node
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            name = node.name
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            name = node.target.id
+        else:
+            continue
+        if not name.startswith("_"):
+            yield f"{prefix}.{name}", node
 
 
 def test_every_public_function_and_class_has_a_caller_outside_the_tests():
@@ -154,16 +162,18 @@ def test_every_public_function_and_class_has_a_caller_outside_the_tests():
     ]
     assert [name for name in public if name.split(".")[1] not in used and name not in PAPER_NOTIONS] == []
     for name, notion in PAPER_NOTIONS.items():
-        module, *path = name.split(".")
-        doc = functools.reduce(getattr, path, importlib.import_module(f"actbij.{module}")).__doc__
+        module, *path, last = name.split(".")
+        owner = functools.reduce(getattr, path, importlib.import_module(f"actbij.{module}"))
+        # a dataclass field without a default is no class attribute: its class names it
+        doc = (owner if last in getattr(owner, "__dataclass_fields__", ()) else getattr(owner, last)).__doc__
         assert notion in " ".join(doc.split()), name
 
 
 def unused_members(modules: dict[str, str], used: set) -> list[str]:
-    """The public methods and properties of the public classes in
-    ``modules`` (source by module name) that ``used`` does not read.  A
-    member name that two classes define counts only where it is read off
-    its own class, as in ``Filtration.from_masks``."""
+    """The public methods, properties and annotated fields of the public
+    classes in ``modules`` (source by module name) that ``used`` does not
+    read.  A member name that two classes define counts only where it is
+    read off its own class, as in ``Filtration.from_masks``."""
     members = [
         member
         for module, text in modules.items()
@@ -180,8 +190,9 @@ def unused_members(modules: dict[str, str], used: set) -> list[str]:
 
 
 def test_every_public_method_and_property_has_a_caller_outside_the_tests():
-    # a member is used where an attribute of that name is read in src or
-    # bench; from_masks, which two classes define, must be read off each
+    # a member, dataclass fields included, is used where an attribute of
+    # that name is read in src or bench; from_masks, which two classes
+    # define, must be read off each
     used = names_used_outside_the_tests(members=True)
     assert {"Filtration.from_masks", "SignedSubset.from_masks"} <= used
     modules = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
@@ -196,6 +207,12 @@ def test_a_member_name_two_classes_share_is_used_only_where_read_off_its_class()
     reader = "import shapes\nshapes.Square.from_masks()\nc.from_masks()\nc.area()\n"
     assert unused_members(modules, names_read(reader, members=True)) == ["shapes.Circle.from_masks"]
     assert unused_members(modules, names_read(reader + "Circle.from_masks()\n", members=True)) == []
+
+
+def test_an_unread_dataclass_field_is_reported():
+    modules = {"shapes": "@dataclass\nclass Box:\n    width: int\n    height: int\n    _area: int = 0\n"}
+    reader = "import shapes\nbox.width\n"
+    assert unused_members(modules, names_read(reader, members=True)) == ["shapes.Box.height"]
 
 
 def test_a_run_maps_each_reorientation_once(monkeypatch):
