@@ -1,6 +1,7 @@
 """Tutte polynomial by several mutually checking routes.
 
-Routes: basis activities, reorientation activities (2^n sweep with exact
+Routes: basis activities, reorientation activities (all 2^n
+reorientations at once, each set of them one 2^n-bit int, with exact
 division of the class sizes), and two four-variable expansions (subset
 parameters and reorientation parameters).  All coefficients and
 evaluations are exact integers.
@@ -11,11 +12,11 @@ whose internal lock makes concurrent readers safe in CPython.
 
 from __future__ import annotations
 
-from array import array
 from functools import lru_cache
+from itertools import groupby
 
 from .activities import _interval_table, _interval_walk
-from .core import OrientedMatroid, _submasks, check_enumeration_cap
+from .core import OrientedMatroid, _positions, check_enumeration_cap
 
 
 class TuttePolynomial:
@@ -71,33 +72,49 @@ def tutte_from_bases(m: OrientedMatroid) -> TuttePolynomial:
     return TuttePolynomial(counts)
 
 
-def _positive_minima(m: OrientedMatroid, signed_sets) -> array:
-    """Per reorientation A (as a mask), the minima of the sets X made
-    positive by A, i.e. those with A ∩ supp(X) equal to X⁺ or to X⁻."""
-    full = (1 << m.n) - 1
-    minima = array("Q", [0]) * (1 << m.n)
-    for pos, neg in signed_sets:
-        support = pos | neg
-        low = support & -support
-        for sub in _submasks(full & ~support):
-            minima[pos | sub] |= low
-            minima[neg | sub] |= low
-    return minima
+def _active_groups(signed_sets, has: list[int], every: int) -> dict[tuple[int, int], int]:
+    """Split all reorientations A, bit A of ``every``, by how many minima
+    of the sets X made positive by A (A ∩ supp(X) equal to X⁺ or to X⁻)
+    lie outside and inside A.  The sets are read minimum by minimum, and
+    each minimum splits the groups as soon as its own sets are read."""
+    groups = {(0, 0): every}
+    minimum = lambda x: (x.pos | x.neg) & -(x.pos | x.neg)
+    for low, sets in groupby(sorted(signed_sets, key=minimum), key=minimum):
+        active = 0
+        for pos, neg in sets:
+            plus = minus = every
+            for e in _positions(pos):
+                plus, minus = plus & has[e], minus & ~has[e]
+            for e in _positions(neg):
+                plus, minus = plus & ~has[e], minus & has[e]
+            active |= plus | minus
+        inside = active & has[low.bit_length()]
+        outside = active ^ inside
+        for o, i in sorted(groups, reverse=True):  # (o + 1, i) and (o, i + 1) first
+            group = groups[o, i]
+            groups[o, i] = group & ~active
+            for key, part in (((o + 1, i), group & outside), ((o, i + 1), group & inside)):
+                groups[key] = groups.get(key, 0) | part
+    return {key: group for key, group in groups.items() if group}
 
 
 @lru_cache(maxsize=8)
 def _reorientation_histogram(m: OrientedMatroid):
-    """Counts of (|Θ*|, |Θ̄*|, |Θ|, |Θ̄|) over all 2^n reorientations."""
+    """Counts of (|Θ*|, |Θ̄*|, |Θ|, |Θ̄|) over all 2^n reorientations, keyed
+    in order of their first A.  A set of reorientations is one 2^n-bit int
+    with bit A set for each member A; ``has[e]``, the set of A holding e,
+    is runs of 2^(e-1) clear bits alternating with 2^(e-1) set bits."""
     check_enumeration_cap(m.n)
-    under_o = _positive_minima(m, m.circuits)
-    under_ostar = _positive_minima(m, m.cocircuits)
-    counts: dict[tuple[int, int, int, int], int] = {}
-    bit_count = int.bit_count
-    for a in range(1 << m.n):
-        o, ostar = under_o[a], under_ostar[a]
-        key = (bit_count(ostar & ~a), bit_count(ostar & a), bit_count(o & ~a), bit_count(o & a))
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    every = (1 << (1 << m.n)) - 1
+    has = [0] + [every // ((1 << (2 << i)) - 1) * ((1 << (2 << i)) - (1 << (1 << i))) for i in range(m.n)]
+    dual = _active_groups(m.cocircuits, has, every)
+    primal = _active_groups(m.circuits, has, every)
+    found = []
+    for (ts, tsb), d in dual.items():
+        for (th, thb), p in primal.items():
+            if both := d & p:
+                found.append(((both & -both).bit_length(), (ts, tsb, th, thb), both.bit_count()))
+    return {key: count for _, key, count in sorted(found)}
 
 
 def tutte_from_orientations(m: OrientedMatroid) -> TuttePolynomial:

@@ -116,6 +116,19 @@ def subsets(n: int):
         yield frozenset(i for i in range(1, n + 1) if mask >> (i - 1) & 1)
 
 
+def brute_force_reorientation_histogram(m) -> dict:
+    """Counts of (|O*∖A|, |O*∩A|, |O∖A|, |O∩A|) over every reorientation A,
+    one A at a time: O (O*) holds the minima of the circuits (cocircuits)
+    X with A ∩ supp(X) equal to X⁺ or to X⁻."""
+    counts: dict = {}
+    for a in subsets(m.n):
+        ostar, o = ({min(x.support) for x in sets if a & x.support in (x.positive, x.negative)}
+                    for sets in (m.cocircuits, m.circuits))
+        key = (len(ostar - a), len(ostar & a), len(o - a), len(o & a))
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
 @pytest.fixture(scope="session")
 def k3_om():
     return k3()

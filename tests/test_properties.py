@@ -60,9 +60,16 @@ from actbij.oracles import (
     fully_optimal_basis_scan,
     tutte_delcon_oracle,
 )
-from actbij.tutte import four_var_reorientation_sum, four_var_subset_sum, tutte_from_bases, tutte_from_orientations
+from actbij.tutte import (
+    _reorientation_histogram,
+    four_var_reorientation_sum,
+    four_var_subset_sum,
+    tutte_from_bases,
+    tutte_from_orientations,
+)
 from conftest import (
     assert_unique_decomposition,
+    brute_force_reorientation_histogram,
     refined_by_direct_route,
     refined_stdout,
     serialize_om,
@@ -481,6 +488,15 @@ def test_alpha_and_active_duality_hold_on_every_reorientation(g):
         assert active_basis(reorient(md, a)) == m.ground_set - active_basis(r)
         if m.n > 1 and is_bounded(r):
             assert check_active_duality(r), sorted(a)
+
+
+@settings(steady, max_examples=100)
+@given(digraphs(max_edges=9))
+def test_the_reorientation_histogram_is_the_count_of_each_reorientation(g):
+    # the bitset histogram behind both reorientation routes of `tutte --check`
+    m = om_from_digraph(g)
+    # the same counts, keyed in the same order: by the first A of each key
+    assert list(_reorientation_histogram(m).items()) == list(brute_force_reorientation_histogram(m).items())
 
 
 @settings(steady, max_examples=40)

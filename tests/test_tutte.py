@@ -15,7 +15,7 @@ from actbij.core import (
     reorient,
     subset_rank,
 )
-from actbij.graphs import om_from_digraph
+from actbij.graphs import om_from_digraph, parse_om_file
 from actbij.oracles import active_basis_recursive, all_connected_filtrations, tutte_delcon_oracle
 from actbij.tutte import (
     TuttePolynomial,
@@ -26,7 +26,7 @@ from actbij.tutte import (
     tutte_from_bases,
     tutte_from_orientations,
 )
-from conftest import random_om, subsets
+from conftest import brute_force_reorientation_histogram, random_om, serialize_om, subsets
 
 
 def poly(coeffs):
@@ -82,6 +82,19 @@ def test_k3_orientation_histogram(k3_om):
         ostar, o = orientation_activities(reorient(k3_om, a))
         counts[len(ostar), len(o)] += 1
     assert dict(counts) == {(2, 0): 4, (1, 0): 2, (0, 1): 2}
+    served = defaultdict(int)
+    for (ts, tsb, th, thb), c in tutte._reorientation_histogram(k3_om).items():
+        served[ts + tsb, th + thb] += c
+    assert dict(served) == {(2, 0): 4, (1, 0): 2, (0, 1): 2}
+
+
+def test_the_empty_om_has_one_reorientation_with_no_activity():
+    assert tutte._reorientation_histogram(om_from_lists(0, [], [])) == {(0, 0, 0, 0): 1}
+
+
+def test_the_diamond_om_file_histogram_is_the_count_of_each_reorientation(diamond_om):
+    m = parse_om_file(serialize_om(diamond_om))
+    assert list(tutte._reorientation_histogram(m).items()) == list(brute_force_reorientation_histogram(m).items())
 
 
 def test_an_inexact_class_size_division_fails_the_self_test(monkeypatch, k3_om):
