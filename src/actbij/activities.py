@@ -22,6 +22,7 @@ from .core import (
     OrientedMatroid,
     _mask,
     _elements,
+    _all_fundamentals,
     _fundamentals,
     _new,
     _positions,
@@ -104,7 +105,8 @@ class Filtration(namedtuple("_Parts", ["masks", "cyclic_index"])):
 def basis_activities(m: OrientedMatroid, b: frozenset[int]) -> tuple[frozenset[int], frozenset[int]]:
     """(Int(B), Ext(B)): elements that are the minimum of their own
     fundamental cocircuit, resp. circuit.  Depends only on supports."""
-    internal, external = basis_pass(m, _mask(b))[0].minima()
+    basis = _mask(b)
+    internal, external = basis_pass(_fundamentals(m, basis), basis)[0].minima()
     return _elements(internal), _elements(external)
 
 
@@ -181,9 +183,10 @@ def _connected_step(minor: OrientedMatroid, cyclic: bool) -> bool:
     return is_connected_matroid(minor) and (minor.n != 1 or (len(minor.circuits) == 1) == cyclic)
 
 
-def basis_pass(m: OrientedMatroid, basis: int):
+def basis_pass(funds, basis: int):
     """Single pass over E computing the active partition of a basis mask and
-    one preimage reorientation, from the fundamental circuits/cocircuits only.
+    one preimage reorientation, from its fundamental circuits/cocircuits
+    ``funds`` (as :func:`core._fundamentals` gives them) only.
 
     Each part is a mask labelled by the bit of its minimum; the labels in
     B are Int(B), the others Ext(B), and a part is cyclic exactly when its
@@ -197,7 +200,7 @@ def basis_pass(m: OrientedMatroid, basis: int):
     """
     parts: dict[int, int] = {}  # label -> part, labels ascending
     cyclic = base_point = 0  # cyclic: the elements of the cyclic parts so far
-    for e, (pos, neg) in enumerate(_fundamentals(m, basis)):
+    for e, (pos, neg) in enumerate(funds):
         bit = 1 << e
         earlier = (pos | neg) & (bit - 1)
         if not earlier:
@@ -227,7 +230,8 @@ def active_filtration_basis(m: OrientedMatroid, b: frozenset[int]) -> Filtration
     """The unique connected filtration attached to a basis, by the
     single-pass part mapping; the part minima are Int(B) ∪ Ext(B) and the
     cyclic flat is the union of the external parts."""
-    return basis_pass(m, _mask(b))[0]
+    basis = _mask(b)
+    return basis_pass(_fundamentals(m, basis), basis)[0]
 
 
 def _flips(base: int, parts) -> list[int]:
@@ -251,8 +255,10 @@ def activity_class(m_ref: OrientedMatroid, a) -> list[frozenset[int]]:
 def _interval_table(m: OrientedMatroid):
     """The record (B, filtration, base point) of every basis mask B, in the
     order of ``bases(m)``: one pass per basis serves the classes, the
-    intervals and the activities."""
-    return tuple((basis, *basis_pass(m, basis)) for basis in map(_mask, bases(m)))
+    intervals and the activities, and one bit-sliced pass over the signed
+    sets finds the fundamental sets of every basis."""
+    masks = list(map(_mask, bases(m)))
+    return tuple((basis, *basis_pass(funds, basis)) for basis, funds in zip(masks, _all_fundamentals(m, masks)))
 
 
 @lru_cache(maxsize=8)

@@ -158,7 +158,8 @@ def alpha_inverse_class(m_ref: OrientedMatroid, b: frozenset[int]) -> Reorientat
     """
     if not is_basis(m_ref, b):
         raise ValueError(f"{sorted(b)} is not a basis of the oriented matroid")
-    f, base_point = basis_pass(m_ref, _mask(b))
+    basis = _mask(b)
+    f, base_point = basis_pass(_fundamentals(m_ref, basis), basis)
     members = tuple(_elements(x) for x in _flips(base_point, f.masks))
     return ReorientationClassResult(members, f)
 

@@ -14,6 +14,9 @@ smallest element of the support is positive).  A minor is built in one
 pass over the masks and re-indexed on 1..m by compressing bits: the
 i-th new element is the i-th smallest kept original element, so the
 original identities are always recoverable via ``sorted(kept)``.
+The fundamental sets of one basis come from one pass over the signed
+sets; those of a whole list of bases from one pass bit-sliced over the
+bases, a set of bases being one int.
 
 All values are immutable; every operation is a pure function of its
 inputs and safe for unrestricted concurrent use.
@@ -409,6 +412,42 @@ def _fundamentals(m: OrientedMatroid, basis: int) -> list[SignedSubset]:
             )
         x = found[0]
         out.append(x if x.pos & bit else _new(SignedSubset, (x.neg, x.pos)))
+    return out
+
+
+def _all_fundamentals(m: OrientedMatroid, masks: list[int]) -> list[list[SignedSubset]]:
+    """``[_fundamentals(m, b) for b in masks]``, bit-sliced over the bases: a
+    set of bases is one int with bit i for masks[i].  A signed set is the
+    fundamental set of e exactly in the bases where e is its one element on
+    the other side (E∖B for a circuit, B for a cocircuit).  If some basis
+    finds a set missing or doubled, the bases go through the scan in order,
+    which raises for the first such basis."""
+    n, count = m.n, len(masks)
+    # one row of bits per mask, the last first: column e, read down, is the set holds[e]
+    rows = "".join(format(b, f"0{n}b") for b in reversed(masks))
+    holds = [int(rows[n - 1 - e::n] or "0", 2) for e in range(n)]
+    lacks = [h ^ ((1 << count) - 1) for h in holds]
+    out = [[None] * n for _ in masks]
+    hits = 0
+    for signed_sets, side in ((m.circuits, lacks), (m.cocircuits, holds)):
+        for x in signed_sets:
+            elements = _positions(x.pos | x.neg)
+            once = twice = 0  # the bases where x meets the other side at least once, twice
+            for e in elements:
+                twice |= once & side[e - 1]
+                once |= side[e - 1]
+            once &= ~twice  # now: exactly once
+            flipped = _new(SignedSubset, (x.neg, x.pos))
+            for e in elements:
+                signed, where = x if x.pos >> (e - 1) & 1 else flipped, once & side[e - 1]
+                hits += where.bit_count()
+                while where:
+                    i = where.bit_length() - 1
+                    out[i][e - 1] = signed
+                    where ^= 1 << i
+    if hits != count * n or any(None in row for row in out):
+        for basis in masks:
+            _fundamentals(m, basis)
     return out
 
 

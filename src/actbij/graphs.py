@@ -28,7 +28,7 @@ from __future__ import annotations
 from .core import (
     OrientedMatroid,
     SignedSubset,
-    _fundamentals,
+    _all_fundamentals,
     _mask,
     _positions,
     _submasks,
@@ -181,8 +181,7 @@ def parse_om_file(text: str) -> OrientedMatroid:
     m = om_from_lists(n, circuits, cocircuits)
     # completeness: a file missing a fundamental circuit or cocircuit of
     # some basis raises here; one basis does not catch every missing line
-    for b in bases(m):
-        _fundamentals(m, _mask(b))
+    _all_fundamentals(m, list(map(_mask, bases(m))))
     return m
 
 

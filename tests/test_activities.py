@@ -371,7 +371,7 @@ def fresh_records():
     ([7], "subset 0 not covered by any basis interval"),  # each interval holds 2 subsets, 6 in all
 ])
 def test_intervals_that_do_not_partition_fail_the_walks_self_test(monkeypatch, fresh_records, k3_om, parts, message):
-    monkeypatch.setattr(activities, "basis_pass", lambda m, b: (Filtration.from_masks(parts, 0), b))
+    monkeypatch.setattr(activities, "basis_pass", lambda funds, b: (Filtration.from_masks(parts, 0), b))
     with pytest.raises(AssertionError, match=f"^{message}$"):
         activities._interval_walk(k3_om)
 

@@ -297,24 +297,39 @@ def test_table_builds_no_minor_and_runs_no_scan(monkeypatch):
     assert table_stdout(m) == want
 
 
-@pytest.mark.parametrize("commands", [[["table"], ["tutte", "--check"]], [["refined"]]])
+@pytest.mark.parametrize("commands", [
+    [["table"], ["tutte", "--check"]],
+    [["refined"]],
+    [["alpha-inverse", "--basis", "1,2,4"]],
+])
 @pytest.mark.parametrize("graph", ["k4.graph", "diamond_doubled.graph"])
 def test_one_fundamental_pass_per_basis(monkeypatch, graph, commands):
-    passes = []
-    real = core._fundamentals
+    # the commands that read every basis find all their fundamental sets
+    # in one batch over bases(m); alpha-inverse scans for its one basis
+    batches, passes = [], []
+    real_batch, real_pass = core._all_fundamentals, core._fundamentals
 
-    def counted(m, basis):
+    def batch(m, masks):
+        batches.append(list(masks))
+        return real_batch(m, masks)
+
+    def single(m, basis):
         passes.append(basis)
-        return real(m, basis)
+        return real_pass(m, basis)
 
     for module in (core, activities, bijection):
-        monkeypatch.setattr(module, "_fundamentals", counted)
+        for name, counted in (("_all_fundamentals", batch), ("_fundamentals", single)):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
     activities._interval_table.cache_clear()
     activities._interval_walk.cache_clear()
     for argv in commands:
         assert run([argv[0], str(DATA / graph), *argv[1:]])[0] == 0
     m = cli._load(str(DATA / graph))
-    assert sorted(passes) == sorted(core._mask(b) for b in core.bases(m))
+    if commands[0][0] == "alpha-inverse":
+        assert (batches, passes) == ([], [core._mask({1, 2, 4})])
+    else:
+        assert (batches, passes) == ([[core._mask(b) for b in core.bases(m)]], [])
 
 
 def test_alpha_builds_each_chain_step_once_and_never_reorients_m(monkeypatch):

@@ -4,10 +4,15 @@ from collections import defaultdict, deque
 
 import pytest
 
+from actbij.activities import _interval_table, basis_pass
 from actbij.core import (
     InvalidOrientedMatroid,
+    OrientedMatroid,
     SignedSubset,
+    _all_fundamentals,
     _canonical_list,
+    _fundamentals,
+    _mask,
     bases,
     compose,
     contract,
@@ -24,8 +29,9 @@ from actbij.core import (
     positive_cocircuits,
     reorient,
 )
-from conftest import random_multigraph, random_om, subsets, to_string
-from actbij.graphs import om_from_digraph
+from conftest import random_multigraph, random_om, serialize_om, subsets, to_string
+from actbij.graphs import om_from_digraph, parse_om_file
+from examples import diamond_doubled, k4, w4
 
 
 def ss(*signed):
@@ -349,6 +355,31 @@ def test_fundamental_against_digraph_oracle():
                 want = digraph_fundamental_cocircuit(g, b, elt)
                 assert fundamental_cocircuit(m, b, elt) in (want, want.negated())
         checked += 1
+
+
+@pytest.mark.parametrize("m", [k4(), w4(), parse_om_file(serialize_om(diamond_doubled()))])
+def test_the_interval_table_is_one_basis_pass_per_basis(m):
+    _interval_table.cache_clear()
+    masks = [_mask(b) for b in bases(m)]
+    assert _interval_table(m) == tuple((b, *basis_pass(_fundamentals(m, b), b)) for b in masks)
+
+
+@pytest.mark.parametrize("cocircuits, first_bad, message", [
+    # {3} is a second fundamental cocircuit of 3 in the bases {1,3} and {2,3}
+    ([ss(1, 2), ss(1, -3), ss(2, 3), ss(3)], 0b101, "expected exactly one cocircuit inside [2, 3], found 2"),
+    # in place of {2,3}, it also leaves 2 without one in {1,2}: the sets
+    # found still number 3 per basis on average
+    ([ss(1, 2), ss(1, -3), ss(3)], 0b011, "expected exactly one cocircuit inside [2, 3], found 0"),
+], ids=["doubled", "missing-and-doubled"])
+def test_the_batch_raises_the_scans_error_for_the_first_bad_basis(cocircuits, first_bad, message):
+    # built directly: om_from_lists would refuse these lists
+    m = OrientedMatroid(3, k3_by_lists().circuits, tuple(cocircuits), 2)
+    masks = [_mask(b) for b in bases(m)]
+    for b in masks[: masks.index(first_bad)]:
+        _fundamentals(m, b)
+    for route in (lambda: _fundamentals(m, first_bad), lambda: _all_fundamentals(m, masks)):
+        with pytest.raises(InvalidOrientedMatroid, match=f"^{re.escape(message)}$"):
+            route()
 
 
 def test_pivot_property():

@@ -1,11 +1,22 @@
 import itertools
 import random
+import re
 import time
 
 import pytest
 
 from actbij import graphs
-from actbij.core import GroundSetTooLarge, SignedSubset, bases, om_from_lists, reorient
+from actbij.cli import main
+from actbij.core import (
+    GroundSetTooLarge,
+    InvalidOrientedMatroid,
+    SignedSubset,
+    _fundamentals,
+    _mask,
+    bases,
+    om_from_lists,
+    reorient,
+)
 from actbij.graphs import (
     ParseError,
     format_elements,
@@ -129,6 +140,29 @@ def test_an_om_header_above_the_cap_is_refused_before_its_lines():
 def test_parse_om_file_matches_serialization(k4_om):
     m = parse_om_file("om 6\n" + serialize_om(k4_om).split("\n", 1)[1])
     assert m == k4_om
+
+
+def test_an_om_file_missing_a_set_that_only_the_last_bases_need_is_refused(tmp_path, capsys):
+    # five parallel edges: the bases are {1} .. {5}, and the circuit {4,5} is
+    # fundamental only in {4} and {5}; a set of an oriented matroid is
+    # fundamental in at least two bases unless it is a loop or a coloop
+    bundle = parse_file("graph 2\n" + "a b\n" * 5)
+    text = serialize_om(bundle).replace("C 000+-\n", "")
+    m = om_from_lists(5, [c for c in bundle.circuits if c.support != {4, 5}], bundle.cocircuits)
+    failing = []
+    for b in bases(m):
+        try:
+            _fundamentals(m, _mask(b))
+        except InvalidOrientedMatroid:
+            failing.append(b)
+    assert failing == list(bases(m)[-2:])
+    message = "expected exactly one circuit inside [4, 5], found 0"
+    with pytest.raises(InvalidOrientedMatroid, match=f"^{re.escape(message)}$"):
+        parse_om_file(text)
+    path = tmp_path / "bundle.om"
+    path.write_text(text)
+    assert main(["table", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_om_sign_line_parsing():

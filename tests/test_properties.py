@@ -40,8 +40,10 @@ from actbij.bijection import (
 )
 from actbij.core import (
     SignedSubset,
+    _all_fundamentals,
     _canonical_list,
     _elements,
+    _fundamentals,
     bases,
     compose,
     dual,
@@ -376,6 +378,17 @@ def test_table_is_the_class_route_on_every_basis(g):
     # calls alpha_inverse_class on each basis and formats without the library
     m = om_from_digraph(g)
     assert table_stdout(m) == table_by_class_route(m)
+
+
+@settings(steady, max_examples=200)
+@given(digraphs(max_edges=9))
+@example(())  # n = 0
+def test_the_batch_of_fundamental_sets_is_the_scan_of_each_basis(g):
+    m = om_from_digraph(g)
+    for x in (m, dual(m)):
+        masks = [mask(b) for b in bases(x)]
+        for chosen in (masks, masks[::-1], masks[len(masks) // 2:][:1], []):
+            assert _all_fundamentals(x, chosen) == [_fundamentals(x, b) for b in chosen]
 
 
 def scanned_bases(m) -> tuple[frozenset[int], ...]:
