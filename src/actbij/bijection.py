@@ -8,11 +8,10 @@ both full optimality criteria check every step as a permanent self-test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .activities import (
-    Filtration,
     _flips,
     _owner,
     active_filtration_orientation,
@@ -36,13 +35,12 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class ReorientationClassResult:
+class ReorientationClassResult(namedtuple("_Class", ["class_members", "filtration"])):
     """The 2^(ι+ε) reorientations that the active basis map sends onto one
-    basis, and their shared active filtration."""
+    basis, and their shared active filtration.  Equality is tuple equality,
+    so a result equals a plain tuple with the same items."""
 
-    class_members: tuple[frozenset[int], ...]
-    filtration: Filtration
+    __slots__ = ()
 
 
 def _sign_opposition_criterion(funds, basis: int, bounded: bool) -> bool:

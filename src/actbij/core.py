@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 # Exhaustive operations are meant for desk-scale instances (soft cap
@@ -196,22 +195,25 @@ def _greedy_rank(supports, ground: int) -> int:
     return independent.bit_count()
 
 
-@dataclass(frozen=True)
-class OrientedMatroid:
-    """An oriented matroid on 1..n given by all signed circuits and cocircuits."""
+class OrientedMatroid(namedtuple("_Lists", ["hash_value", "n", "circuits", "cocircuits", "rank"])):
+    """An oriented matroid on 1..n given by all signed circuits and cocircuits,
+    after ``hash_value``, the hash of the other four fields, computed once as
+    every cache keyed on an OM hashes it (two OMs then mostly differ at item 0).
+    ``_make`` and ``_replace`` go through the constructor, which recomputes it;
+    equality is tuple equality, so an OM equals a plain tuple with the same
+    items, and OMs sort like tuples."""
 
-    n: int
-    circuits: tuple[SignedSubset, ...]
-    cocircuits: tuple[SignedSubset, ...]
-    rank: int
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*list(fields)[1:]))
 
-    def __post_init__(self) -> None:
-        # computed once: every cache lookup keyed on an OM hashes it
-        object.__setattr__(self, "_hash", hash((self.n, self.circuits, self.cocircuits, self.rank)))
+    def __new__(cls, n: int, circuits, cocircuits, rank: int) -> OrientedMatroid:
+        return _new(cls, (hash((n, circuits, cocircuits, rank)), n, circuits, cocircuits, rank))
+
+    def __getnewargs__(self):
+        return self[1:]
 
     def __hash__(self) -> int:
-        return self._hash
+        return self.hash_value
 
     @property
     def ground_set(self) -> frozenset[int]:

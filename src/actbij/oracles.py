@@ -1,10 +1,10 @@
 """Independent routes that ``actbij verify`` and the tests check the serving
 maps against: the fully optimal basis by scan over all bases, the recursive
-definition of the active basis and its threshold induction sets (positive sets
-and minors from ``core`` alone, on masks), the active duality identities, the
-connected filtrations by chain growth and deletion/contraction.  Exponential,
-desk scale only; no serving module imports them, and every memo lives for one
-call, or for one check when passed in."""
+definition of the active basis (positive sets and minors from ``core`` alone,
+on masks), the active duality identities, the connected filtrations by chain
+growth and deletion/contraction.  Exponential, desk scale only; no serving
+module imports them, and every memo lives for one call, or for one check when
+passed in."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from .activities import Filtration, _connected_step
 from .bijection import _only_passing, _translated
 from .core import (
     OrientedMatroid,
-    _elements,
     _minor,
     _positions,
     _submasks,
@@ -72,19 +71,6 @@ def _recursive_step(m: OrientedMatroid, circuit_induction: bool, memo: dict) -> 
         part ^= full
     inside, outside = _minor(m, part, 0), _minor(m, full, part)
     return _translated(recurse(inside), _positions(part)) | _translated(recurse(outside), _positions(full ^ part))
-
-
-def induction_step_sets(m: OrientedMatroid) -> list[frozenset[int]]:
-    """All proper nonempty sets F usable in the threshold variants of the
-    recursion: complements of unions of positive cocircuits with minimum
-    above a threshold, and unions of positive circuits likewise."""
-    full = (1 << m.n) - 1
-    cosupports, supports = _supports(positive_cocircuits(m)), _supports(positive_circuits(m))
-    candidates = set()
-    for t in range(m.n + 1):  # the minimum of s is above t iff its bit survives the shift
-        candidates.add(full ^ reduce(or_, (s for s in cosupports if (s & -s) >> t), 0))
-        candidates.add(reduce(or_, (s for s in supports if (s & -s) >> t), 0))
-    return sorted((_elements(f) for f in candidates if f and f != full), key=lambda f: (len(f), sorted(f)))
 
 
 def check_active_duality(m: OrientedMatroid) -> bool:

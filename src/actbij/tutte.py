@@ -19,35 +19,31 @@ from .activities import _interval_table, _interval_walk
 from .core import OrientedMatroid, _positions, check_enumeration_cap
 
 
-class TuttePolynomial:
-    """Map from (internal degree, external degree) to a nonnegative count."""
+class TuttePolynomial(tuple):
+    """Map from (internal degree, external degree) to a nonnegative count,
+    stored as the tuple of its nonzero ((i, j), c) items in sorted order.
+    Equality is tuple equality, so a polynomial equals a plain tuple with
+    the same items, and polynomials sort like tuples."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs):
-        items = {(i, j): c for (i, j), c in dict(coeffs).items() if c}
-        self._coeffs = tuple(sorted(items.items()))
+    def __new__(cls, coeffs) -> TuttePolynomial:
+        return tuple.__new__(cls, sorted(((i, j), c) for (i, j), c in dict(coeffs).items() if c))
 
     def coefficient(self, i: int, j: int) -> int:
-        return dict(self._coeffs).get((i, j), 0)
+        return dict(self).get((i, j), 0)
 
     def items(self):
-        return list(self._coeffs)
+        return list(self)
 
     def evaluate(self, x: int, y: int) -> int:
-        return sum(c * x**i * y**j for (i, j), c in self._coeffs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TuttePolynomial) and self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return sum(c * x**i * y**j for (i, j), c in self)
 
     def __str__(self) -> str:
-        if not self._coeffs:
+        if not self:
             return "0"
         terms = []
-        for (i, j), c in sorted(self._coeffs, key=lambda t: (-t[0][0], t[0][1])):
+        for (i, j), c in sorted(self, key=lambda t: (-t[0][0], t[0][1])):
             body = ""
             if i:
                 body += "x" if i == 1 else f"x^{i}"

@@ -35,7 +35,7 @@ from actbij.core import (
     restrict_contract,
     SignedSubset,
 )
-from actbij.oracles import active_basis_recursive, check_active_duality, induction_step_sets
+from actbij.oracles import active_basis_recursive, check_active_duality
 from conftest import random_om, subsets
 from examples import diamond_doubled, k4, w4
 
@@ -201,8 +201,9 @@ def test_a_shared_recursion_memo_changes_no_result(m):
 
 
 def induction_step_sets_on_element_sets(m):
-    """The threshold induction sets computed on element sets: the reference
-    that the mask form in the oracles must reproduce exactly."""
+    """All proper nonempty sets F usable in the threshold variants of the
+    recursion: complements of unions of positive cocircuits with minimum
+    above a threshold, and unions of positive circuits likewise."""
     ground = m.ground_set
     candidates = set()
     for t in range(0, m.n + 1):
@@ -220,14 +221,6 @@ def induction_step_sets_on_element_sets(m):
     )
 
 
-@pytest.mark.parametrize("m", [k4(), diamond_doubled(), w4()], ids=["K4", "diamond_doubled", "W4"])
-def test_induction_step_sets_match_the_element_set_reference(m):
-    # gluing alpha over a set is not enough: wrong sets glue back too
-    for a in subsets(m.n):
-        r = reorient(m, a)
-        assert induction_step_sets(r) == induction_step_sets_on_element_sets(r)
-
-
 def test_the_recursive_oracle_never_reads_the_serving_activities(monkeypatch):
     def planted(*args):
         raise AssertionError("the oracle read the serving positivity predicate")
@@ -239,7 +232,6 @@ def test_the_recursive_oracle_never_reads_the_serving_activities(monkeypatch):
             r = reorient(m, a)
             active_basis_recursive(r)
             active_basis_recursive(r, circuit_induction=True)
-            induction_step_sets(r)
 
 
 def test_threshold_induction_variants(k4_om):
@@ -249,7 +241,7 @@ def test_threshold_induction_variants(k4_om):
         for a in subsets(m.n):
             r = reorient(m, a)
             b = active_basis(r)
-            for part in induction_step_sets(r):
+            for part in induction_step_sets_on_element_sets(r):
                 inside = restrict_contract(r, part, frozenset())
                 outside = restrict_contract(r, r.ground_set, part)
                 back_in = sorted(part)

@@ -1,5 +1,8 @@
 import io
 import contextlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -364,3 +367,13 @@ def test_alpha_and_activities_never_reorient(monkeypatch, command):
             monkeypatch.setattr(module, "reorient", planted)
     assert [run([command, str(DATA / "k4.graph"), "--reorient", token]) for token in tokens] == want
     assert all(code == 0 for code, _ in want)
+
+
+def test_the_cli_imports_neither_dataclasses_nor_inspect():
+    # about half of a start-up once went to dataclasses and the inspect, ast,
+    # dis and tokenize it pulls in; every value is a tuple subclass instead
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import actbij.cli, sys; print('dataclasses' in sys.modules or 'inspect' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"

@@ -186,8 +186,12 @@ def test_k3_matches_graph_fixture(k3_om):
 
 
 def test_rejects_comparable_supports():
-    with pytest.raises(InvalidOrientedMatroid):
-        om_from_lists(3, [ss(1, 2), ss(1, 2, 3)], [])
+    # in support order the smaller set comes first, then last: each side of the antichain test
+    for first, second in [((1, 2), (1, 2, 3)), ((1, 2, 3), (2, 3))]:
+        sets = [ss(*first), ss(*second)]
+        for kind, lists in (("circuit", (sets, [])), ("cocircuit", ([], sets))):
+            with pytest.raises(InvalidOrientedMatroid, match=f"^{kind} supports are not an antichain"):
+                om_from_lists(3, *lists)
 
 
 def test_rejects_orthogonality_violation():

@@ -18,6 +18,7 @@ import itertools
 import pickle
 from collections import Counter
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from actbij.activities import (
@@ -39,6 +40,7 @@ from actbij.bijection import (
     refined_alpha_inverse,
 )
 from actbij.core import (
+    OrientedMatroid,
     SignedSubset,
     _all_fundamentals,
     _canonical_list,
@@ -280,11 +282,18 @@ def test_the_forward_map_on_m_and_a_is_the_map_on_the_reorientation(g, data):
     assert refined_alpha(m, a) == (b - (a & ostar)) | (a & o)
 
 
+def check_round_trip(value) -> None:
+    """``pickle``, ``copy`` and ``deepcopy`` each give an equal value of the
+    same type with the same hash."""
+    for again in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(again) is type(value) and again == value and hash(again) == hash(value)
+
+
 def check_filtration_encoding(f: Filtration) -> None:
     """The mask-backed filtration against its element-set views."""
     again = Filtration(f.chain, f.cyclic_index)
     assert again == f and hash(again) == hash(f)
-    assert pickle.loads(pickle.dumps(f)) == f and copy.copy(f) == f and copy.deepcopy(f) == f
+    check_round_trip(f)
     assert f.parts == tuple(large - small for small, large in zip(f.chain, f.chain[1:]))
     assert f.masks == tuple(sum(1 << (e - 1) for e in part) for part in f.parts)
 
@@ -305,6 +314,28 @@ def test_filtrations_are_stored_as_part_masks(g, data):
     f = active_filtration_orientation(m, a)
     check_filtration_encoding(f)
     assert tuple(map(_elements, f.minima())) == orientation_activities(m, a)
+
+
+@settings(steady, max_examples=50)
+@given(digraphs(max_edges=9))
+def test_oms_polynomials_and_classes_are_values(g):
+    # an OM's first field is the hash of the other four; _make and _replace recompute it
+    m = om_from_digraph(g)
+    check_round_trip(m)
+    lists = (m.n, m.circuits, m.cocircuits, m.rank)
+    made = m._make((0, *lists))
+    assert made == m and hash(made) == hash(m)
+    bumped = m._replace(rank=m.rank + 1)
+    assert bumped.rank == m.rank + 1 and hash(bumped) == hash(OrientedMatroid(*lists[:3], m.rank + 1))
+    with pytest.raises(AttributeError):
+        m.n = 1
+    t = tutte_from_bases(m)
+    check_round_trip(t)
+    assert str(pickle.loads(pickle.dumps(t))) == str(t)
+    result = alpha_inverse_class(m, bases(m)[0])
+    check_round_trip(result)
+    first = result._replace(class_members=result.class_members[:1])
+    assert first.class_members == result.class_members[:1] and first.filtration == result.filtration
 
 
 def exhaustive_connected_filtrations(m) -> list[Filtration]:

@@ -1,6 +1,6 @@
 """The verify suite: which modules may use the oracles, that every cache
 in the library is bounded, that no function declares a global, that
-every public function, class, method, property or dataclass field has a
+every public function, class, method, property or namedtuple field has a
 caller outside the tests or names a notion of the paper, that one run maps each
 reorientation of M once and calls ``reorient`` only on single elements,
 that its named checks report a planted fault under their own names, and
@@ -8,7 +8,6 @@ that full-optimality-uniqueness fails when the served basis is not the
 scan's."""
 
 import ast
-import dataclasses
 import functools
 import importlib
 import re
@@ -105,7 +104,6 @@ PAPER_NOTIONS = {
     "core.delete": "deletion",
     "core.fundamental_circuit": "fundamental circuit",
     "core.fundamental_cocircuit": "fundamental cocircuit",
-    "oracles.induction_step_sets": "threshold",
     "tutte.beta": "beta invariant",
     "tutte.beta_star": "beta invariant",
 }
@@ -141,7 +139,7 @@ def names_used_outside_the_tests(members: bool = False) -> set:
 
 def public_definitions(body, prefix: str):
     """(qualified name, node) of each public function, class and annotated
-    name, such as a dataclass field, defined in body."""
+    name defined in body."""
     for node in body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             name = node.name
@@ -151,6 +149,18 @@ def public_definitions(body, prefix: str):
             continue
         if not name.startswith("_"):
             yield f"{prefix}.{name}", node
+
+
+def public_members(node: ast.ClassDef, prefix: str) -> list[str]:
+    """The qualified names of the fields of a class's ``namedtuple("_X",
+    [...])`` base, then of its public methods, properties and annotated names."""
+    fields = [
+        name
+        for base in node.bases
+        if isinstance(base, ast.Call) and getattr(base.func, "id", None) == "namedtuple"
+        for name in ast.literal_eval(base.args[1])
+    ]
+    return [f"{prefix}.{name}" for name in fields] + [name for name, _ in public_definitions(node.body, prefix)]
 
 
 def test_every_public_function_and_class_has_a_caller_outside_the_tests():
@@ -164,22 +174,22 @@ def test_every_public_function_and_class_has_a_caller_outside_the_tests():
     for name, notion in PAPER_NOTIONS.items():
         module, *path, last = name.split(".")
         owner = functools.reduce(getattr, path, importlib.import_module(f"actbij.{module}"))
-        # a dataclass field without a default is no class attribute: its class names it
-        doc = (owner if last in getattr(owner, "__dataclass_fields__", ()) else getattr(owner, last)).__doc__
+        # a namedtuple field's own docstring is "Alias for field number i": its class names it
+        doc = (owner if last in getattr(owner, "_fields", ()) else getattr(owner, last)).__doc__
         assert notion in " ".join(doc.split()), name
 
 
 def unused_members(modules: dict[str, str], used: set) -> list[str]:
-    """The public methods, properties and annotated fields of the public
-    classes in ``modules`` (source by module name) that ``used`` does not
-    read.  A member name that two classes define counts only where it is
-    read off its own class, as in ``Filtration.from_masks``."""
+    """The public methods, properties, annotated names and namedtuple fields
+    of the public classes in ``modules`` (source by module name) that
+    ``used`` does not read.  A member name that two classes define counts
+    only where it is read off its own class, as in ``Filtration.from_masks``."""
     members = [
         member
         for module, text in modules.items()
         for name, node in public_definitions(ast.parse(text).body, module)
         if isinstance(node, ast.ClassDef)
-        for member, _ in public_definitions(node.body, name)
+        for member in public_members(node, name)
     ]
     names = [member.split(".")[2] for member in members]
     return [
@@ -190,7 +200,7 @@ def unused_members(modules: dict[str, str], used: set) -> list[str]:
 
 
 def test_every_public_method_and_property_has_a_caller_outside_the_tests():
-    # a member, dataclass fields included, is used where an attribute of
+    # a member, namedtuple fields included, is used where an attribute of
     # that name is read in src or bench; from_masks, which two classes
     # define, must be read off each
     used = names_used_outside_the_tests(members=True)
@@ -209,9 +219,9 @@ def test_a_member_name_two_classes_share_is_used_only_where_read_off_its_class()
     assert unused_members(modules, names_read(reader + "Circle.from_masks()\n", members=True)) == []
 
 
-def test_an_unread_dataclass_field_is_reported():
-    modules = {"shapes": "@dataclass\nclass Box:\n    width: int\n    height: int\n    _area: int = 0\n"}
-    reader = "import shapes\nbox.width\n"
+def test_an_unread_namedtuple_field_is_reported():
+    modules = {"shapes": 'class Box(namedtuple("_Sides", ["width", "height"])):\n    def area(self): ...\n'}
+    reader = "import shapes\nbox.width\nbox.area()\n"
     assert unused_members(modules, names_read(reader, members=True)) == ["shapes.Box.height"]
 
 
@@ -319,7 +329,7 @@ PLANTED = [
         "bijection",
         bijection,
         "alpha_inverse_class",
-        lambda real: lambda m, b: dataclasses.replace(real(m, b), class_members=real(m, b).class_members[1:]),
+        lambda real: lambda m, b: real(m, b)._replace(class_members=real(m, b).class_members[1:]),
         "bijection: B=[1, 2]: inverse class mismatch",
     ),
     (
