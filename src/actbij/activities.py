@@ -23,6 +23,7 @@ from .core import (
     _mask,
     _elements,
     _all_fundamentals,
+    _basis_masks,
     _fundamentals,
     _new,
     _positions,
@@ -30,7 +31,6 @@ from .core import (
     _runs,
     _squeeze,
     _submasks,
-    bases,
     is_connected_matroid,
     restrict_contract,
 )
@@ -257,7 +257,7 @@ def _interval_table(m: OrientedMatroid):
     order of ``bases(m)``: one pass per basis serves the classes, the
     intervals and the activities, and one bit-sliced pass over the signed
     sets finds the fundamental sets of every basis."""
-    masks = list(map(_mask, bases(m)))
+    masks = _basis_masks(m)
     return tuple((basis, *basis_pass(funds, basis)) for basis, funds in zip(masks, _all_fundamentals(m, masks)))
 
 
@@ -266,7 +266,7 @@ def _interval_walk(m: OrientedMatroid):
     """One walk over every basis interval [B∖Int(B), B∪Ext(B)], which must
     partition 2^E (Crapo): the owner array, per subset mask the index of
     its basis's record, and the counts of (|Int(A)|, |P(A)|, |Ext(A)|, |Q(A)|)."""
-    table = _interval_table(m)  # first: bases(m) refuses n above the cap
+    table = _interval_table(m)  # first: the bases refuse n above the cap
     # the narrowest signed type that holds every record index
     typecode = "b" if len(table) < 1 << 7 else "h" if len(table) < 1 << 15 else "i"
     owner = array(typecode, [-1]) * (1 << m.n)

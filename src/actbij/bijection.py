@@ -104,11 +104,11 @@ def is_fully_optimal(m: OrientedMatroid, b: frozenset[int]) -> bool:
     return _passes_both_criteria(m, _mask(b), _is_bounded_wrt(m))
 
 
-def _only_passing(m: OrientedMatroid, candidates, bounded: bool) -> frozenset[int]:
-    """The one candidate basis of M passing both criteria; zero or several raise."""
-    hits = [b for b in candidates if _passes_both_criteria(m, _mask(b), bounded)]
+def _only_passing(m: OrientedMatroid, candidates, bounded: bool) -> int:
+    """The one candidate basis mask of M passing both criteria; zero or several raise."""
+    hits = [b for b in candidates if _passes_both_criteria(m, b, bounded)]
     if len(hits) != 1:
-        found = [sorted(b) for b in hits]
+        found = [_positions(b) for b in hits]
         raise AssertionError(f"expected exactly one fully optimal basis, found {len(hits)}: {found}")
     return hits[0]
 
@@ -125,9 +125,9 @@ def fully_optimal_basis(m: OrientedMatroid) -> frozenset[int]:
     if m.n == 1:
         return frozenset({1})
     full, omega = (1 << m.n) - 1, 1 << (m.n - 1)
-    minors = ((_minor(m, full, omega), frozenset({m.n})), (_minor(m, full ^ omega, 0), frozenset()))
-    candidates = [fully_optimal_basis(minor) | top for minor, top in minors if is_bounded(minor)]
-    return _only_passing(m, candidates, True)
+    minors = ((_minor(m, full, omega), omega), (_minor(m, full ^ omega, 0), 0))
+    candidates = [_mask(fully_optimal_basis(minor)) | top for minor, top in minors if is_bounded(minor)]
+    return _elements(_only_passing(m, candidates, True))
 
 
 def active_basis(m: OrientedMatroid, a=()) -> frozenset[int]:

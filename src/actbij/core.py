@@ -368,13 +368,18 @@ def is_dual_bounded(m: OrientedMatroid) -> bool:
 
 
 def bases(m: OrientedMatroid) -> tuple[frozenset[int], ...]:
-    """All maximal circuit-support-free subsets, in lexicographic order, cached on
-    (n, rank, circuit supports) so that every reorientation of M shares one entry."""
+    """All maximal circuit-support-free subsets, in lexicographic order."""
+    return tuple(map(_elements, _basis_masks(m)))
+
+
+def _basis_masks(m: OrientedMatroid) -> tuple[int, ...]:
+    """:func:`bases` as masks, cached on (n, rank, circuit supports) so that
+    every reorientation of M shares one entry."""
     return _bases(m.n, m.rank, tuple(_supports(m.circuits)))
 
 
 @lru_cache(maxsize=4096)
-def _bases(n: int, rank: int, supports: tuple[int, ...]) -> tuple[frozenset[int], ...]:
+def _bases(n: int, rank: int, supports: tuple[int, ...]) -> tuple[int, ...]:
     # the independent sets grow level by level; adding e tests the circuits whose largest element is e
     check_enumeration_cap(n)
     by_top = [[s for s in supports if s.bit_length() == e + 1] for e in range(n)]
@@ -382,7 +387,7 @@ def _bases(n: int, rank: int, supports: tuple[int, ...]) -> tuple[frozenset[int]
     for size in range(rank):  # e leaves room for the rank - size - 1 elements still to come
         grown = ((b, e) for b in level for e in range(b.bit_length(), n - rank + size + 1))
         level = [b | 1 << e for b, e in grown if all(s & ~(b | 1 << e) for s in by_top[e])]
-    return tuple(map(_elements, level))
+    return tuple(level)
 
 
 bases.cache_info = _bases.cache_info  # the statistics of the shared cache, as bench/tracer.py reads them
@@ -417,7 +422,7 @@ def _fundamentals(m: OrientedMatroid, basis: int) -> list[SignedSubset]:
     return out
 
 
-def _all_fundamentals(m: OrientedMatroid, masks: list[int]) -> list[list[SignedSubset]]:
+def _all_fundamentals(m: OrientedMatroid, masks) -> list[list[SignedSubset]]:
     """``[_fundamentals(m, b) for b in masks]``, bit-sliced over the bases: a
     set of bases is one int with bit i for masks[i].  A signed set is the
     fundamental set of e exactly in the bases where e is its one element on

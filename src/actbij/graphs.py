@@ -29,10 +29,10 @@ from .core import (
     OrientedMatroid,
     SignedSubset,
     _all_fundamentals,
+    _basis_masks,
     _mask,
     _positions,
     _submasks,
-    bases,
     check_enumeration_cap,
     om_from_lists,
 )
@@ -181,7 +181,7 @@ def parse_om_file(text: str) -> OrientedMatroid:
     m = om_from_lists(n, circuits, cocircuits)
     # completeness: a file missing a fundamental circuit or cocircuit of
     # some basis raises here; one basis does not catch every missing line
-    _all_fundamentals(m, list(map(_mask, bases(m))))
+    _all_fundamentals(m, _basis_masks(m))
     return m
 
 

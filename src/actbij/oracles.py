@@ -15,11 +15,12 @@ from .activities import Filtration, _connected_step
 from .bijection import _only_passing, _translated
 from .core import (
     OrientedMatroid,
+    _basis_masks,
+    _elements,
     _minor,
     _positions,
     _submasks,
     _supports,
-    bases,
     dual,
     is_bounded,
     is_dual_bounded,
@@ -35,7 +36,7 @@ def fully_optimal_basis_scan(m: OrientedMatroid) -> frozenset[int] | None:
     criteria; None when M is neither bounded nor dual-bounded w.r.t. p = 1."""
     bounded = is_bounded(m)
     if bounded or is_dual_bounded(m):
-        return _only_passing(m, bases(m), bounded)
+        return _elements(_only_passing(m, _basis_masks(m), bounded))
     return None
 
 

@@ -1,6 +1,7 @@
 import itertools
 import random
 from collections import defaultdict
+from types import SimpleNamespace
 
 import pytest
 
@@ -374,6 +375,29 @@ def test_intervals_that_do_not_partition_fail_the_walks_self_test(monkeypatch, f
     monkeypatch.setattr(activities, "basis_pass", lambda funds, b: (Filtration.from_masks(parts, 0), b))
     with pytest.raises(AssertionError, match=f"^{message}$"):
         activities._interval_walk(k3_om)
+
+
+class StandInMinima(tuple):
+    """A stand-in filtration of a basis record: only its (internal, external) minima."""
+
+    def minima(self):
+        return self
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_the_owner_array_holds_every_record_index(monkeypatch, n):
+    # 2^(n-1) + 2 records, so indices past 2^(n-1) - 1, the largest that a
+    # signed n-bit typecode (b, h) holds: the pair intervals [a, a+1], the
+    # last two split into singletons
+    pairs = [(a, StandInMinima((0, 1)), None) for a in range(0, (1 << n) - 4, 2)]
+    singles = [(a, StandInMinima((0, 0)), None) for a in range((1 << n) - 4, 1 << n)]
+    table = (*pairs, *singles)
+    assert len(table) == (1 << (n - 1)) + 2
+    monkeypatch.setattr(activities, "_interval_table", lambda m: table)
+    owner, counts = activities._interval_walk.__wrapped__(SimpleNamespace(n=n))
+    assert len(owner) == 1 << n and min(owner) == 0 and max(owner) == len(table) - 1
+    assert list(owner[-4:]) == list(range(len(table) - 4, len(table)))
+    assert counts == {(0, 0, 1, 0): len(pairs), (0, 0, 0, 1): len(pairs), (0, 0, 0, 0): len(singles)}
 
 
 def test_a_filtration_missing_elements_fails_its_self_test():

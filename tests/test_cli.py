@@ -282,7 +282,7 @@ def test_refined_builds_no_minor_and_runs_no_scan(monkeypatch):
     want = refined_stdout(m)
     activities._interval_table.cache_clear()  # the records are built again below
     for module in (core, activities, bijection, cli):
-        for name in ("reorient", "restrict_contract", "active_basis", "fully_optimal_basis"):
+        for name in ("reorient", "restrict_contract", "active_basis", "fully_optimal_basis", "bases"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, planted)
     assert refined_stdout(m) == want
@@ -294,7 +294,7 @@ def test_table_builds_no_minor_and_runs_no_scan(monkeypatch):
     activities._interval_table.cache_clear()  # the records are built again below
     for module in (core, activities, bijection, cli):
         for name in ("reorient", "restrict_contract", "active_basis", "fully_optimal_basis",
-                     "alpha_inverse_class", "basis_activities"):
+                     "alpha_inverse_class", "basis_activities", "bases"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, planted)
     assert table_stdout(m) == want

@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 from collections import defaultdict, deque
 
 import pytest
@@ -10,6 +11,8 @@ from actbij.core import (
     OrientedMatroid,
     SignedSubset,
     _all_fundamentals,
+    _bases,
+    _basis_masks,
     _canonical_list,
     _fundamentals,
     _mask,
@@ -326,6 +329,22 @@ def test_bases_fixtures(k3_om, k4_om):
     assert [sorted(b) for b in bases(k3_om)] == [[1, 2], [1, 3], [2, 3]]
     assert len(bases(k4_om)) == 16
     assert list(bases(u10())) == [frozenset()]
+
+
+def test_the_bases_cache_keeps_k6_as_masks_under_100_kb():
+    # K6 from its 15 edges in colex order ab, ac, bc, ad, ...: 1296 bases
+    m = om_from_digraph([(u, v) for v in range(6) for u in range(v)])
+    _bases.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        masks = _basis_masks(m)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(masks) == 1296 and _bases.cache_info().currsize == 1
+    assert held < 100_000
+    assert bases(m) == tuple(frozenset(e + 1 for e in range(m.n) if b >> e & 1) for b in masks)
 
 
 # --------------------------------------------- fundamental circuits / cuts
