@@ -19,7 +19,6 @@ from .activities import (
     _flips,
     _interval_table,
     active_filtration_orientation,
-    orientation_activities,
 )
 from .bijection import active_basis, alpha_inverse_class
 from .core import (
@@ -90,11 +89,10 @@ def _cmd_tutte(m: OrientedMatroid, args, out) -> int:
 
 
 def _cmd_activities(m: OrientedMatroid, args, out) -> int:
-    a = parse_reorientation(args.reorient, m.n)
-    ostar, o = orientation_activities(m, a)
-    f = active_filtration_orientation(m, a)
-    print(f"O\t{format_elements(o)}", file=out)
-    print(f"O*\t{format_elements(ostar)}", file=out)
+    f = active_filtration_orientation(m, parse_reorientation(args.reorient, m.n))
+    ostar, o = f.minima()  # the activities are the minima of the active filtration
+    print(f"O\t{_format_mask(o)}", file=out)
+    print(f"O*\t{_format_mask(ostar)}", file=out)
     print(f"partition\t{_partition_string(f)}", file=out)
     print(f"chain\t{_chain_string(f)}", file=out)
     return 0

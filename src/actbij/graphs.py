@@ -57,28 +57,28 @@ def _reach(within: int, nbr: list[int]) -> int:
     return reached
 
 
-def _circuits(indexed, adjacent) -> list[SignedSubset]:
+def _circuits(ends, adjacent) -> list[SignedSubset]:
     """Signed circuits from the simple cycles, by depth-first search: each
     cycle is found once, from its smallest edge k = (t, h), as k followed
     by a simple path h -> t over larger edges, and an edge traversed from
     tail to head is positive.  A self-loop is its own positive circuit."""
     circuits = []
-    for k, t, h in indexed:
+    for k, (t, h) in enumerate(ends, start=1):
         if t == h:
             circuits.append(SignedSubset.from_masks(1 << (k - 1), 0))
             continue
-        stack = [(h, {h}, 1 << (k - 1), 0)]
+        stack = [(h, 1 << h, 1 << (k - 1), 0)]
         while stack:
             at, visited, pos, neg = stack.pop()
-            for j, w, forward in adjacent.get(at, ()):
-                if j <= k or w in visited:
+            for j, w, forward in adjacent[at]:
+                if j <= k or visited >> w & 1:
                     continue
                 bit = 1 << (j - 1)
                 p, q = (pos | bit, neg) if forward else (pos, neg | bit)
                 if w == t:
                     circuits.append(SignedSubset.from_masks(p, q))
                 else:
-                    stack.append((w, visited | {w}, p, q))
+                    stack.append((w, visited | 1 << w, p, q))
     return circuits
 
 
@@ -86,27 +86,26 @@ def om_from_digraph(edges) -> OrientedMatroid:
     """Signed circuits from simple cycles, signed cocircuits from bonds, of
     the ordered ``(tail, head)`` edges; parallel edges and self-loops allowed.
 
-    Cycles come from a depth-first search (see :func:`_circuits`).  A bond
-    is the cut of a vertex set s holding the first vertex of its
+    The vertices are numbered once, by first appearance, and vertex sets
+    are masks.  Cycles come from a depth-first search (see :func:`_circuits`).
+    A bond is the cut of a vertex set s holding the first vertex of its
     component, where s and the rest of the component both induce
-    connected subgraphs; so each bond is found once and is minimal.
-    Vertex sets are masks, the vertices numbered by first appearance: the
+    connected subgraphs; so each bond is found once and is minimal.  The
     sides are the submasks of the component, and each is tested by one
     flood fill (:func:`_reach`).
     """
     n = len(edges)
     check_enumeration_cap(n)
-    indexed = [(k, t, h) for k, (t, h) in enumerate(edges, start=1)]
-    adjacent: dict[str, list[tuple[int, str, bool]]] = {}  # per vertex: (edge, other end, leaves it)
-    for k, t, h in indexed:
-        if t != h:
-            adjacent.setdefault(t, []).append((k, h, True))
-            adjacent.setdefault(h, []).append((k, t, False))
-    circuits = _circuits(indexed, adjacent)
-
     index = {v: i for i, v in enumerate(dict.fromkeys(v for edge in edges for v in edge))}
-    ends = [(1 << index[t], 1 << index[h]) for t, h in edges]  # per edge: tail, head as masks
-    nbr = [sum({1 << index[w] for _, w, _ in adjacent.get(v, ())}) for v in index]  # its neighbours
+    ends = [(index[t], index[h]) for t, h in edges]  # per edge: tail, head
+    adjacent = [[] for _ in index]  # per vertex: (edge, other end, leaves it)
+    for k, (t, h) in enumerate(ends, start=1):
+        if t != h:
+            adjacent[t].append((k, h, True))
+            adjacent[h].append((k, t, False))
+    circuits = _circuits(ends, adjacent)
+
+    nbr = [sum({1 << w for _, w, _ in around}) for around in adjacent]  # per vertex: its neighbours
     bonds, unreached = [], (1 << len(index)) - 1
     while unreached:
         comp = _reach(unreached, nbr)
@@ -115,8 +114,8 @@ def om_from_digraph(edges) -> OrientedMatroid:
         for rest in _submasks(comp ^ anchor):
             s, other = anchor | rest, comp ^ anchor ^ rest
             if other and _reach(s, nbr) == s and _reach(other, nbr) == other:
-                pos = sum(1 << k for k, (t, h) in enumerate(ends) if t & s and h & other)
-                neg = sum(1 << k for k, (t, h) in enumerate(ends) if h & s and t & other)
+                pos = sum(1 << k for k, (t, h) in enumerate(ends) if s >> t & 1 and other >> h & 1)
+                neg = sum(1 << k for k, (t, h) in enumerate(ends) if s >> h & 1 and other >> t & 1)
                 bonds.append(SignedSubset.from_masks(pos, neg))
     return om_from_lists(n, circuits, bonds)
 

@@ -26,10 +26,10 @@ def _fail(name: str, detail: str):
 
 
 class Sweep:
-    """M's forward values for one ``run_all`` call: ``value(fn, a)`` is
-    fn(M, A) for the mask a, computed on first request and kept in a list
-    per function indexed by a.  Checks look fn up at call time, so a planted
-    or failing one fails in the check that first asks, at the same A."""
+    """M's values for one ``run_all`` call: ``value(fn, a)`` is fn(M, A) for
+    the mask a of a reorientation or a basis, computed once and kept in a
+    list per function indexed by a.  Checks look fn up at call time, so a
+    planted or failing one fails in the check that first asks, at the same A."""
 
     def __init__(self, m):
         self.m, self._classes = m, None
@@ -91,11 +91,11 @@ def check_compose_full_support(m, sweep):
 
 def check_activity_duality(m, sweep):
     md = core.dual(m)
-    for b in core.bases(m):
-        internal, external = activities.basis_activities(m, b)
-        co_internal, co_external = activities.basis_activities(md, m.ground_set - b)
+    for b in core._basis_masks(m):
+        internal, external = sweep.value(activities.basis_activities, b)
+        co_internal, co_external = activities.basis_activities(md, m.ground_set - core._elements(b))
         if internal != co_external or external != co_internal:
-            _fail("activity-duality", f"B={sorted(b)}")
+            _fail("activity-duality", f"B={core._positions(b)}")
     for a in range(1 << m.n):
         ostar, o = sweep.value(activities.orientation_activities, a)
         dstar, do = activities.orientation_activities(md, core._elements(a))
@@ -155,23 +155,20 @@ def check_bijection(m, sweep):
     if set(preimages) != all_bases:
         _fail("bijection", "active basis map is not onto the bases")
     for b, pre in preimages.items():
-        internal, external = activities.basis_activities(m, b)
-        if len(pre) != 1 << (len(internal) + len(external)):
+        klass = bijection.alpha_inverse_class(m, b)  # one part per active element of B
+        if len(pre) != 1 << len(klass.filtration.masks):
             _fail("bijection", f"B={sorted(b)} has {len(pre)} preimages")
-        klass = bijection.alpha_inverse_class(m, b)
         if set(map(core._mask, klass.class_members)) != pre:
             _fail("bijection", f"B={sorted(b)}: inverse class mismatch")
 
 
 def check_activity_preservation(m, sweep):
     for a in range(1 << m.n):
-        b = sweep.value(bijection.active_basis, a)
-        internal, external = activities.basis_activities(m, b)
-        ostar, o = sweep.value(activities.orientation_activities, a)
-        if internal != ostar or external != o:
+        b = core._mask(sweep.value(bijection.active_basis, a))
+        if sweep.value(activities.basis_activities, b) != sweep.value(activities.orientation_activities, a):
             _fail("activity-preservation", f"A={core._positions(a)}")
         f = sweep.value(activities.active_filtration_orientation, a)
-        if activities.active_filtration_basis(m, b) != f:
+        if sweep.value(activities.active_filtration_basis, b) != f:
             _fail("activity-preservation", f"A={core._positions(a)}: filtrations differ")
 
 
@@ -292,8 +289,8 @@ def check_interval_unions(m, sweep):
             spanning.add(a)
     lower_union = set()
     upper_union = set()
-    for b in core.bases(m):
-        basis, internal, external = map(core._mask, (b, *activities.basis_activities(m, b)))
+    for basis in core._basis_masks(m):
+        internal, external = map(core._mask, sweep.value(activities.basis_activities, basis))
         lower_union |= _interval(basis & ~internal, basis)
         upper_union |= _interval(basis, basis | external)
     if lower_union != independents:

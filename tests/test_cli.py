@@ -9,6 +9,7 @@ import pytest
 
 from actbij import activities, bijection, cli, core, verify
 from actbij.cli import main
+from actbij.graphs import format_elements
 from conftest import refined_by_direct_route, refined_stdout, serialize_om, subsets, table_stdout
 from examples import diamond_doubled, k3, k4, k4_missing_a_cocircuit, w4
 
@@ -58,6 +59,17 @@ def test_activities_subcommand():
         "partition\t1,2,3*",
         "chain\t- < 1,2,3*",
     ]
+
+
+@pytest.mark.parametrize("m", [k4(), w4()], ids=["K4", "W4"])
+def test_activities_prints_the_orientation_activities_at_every_reorientation(monkeypatch, m):
+    # the command reads O and O* off the active filtration; orientation_activities
+    # finds them by its own positivity pass
+    monkeypatch.setattr(cli, "_load", lambda path: m)
+    for a in subsets(m.n):
+        ostar, o = activities.orientation_activities(m, a)
+        code, out = run(["activities", "-", "--reorient", format_elements(a)])
+        assert code == 0 and out.splitlines()[:2] == [f"O\t{format_elements(o)}", f"O*\t{format_elements(ostar)}"]
 
 
 def test_tutte_subcommand():
@@ -209,7 +221,7 @@ def without_line(text: str, i: int) -> str:
 
 
 # the function that serves each command's answer
-SERVED_BY = {"alpha": "active_basis", "activities": "orientation_activities", "refined": "_interval_table"}
+SERVED_BY = {"alpha": "active_basis", "activities": "active_filtration_orientation", "refined": "_interval_table"}
 
 
 def planted(*args):

@@ -2,8 +2,8 @@
 in the library is bounded, that no function declares a global, that
 every public function, class, method, property or namedtuple field has a
 caller outside the tests or names a notion of the paper, that one run maps each
-reorientation of M once and calls ``reorient`` only on single elements,
-that its named checks report a planted fault under their own names, and
+reorientation of M once, makes one basis pass per served basis and calls
+``reorient`` only on single elements, that its named checks report a planted fault under their own names, and
 that full-optimality-uniqueness fails when the served basis is not the
 scan's."""
 
@@ -246,6 +246,16 @@ def test_a_run_maps_each_reorientation_once(monkeypatch):
     assert calls["_minor"] <= 300
 
 
+def test_a_run_makes_one_basis_pass_per_served_basis(monkeypatch):
+    # activity-preservation reads the served basis's filtration off the run's record
+    calls = []
+    real = activities.active_filtration_basis
+    monkeypatch.setattr(activities, "active_filtration_basis", lambda m, b: calls.append(b) or real(m, b))
+    m = w4()
+    assert verify.run_all(m, report=lambda line: None)
+    assert len(core.bases(m)) == 45 and len(calls) <= 45
+
+
 def test_a_run_reorients_through_reorient_only_on_single_elements(monkeypatch):
     # the oracle sides reorient M by mask; structure reorients it there and back per element
     calls = []
@@ -433,7 +443,10 @@ def flips_2_as_well_off_the_first_om(real):
 
 # faults planted under one check called alone on a fresh record: where an
 # earlier check would read the plant first, or to reach a later condition of
-# a check than its PLANTED entry does
+# a check than its PLANTED entry does.  No single fault reaches two clauses,
+# as earlier clauses of their checks imply them: refined-bijection's "not a
+# permutation" (refined_alpha_inverse undoes refined_alpha at every A) and
+# tutte's "t(2,2)" (the subset sum at (1, 1, 1, 1) counts all 2^n subsets)
 PLANTED_ALONE = [
     (
         # tutte-routes reads tutte_from_bases before class-counts does
@@ -486,6 +499,100 @@ PLANTED_ALONE = [
         "four_var_reorientation_sum",
         lambda real: lambda *args: real(*args) + 1,
         "tutte: reorientation sum at (0, 0, 0, 0)",
+    ),
+    (
+        "bounded-minors-connected",
+        verify.check_bounded_minors,
+        activities,
+        "is_connected_filtration",
+        lambda real: lambda m, f: False,
+        "bounded-minors: A=[]: filtration not connected",
+    ),
+    (
+        "bijection-onto",
+        verify.check_bijection,
+        bijection,
+        "active_basis",
+        lambda real: lambda m, a=(): frozenset({1, 2}),
+        "bijection: active basis map is not onto the bases",
+    ),
+    (
+        # the class of [1, 2] has one part where B has two active elements
+        "bijection-preimages",
+        verify.check_bijection,
+        bijection,
+        "alpha_inverse_class",
+        lambda real: lambda m, b: real(m, b)._replace(filtration=Filtration.from_masks([7], 0)),
+        "bijection: B=[1, 2] has 4 preimages",
+    ),
+    (
+        # Int(B) and Ext(B) swapped: 1 is active in exactly one of them
+        "activity-preservation-activities",
+        verify.check_activity_preservation,
+        activities,
+        "basis_activities",
+        lambda real: lambda m, b: real(m, b)[::-1],
+        "activity-preservation: A=[]",
+    ),
+    (
+        "refined-bijection-transport",
+        verify.check_refined_bijection,
+        activities,
+        "reorientation_params",
+        lambda real: lambda m, a: (),
+        "refined-bijection: A=[]: parameter transport",
+    ),
+    (
+        # the interval's ends swapped: a single subset, while every class has at least two members
+        "refined-bijection-interval",
+        verify.check_refined_bijection,
+        activities,
+        "interval_of_basis",
+        lambda real: lambda m, b: real(m, b)[::-1],
+        "refined-bijection: A=[]: class does not fill the interval",
+    ),
+    (
+        "recursive-definitions-circuit",
+        verify.check_recursive_definitions,
+        oracles,
+        "active_basis_recursive",
+        lambda real: lambda m, **kwargs: frozenset() if kwargs.get("circuit_induction") else real(m, **kwargs),
+        "recursive-alpha: A=[]: circuit induction",
+    ),
+    (
+        "tutte-routes-orientations",
+        verify.check_tutte_routes,
+        tutte,
+        "tutte_from_orientations",
+        lambda real: lambda m: TuttePolynomial({}),
+        "tutte: orientation route disagrees with basis route",
+    ),
+    (
+        # the routes count bases through core._basis_masks, not the public bases
+        "tutte-routes-bases",
+        verify.check_tutte_routes,
+        core,
+        "bases",
+        lambda real: lambda m: real(m)[1:],
+        "tutte: t(1,1) is not the number of bases",
+    ),
+    (
+        # no route reads a single coefficient
+        "tutte-routes-constant-term",
+        verify.check_tutte_routes,
+        TuttePolynomial,
+        "coefficient",
+        lambda real: lambda self, i, j: 1,
+        "tutte: b_00 nonzero for a nonempty ground set",
+    ),
+    (
+        # Int(B) dropped: each lower interval is B alone
+        "interval-unions-lower",
+        verify.check_interval_unions,
+        activities,
+        "basis_activities",
+        lambda real: lambda m, b: (frozenset(), real(m, b)[1]),
+        "interval-unions: lower intervals are not the independent sets",
     ),
 ]
 
