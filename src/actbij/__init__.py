@@ -36,13 +36,9 @@ from .core import (
     dual,
     fundamental_circuit,
     fundamental_cocircuit,
-    is_acyclic,
     is_bounded,
     is_dual_bounded,
-    is_totally_cyclic,
     om_from_lists,
-    positive_circuits,
-    positive_cocircuits,
     reorient,
 )
 from .graphs import (

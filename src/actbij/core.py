@@ -298,6 +298,11 @@ def _squeeze(mask: int, runs) -> int:
     return out
 
 
+def _unsqueeze(mask: int, runs) -> int:
+    """The inverse of :func:`_squeeze`: the bits of ``mask`` shifted back into the runs."""
+    return sum((mask << shift) & run for run, shift in runs)
+
+
 def _minor_sets(signed_sets, avoid: int, ground: int, runs) -> tuple[SignedSubset, ...]:
     """The minimal nonzero restrictions to ``ground`` of the signed sets
     missing ``avoid``, canonical, squeezed by the runs of ground."""
@@ -340,31 +345,27 @@ def contract(m: OrientedMatroid, removed) -> OrientedMatroid:
     return restrict_contract(m, m.ground_set, removed)
 
 
-def positive_circuits(m: OrientedMatroid) -> list[SignedSubset]:
-    """Stored circuits whose pair {X, -X} contains an all-positive member."""
-    return [c for c in m.circuits if not (c.pos and c.neg)]
+def _positive_supports(signed_sets, a: int) -> list[int]:
+    """The supports of the signed sets of M that are positive, up to sign,
+    in -_A M for the mask A: those with supp(X) ∩ A equal to X⁺ or to X⁻."""
+    return [pos | neg for pos, neg in signed_sets if (meet := (pos | neg) & a) == pos or meet == neg]
 
 
-def positive_cocircuits(m: OrientedMatroid) -> list[SignedSubset]:
-    return [d for d in m.cocircuits if not (d.pos and d.neg)]
-
-
-def is_acyclic(m: OrientedMatroid) -> bool:
-    return not positive_circuits(m)
-
-
-def is_totally_cyclic(m: OrientedMatroid) -> bool:
-    return not positive_cocircuits(m)
+def _bounded_under(m: OrientedMatroid, flip: int, dual: bool) -> bool:
+    """Whether -_flip M (flip a mask) is bounded, or dual-bounded when ``dual``,
+    w.r.t. 1 = min(E); no reoriented OM is built."""
+    avoided, through_one = (m.cocircuits, m.circuits) if dual else (m.circuits, m.cocircuits)
+    return not _positive_supports(avoided, flip) and all(s & 1 for s in _positive_supports(through_one, flip))
 
 
 def is_bounded(m: OrientedMatroid) -> bool:
     """Acyclic and every positive cocircuit contains 1 = min(E) (single isthmus counts)."""
-    return is_acyclic(m) and all((d.pos | d.neg) & 1 for d in positive_cocircuits(m))
+    return _bounded_under(m, 0, False)
 
 
 def is_dual_bounded(m: OrientedMatroid) -> bool:
     """Totally cyclic and every positive circuit contains 1 = min(E) (single loop counts)."""
-    return is_totally_cyclic(m) and all((c.pos | c.neg) & 1 for c in positive_circuits(m))
+    return _bounded_under(m, 0, True)
 
 
 def bases(m: OrientedMatroid) -> tuple[frozenset[int], ...]:

@@ -1,7 +1,7 @@
 """Independent routes that ``actbij verify`` and the tests check the serving
 maps against: the fully optimal basis by scan over all bases, the recursive
-definition of the active basis (positive sets and minors from ``core`` alone,
-on masks), the active duality identities, the connected filtrations by chain
+definition of the active basis (minors of M from ``core`` under a flip mask,
+positive sets by its own test), the active duality identities, the connected filtrations by chain
 growth and deletion/contraction.  Exponential, desk scale only; no serving
 module imports them, and every memo lives for one call, or for one check when
 passed in."""
@@ -12,66 +12,92 @@ from functools import reduce
 from operator import or_
 
 from .activities import Filtration, _connected_step
-from .bijection import _only_passing, _translated
+from .bijection import _only_passing
 from .core import (
     OrientedMatroid,
     _basis_masks,
+    _bounded_under,
     _elements,
+    _mask,
     _minor,
-    _positions,
+    _reoriented,
+    _runs,
+    _squeeze,
     _submasks,
     _supports,
+    _unsqueeze,
     dual,
     is_bounded,
-    is_dual_bounded,
-    positive_circuits,
-    positive_cocircuits,
     reorient,
 )
 from .tutte import TuttePolynomial
 
 
-def fully_optimal_basis_scan(m: OrientedMatroid) -> frozenset[int] | None:
-    """The fully optimal basis of M (n ≥ 1): the one basis passing both
-    criteria; None when M is neither bounded nor dual-bounded w.r.t. p = 1."""
-    bounded = is_bounded(m)
-    if bounded or is_dual_bounded(m):
-        return _elements(_only_passing(m, _basis_masks(m), bounded))
+def fully_optimal_basis_scan(m: OrientedMatroid, flip: int = 0) -> frozenset[int] | None:
+    """The fully optimal basis of -_flip M (n ≥ 1, flip a mask): the one basis passing
+    both criteria; None when it is neither bounded nor dual-bounded w.r.t. p = 1,
+    and then no reoriented OM is built."""
+    bounded = _bounded_under(m, flip, False)
+    if bounded or _bounded_under(m, flip, True):
+        return _elements(_only_passing(_reoriented(m, flip), _basis_masks(m), bounded))
     return None
 
 
-def active_basis_recursive(m: OrientedMatroid, *, circuit_induction: bool = False, memo=None) -> frozenset[int]:
-    """Alternate evaluator of the active basis by the recursive definition:
-    fully optimal basis by scan in the bounded/dual-bounded case, duality, and
-    induction on the minor cut out by the greatest dual-active element
-    (or greatest active element when ``circuit_induction``).  ``memo`` maps
-    (minor, circuit_induction) to its basis and goes on through the dual hop
-    and to both minors; when not passed in it lives for this call."""
+def active_basis_recursive(
+    m: OrientedMatroid, *, flip: int = 0, circuit_induction: bool = False, memo=None
+) -> frozenset[int]:
+    """Alternate evaluator of the active basis of -_flip M (flip a mask) by the
+    recursive definition: fully optimal basis by scan in the bounded/dual-bounded
+    case, duality, and induction on the minor cut out by the greatest dual-active
+    element (or greatest active element when ``circuit_induction``).  Each minor
+    is (G, F, side) relative to M: M(G)/F, dualized when side is set after a dual
+    hop, under flip ∩ (G∖F) squeezed.  ``memo`` maps (M, G, F, side) to that
+    unsigned minor, built once, (minor, squeezed flip) to its scan and (minor,
+    squeezed flip, style) to its basis mask, so it holds no reoriented OM; when
+    not passed in it lives for this call."""
     memo = {} if memo is None else memo
-    if (m, circuit_induction) not in memo:
-        memo[m, circuit_induction] = _recursive_step(m, circuit_induction, memo)
-    return memo[m, circuit_induction]
 
+    def step(large: int, small: int, side: int) -> int:
+        """The active basis of the minor (large, small, side), as a mask in M's terms."""
+        runs = _runs(large & ~small)
+        if (m, large, small, 0) not in memo:
+            memo[m, large, small, 0] = _minor(m, large, small)
+        if (m, large, small, side) not in memo:
+            memo[m, large, small, 1] = dual(memo[m, large, small, 0])
+        key = (memo[m, large, small, side], _squeeze(flip, runs), circuit_induction)
+        if key not in memo:
+            memo[key] = induction(large, small, side, runs, *key[:2])
+        return _unsqueeze(memo[key], runs)
 
-def _recursive_step(m: OrientedMatroid, circuit_induction: bool, memo: dict) -> frozenset[int]:
-    def recurse(minor: OrientedMatroid) -> frozenset[int]:
-        return active_basis_recursive(minor, circuit_induction=circuit_induction, memo=memo)
+    def induction(large: int, small: int, side: int, runs, minor: OrientedMatroid, flipped: int) -> int:
+        """The active basis of -_flipped minor, for the minor at (large, small, side) and
+        its squeezed flip, as a mask of the minor; only a bounded one is reoriented."""
+        if minor.n == 0:
+            return 0
+        if (minor, flipped) not in memo:  # the scan, shared by both styles
+            memo[minor, flipped] = fully_optimal_basis_scan(minor, flipped)
+        if memo[minor, flipped] is not None:
+            return _mask(memo[minor, flipped])
+        full = (1 << minor.n) - 1
+        # the positive sets of -_flipped minor, by the oracle's own test: once the signs on
+        # the flip are swapped, one side is empty
+        signed_sets = minor.circuits if circuit_induction else minor.cocircuits
+        supports = [x | y for x, y in signed_sets if not x ^ (moved := (x | y) & flipped) or not y ^ moved]
+        if not supports:  # acyclic (circuit style) or totally cyclic: hop to the dual, same style
+            return full ^ _squeeze(step(large, small, side ^ 1), runs)
+        top = max(s & -s for s in supports)  # the greatest active (dual-active) element, as a bit
+        part = reduce(or_, (s for s in supports if s & -s == top))
+        if not circuit_induction:
+            part ^= full
+        part, rest = _unsqueeze(part, runs), _unsqueeze(full ^ part, runs)
+        # the restriction to the part and the contraction of the part; on the dual
+        # side, restricting (M(G)/F)* contracts M(G)/F, and contracting it deletes
+        inside, outside = (large, small | rest), (large ^ part, small)
+        if not side:
+            inside, outside = (small | part, small), (large, small | part)
+        return _squeeze(step(*inside, side) | step(*outside, side), runs)
 
-    if m.n == 0:
-        return frozenset()
-    if (basis := fully_optimal_basis_scan(m)) is not None:
-        return basis
-    full = (1 << m.n) - 1
-    supports = _supports(positive_circuits(m) if circuit_induction else positive_cocircuits(m))
-    if not supports:
-        # acyclic (circuit style) or totally cyclic: hop to the dual, same style
-        return m.ground_set - recurse(dual(m))
-    top = max(s & -s for s in supports)  # the greatest active (dual-active) element, as a bit
-    part = reduce(or_, (s for s in supports if s & -s == top))
-    if not circuit_induction:
-        part ^= full
-    inside, outside = _minor(m, part, 0), _minor(m, full, part)
-    return _translated(recurse(inside), _positions(part)) | _translated(recurse(outside), _positions(full ^ part))
+    return _elements(step((1 << m.n) - 1, 0, 0))
 
 
 def check_active_duality(m: OrientedMatroid) -> bool:

@@ -112,12 +112,21 @@ def check_filtration_duality(m, sweep):
             _fail("filtration-duality", f"A={core._positions(a)}")
 
 
+def _bounded_step(m, small: int, part: int, cyclic: bool, a: int) -> bool:
+    """Whether the minor (-_A M)(F ∪ part)/F, for the masks F = small and A = a, is
+    dual-bounded (cyclic part) or bounded w.r.t. its smallest element: M's step
+    minor tested under A ∩ part squeezed, with no reoriented minor built."""
+    minor, runs = activities._step_minor(m, small | part, small)
+    return core._bounded_under(minor, core._squeeze(a, runs), cyclic)
+
+
 def _unbounded_part(m, f, a: int):
-    """The first part of f whose minor of -_A M (A the mask a) is not dual-bounded
-    (cyclic part) or bounded (acyclic part) w.r.t. its smallest element, else None."""
-    for i, minor in enumerate(activities.active_minors(m, f, core._elements(a))):
-        if not (core.is_dual_bounded if f.part_is_cyclic(i) else core.is_bounded)(minor):
+    """The index of the first part of f that fails :func:`_bounded_step` at the mask a, else None."""
+    small = 0
+    for i, part in enumerate(f.masks):
+        if not _bounded_step(m, small, part, f.part_is_cyclic(i), a):
             return i
+        small |= part
     return None
 
 
@@ -196,7 +205,7 @@ def check_full_optimality_uniqueness(m, sweep):
         return
     for a in range(1 << m.n):
         try:  # None where -_A M is neither bounded nor dual-bounded
-            hit = oracles.fully_optimal_basis_scan(core._reoriented(m, a))
+            hit = oracles.fully_optimal_basis_scan(m, a)
         except AssertionError as exc:  # no or several optimal bases, or the criteria disagree
             _fail("full-optimality", f"A={core._positions(a)}: {exc}")
         if hit is not None and hit != (served := sweep.value(bijection.active_basis, a)):
@@ -215,19 +224,19 @@ def check_active_duality_bounded(m, sweep):
     if m.n <= 1:
         return
     for a in range(1 << (m.n - 1)):  # -_A M = -_(E∖A) M: each pair at its mask without n
-        r = core._reoriented(m, a)
-        if core.is_bounded(r) and not oracles.check_active_duality(r):
+        if core._bounded_under(m, a, False) and not oracles.check_active_duality(core._reoriented(m, a)):
             _fail("active-duality", f"A={core._positions(a)}")
 
 
 def check_recursive_definitions(m, sweep):
-    memo: dict = {}  # shared by both induction styles, which stay apart in its key
+    # -_A M = -_(E∖A) M: each pair goes in as its smaller mask, which the memo,
+    # shared by both induction styles apart in its key, computes once
+    full, memo = (1 << m.n) - 1, {}
     for a in range(1 << m.n):
-        r = core._reoriented(m, a)
-        b = sweep.value(bijection.active_basis, a)
-        if oracles.active_basis_recursive(r, memo=memo) != b:
+        pair, b = min(a, a ^ full), sweep.value(bijection.active_basis, a)
+        if oracles.active_basis_recursive(m, flip=pair, memo=memo) != b:
             _fail("recursive-alpha", f"A={core._positions(a)}: cocircuit induction")
-        if oracles.active_basis_recursive(r, circuit_induction=True, memo=memo) != b:
+        if oracles.active_basis_recursive(m, flip=pair, circuit_induction=True, memo=memo) != b:
             _fail("recursive-alpha", f"A={core._positions(a)}: circuit induction")
 
 
@@ -302,11 +311,23 @@ def check_interval_unions(m, sweep):
 def check_filtration_uniqueness(m, sweep):
     if m.n > FILTRATION_UNIQUENESS_CAP:
         return
-    filtrations = oracles.all_connected_filtrations(m)
+    # f is valid at A iff every part is bounded under A ∩ part: f marks the ORs
+    # of one bounded flip per part, each chain step's flips listed once
+    flips, counts, markers = {}, [0] * (1 << m.n), [None] * (1 << m.n)
+    for f in oracles.all_connected_filtrations(m):
+        valid, small = [0], 0
+        for i, part in enumerate(f.masks):
+            step = (small, part, f.part_is_cyclic(i))
+            if step not in flips:
+                flips[step] = [x for x in core._submasks(part) if _bounded_step(m, *step, x)]
+            valid = [a | x for a in valid for x in flips[step]]
+            small |= part
+        for a in valid:
+            counts[a] += 1
+            markers[a] = f
     for a in range(1 << m.n):
-        valid = [f for f in filtrations if _unbounded_part(m, f, a) is None]
-        if len(valid) != 1 or valid[0] != sweep.value(activities.active_filtration_orientation, a):
-            _fail("filtration-uniqueness", f"A={core._positions(a)}: {len(valid)} decompositions")
+        if counts[a] != 1 or markers[a] != sweep.value(activities.active_filtration_orientation, a):
+            _fail("filtration-uniqueness", f"A={core._positions(a)}: {counts[a]} decompositions")
 
 
 ALL_CHECKS = [

@@ -111,6 +111,11 @@ def assert_unique_decomposition(m) -> None:
         assert valid == [active_filtration_orientation(r)]
 
 
+def positive(signed_sets) -> list:
+    """The stored signed sets whose pair {X, -X} has an all-positive member."""
+    return [x for x in signed_sets if not (x.pos and x.neg)]
+
+
 def subsets(n: int):
     for mask in range(1 << n):
         yield frozenset(i for i in range(1, n + 1) if mask >> (i - 1) & 1)

@@ -63,3 +63,9 @@ def w4_digraph() -> Edges:
 
 def w4() -> OrientedMatroid:
     return om_from_digraph(w4_digraph())
+
+
+def w5() -> OrientedMatroid:
+    """The wheel on five rim vertices, in the edge order of :func:`w4_digraph`."""
+    rim = ("r1", "r2", "r3", "r4", "r5")
+    return om_from_digraph(tuple(("h", r) for r in rim) + tuple(zip(rim, rim[1:] + rim[:1])))

@@ -24,20 +24,19 @@ from actbij.bijection import (
     refined_alpha_inverse,
 )
 from actbij.core import (
+    _elements,
     bases,
     dual,
     is_bounded,
     is_dual_bounded,
     om_from_lists,
-    positive_circuits,
-    positive_cocircuits,
     reorient,
     restrict_contract,
     SignedSubset,
 )
 from actbij.oracles import active_basis_recursive, check_active_duality
-from conftest import random_om, subsets
-from examples import diamond_doubled, k4, w4
+from conftest import positive, random_om, subsets
+from examples import diamond_doubled, k3, k4, w4
 
 
 def fs(*elements):
@@ -197,7 +196,19 @@ def test_a_shared_recursion_memo_changes_no_result(m):
         for circuit_induction in (False, True):
             alone = active_basis_recursive(r, circuit_induction=circuit_induction)
             assert active_basis_recursive(r, circuit_induction=circuit_induction, memo=memo) == alone
-    assert {style for _, style in memo} == {False, True}
+    assert {key[-1] for key in memo if len(key) == 3} == {False, True}  # (minor, squeezed flip, style)
+
+
+@pytest.mark.parametrize("m", [k3(), k4(), w4()], ids=["K3", "K4", "W4"])
+def test_the_recursion_under_a_flip_is_the_recursion_on_the_reoriented_om(m):
+    # minors of M relative to M, reoriented by the squeezed flip, against minors of -_A M
+    memo: dict = {}
+    for a in range(1 << m.n):
+        r = reorient(m, _elements(a))
+        for circuit_induction in (False, True):
+            want = active_basis_recursive(r, circuit_induction=circuit_induction)
+            assert active_basis_recursive(m, flip=a, circuit_induction=circuit_induction) == want
+            assert active_basis_recursive(m, flip=a, circuit_induction=circuit_induction, memo=memo) == want
 
 
 def induction_step_sets_on_element_sets(m):
@@ -208,11 +219,11 @@ def induction_step_sets_on_element_sets(m):
     candidates = set()
     for t in range(0, m.n + 1):
         f = ground - frozenset().union(
-            *(d.support for d in positive_cocircuits(m) if min(d.support) > t)
+            *(d.support for d in positive(m.cocircuits) if min(d.support) > t)
         )
         candidates.add(f)
         g = frozenset().union(
-            *(c.support for c in positive_circuits(m) if min(c.support) > t)
+            *(c.support for c in positive(m.circuits) if min(c.support) > t)
         )
         candidates.add(g)
     return sorted(

@@ -473,6 +473,18 @@ def test_the_recursive_definitions_give_the_served_active_basis(g, data):
     assert active_basis_recursive(r, circuit_induction=True) == b
 
 
+@settings(steady, max_examples=40)
+@given(digraphs(max_edges=6))
+def test_the_recursion_under_each_flip_is_the_recursion_on_the_reoriented_om(g):
+    # the recursion carries minors of M reoriented by the squeezed flip; on -_A M it carries minors of -_A M
+    m = om_from_digraph(g)
+    memo: dict = {}
+    for a in range(1 << m.n):
+        for circuit_induction in (False, True):
+            want = active_basis_recursive(reorient(m, _elements(a)), circuit_induction=circuit_induction)
+            assert active_basis_recursive(m, flip=a, circuit_induction=circuit_induction, memo=memo) == want
+
+
 @settings(steady, max_examples=50)
 @given(digraphs(max_edges=9))
 def test_alpha_is_onto_the_bases_with_two_to_the_activities_reorientations_each(g):

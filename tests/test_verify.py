@@ -3,14 +3,17 @@ in the library is bounded, that no function declares a global, that
 every public function, class, method, property or namedtuple field has a
 caller outside the tests or names a notion of the paper, that one run maps each
 reorientation of M once, makes one basis pass per served basis and calls
-``reorient`` only on single elements, that its named checks report a planted fault under their own names, and
+``reorient`` only on single elements, that recursive-definitions keeps no
+reoriented OM, that its named checks report a planted fault under their own names,
 that full-optimality-uniqueness fails when the served basis is not the
-scan's."""
+scan's, and that filtration-uniqueness's product over parts fails where the
+A × filtration loop does."""
 
 import ast
 import functools
 import importlib
 import re
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -19,7 +22,7 @@ import pytest
 from actbij import activities, bijection, core, oracles, tutte, verify
 from actbij.activities import Filtration
 from actbij.tutte import TuttePolynomial
-from examples import k3, k4, w4
+from examples import diamond_doubled, k3, k4, w4, w5
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "actbij"
 BENCH = SRC.parent.parent / "bench"
@@ -243,7 +246,22 @@ def test_a_run_maps_each_reorientation_once(monkeypatch):
     counted(oracles, "_minor")
     assert verify.run_all(k4(), report=lambda line: None)
     assert calls["active_basis"] <= 3 << 6
-    assert calls["_minor"] <= 300
+    assert calls["_minor"] <= 183  # 168 filtration steps, 15 for the recursion relative to M
+
+
+def test_the_recursive_check_keeps_no_reoriented_om():
+    # its memo holds minors of M and int masks; keyed on each -_A M, the check peaked at about 4 MB on W5
+    m = w5()
+    sweep = verify.Sweep(m)
+    for a in range(1 << m.n):
+        sweep.value(bijection.active_basis, a)
+    tracemalloc.start()
+    try:
+        verify.check_recursive_definitions(m, sweep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_a_run_makes_one_basis_pass_per_served_basis(monkeypatch):
@@ -315,10 +333,11 @@ PLANTED = [
         "filtration-duality: A=[]",
     ),
     (
+        # the check tests M's step minors under the flip, without building -_A M
         "bounded-minors",
         core,
-        "is_bounded",
-        lambda real: lambda m: False,
+        "_bounded_under",
+        lambda real: lambda m, flip, dual: False,
         "bounded-minors: A=[], part 0",
     ),
     (
@@ -586,6 +605,23 @@ PLANTED_ALONE = [
         "tutte: b_00 nonzero for a nonempty ground set",
     ),
     (
+        # the one acyclic part E is valid first at [1, 2], where -_A M is bounded
+        "filtration-uniqueness-twice",
+        verify.check_filtration_uniqueness,
+        oracles,
+        "all_connected_filtrations",
+        lambda real: lambda m: [*real(m), real(m)[0]],
+        "filtration-uniqueness: A=[1, 2]: 2 decompositions",
+    ),
+    (
+        "filtration-uniqueness-served",
+        verify.check_filtration_uniqueness,
+        activities,
+        "active_filtration_orientation",
+        lambda real: lambda m, a=(): Filtration.from_masks([7], 0),
+        "filtration-uniqueness: A=[]: 1 decompositions",
+    ),
+    (
         # Int(B) dropped: each lower interval is B alone
         "interval-unions-lower",
         verify.check_interval_unions,
@@ -603,6 +639,48 @@ def test_a_planted_fault_fails_its_check_called_alone(monkeypatch, name, check, 
     m = k3()
     with pytest.raises(verify.VerificationFailure, match=f"^{re.escape(message)}$"):
         check(m, verify.Sweep(m))
+
+
+def filtration_uniqueness_by_loop(m, sweep):
+    """filtration-uniqueness as an A × filtration loop over the minors of -_A M built whole."""
+    filtrations = oracles.all_connected_filtrations(m)
+    for a in range(1 << m.n):
+        valid = [
+            f
+            for f in filtrations
+            if all(
+                (core.is_dual_bounded if f.part_is_cyclic(i) else core.is_bounded)(minor)
+                for i, minor in enumerate(activities.active_minors(m, f, core._elements(a)))
+            )
+        ]
+        if len(valid) != 1 or valid[0] != sweep.value(activities.active_filtration_orientation, a):
+            raise verify.VerificationFailure(f"filtration-uniqueness: A={core._positions(a)}: {len(valid)} decompositions")
+
+
+@pytest.mark.parametrize("m", [k3(), k4(), diamond_doubled(), w4()], ids=["K3", "K4", "diamond_doubled", "W4"])
+def test_the_product_over_parts_fails_where_the_filtration_loop_does(monkeypatch, m):
+    monkeypatch.setattr(verify, "FILTRATION_UNIQUENESS_CAP", 8)  # W4 has n = 8
+    filtrations, served = oracles.all_connected_filtrations, activities.active_filtration_orientation
+    faults = [
+        (oracles, "all_connected_filtrations", filtrations),
+        (oracles, "all_connected_filtrations", lambda m: filtrations(m)[1:]),
+        (oracles, "all_connected_filtrations", lambda m: [*filtrations(m), filtrations(m)[-1]]),
+        (activities, "active_filtration_orientation", lambda m, a=(): served(m, ())),
+    ]
+    outcomes = []
+    for module, attr, fault in faults:
+        with monkeypatch.context() as patch:
+            patch.setattr(module, attr, fault)
+            by_route = []
+            for check in (verify.check_filtration_uniqueness, filtration_uniqueness_by_loop):
+                try:
+                    check(m, verify.Sweep(m))
+                    by_route.append(None)
+                except verify.VerificationFailure as exc:
+                    by_route.append(str(exc))
+            assert by_route[0] == by_route[1]
+            outcomes.append(by_route[0])
+    assert outcomes[0] is None and all(outcomes[1:])
 
 
 def test_full_optimality_fails_when_the_served_basis_is_not_the_scans(monkeypatch):
