@@ -27,7 +27,6 @@ from .core import (
     _fundamentals,
     _new,
     _positions,
-    _positive_supports,
     _reoriented,
     _runs,
     _squeeze,
@@ -109,6 +108,12 @@ def basis_activities(m: OrientedMatroid, b: frozenset[int]) -> tuple[frozenset[i
     basis = _mask(b)
     internal, external = basis_pass(_fundamentals(m, basis), basis)[0].minima()
     return _elements(internal), _elements(external)
+
+
+def _positive_supports(signed_sets, a: int) -> list[int]:
+    """The supports of the signed sets of M that are positive, up to sign,
+    in -_A M for the mask A: those with supp(X) ∩ A equal to X⁺ or to X⁻."""
+    return [pos | neg for pos, neg in signed_sets if (meet := (pos | neg) & a) == pos or meet == neg]
 
 
 def orientation_activities(m: OrientedMatroid, a=()) -> tuple[frozenset[int], frozenset[int]]:

@@ -345,17 +345,17 @@ def contract(m: OrientedMatroid, removed) -> OrientedMatroid:
     return restrict_contract(m, m.ground_set, removed)
 
 
-def _positive_supports(signed_sets, a: int) -> list[int]:
-    """The supports of the signed sets of M that are positive, up to sign,
-    in -_A M for the mask A: those with supp(X) ∩ A equal to X⁺ or to X⁻."""
-    return [pos | neg for pos, neg in signed_sets if (meet := (pos | neg) & a) == pos or meet == neg]
+def _positive_under(signed_sets, flip: int) -> list[int]:
+    """Supports of the signed sets of M positive up to sign in -_flip M: one side empty once the
+    signs on the mask flip swap.  Oracles' test, apart from ``activities._positive_supports``."""
+    return [x | y for x, y in signed_sets if not (x & ~flip | y & flip) or not (y & ~flip | x & flip)]
 
 
 def _bounded_under(m: OrientedMatroid, flip: int, dual: bool) -> bool:
     """Whether -_flip M (flip a mask) is bounded, or dual-bounded when ``dual``,
     w.r.t. 1 = min(E); no reoriented OM is built."""
     avoided, through_one = (m.cocircuits, m.circuits) if dual else (m.circuits, m.cocircuits)
-    return not _positive_supports(avoided, flip) and all(s & 1 for s in _positive_supports(through_one, flip))
+    return not _positive_under(avoided, flip) and all(s & 1 for s in _positive_under(through_one, flip))
 
 
 def is_bounded(m: OrientedMatroid) -> bool:

@@ -1,10 +1,9 @@
 """Independent routes that ``actbij verify`` and the tests check the serving
 maps against: the fully optimal basis by scan over all bases, the recursive
-definition of the active basis (minors of M from ``core`` under a flip mask,
-positive sets by its own test), the active duality identities, the connected filtrations by chain
-growth and deletion/contraction.  Exponential, desk scale only; no serving
-module imports them, and every memo lives for one call, or for one check when
-passed in."""
+active basis on minors of M under a flip mask, with positive sets from
+``core._positive_under`` and not the serving test, the active duality identities,
+the connected filtrations by chain growth and deletion/contraction.  Exponential,
+desk scale only; no serving module imports them, and each memo lasts one call or one check."""
 
 from __future__ import annotations
 
@@ -20,6 +19,7 @@ from .core import (
     _elements,
     _mask,
     _minor,
+    _positive_under,
     _reoriented,
     _runs,
     _squeeze,
@@ -51,38 +51,35 @@ def active_basis_recursive(
     case, duality, and induction on the minor cut out by the greatest dual-active
     element (or greatest active element when ``circuit_induction``).  Each minor
     is (G, F, side) relative to M: M(G)/F, dualized when side is set after a dual
-    hop, under flip ∩ (G∖F) squeezed.  ``memo`` maps (M, G, F, side) to that
-    unsigned minor, built once, (minor, squeezed flip) to its scan and (minor,
-    squeezed flip, style) to its basis mask, so it holds no reoriented OM; when
-    not passed in it lives for this call."""
-    memo = {} if memo is None else memo
+    hop, under flip ∩ (G∖F) squeezed.  ``memo`` holds three tables: "minors" maps
+    (M, G, F, side) to that unsigned minor, built once, "scans" (minor, squeezed
+    flip) to its scan and "bases" (minor, squeezed flip, style) to its basis mask,
+    so no reoriented OM; when not passed in it lives for this call."""
+    minors, scans, bases = ({} if memo is None else memo.setdefault(t, {}) for t in ("minors", "scans", "bases"))
 
     def step(large: int, small: int, side: int) -> int:
         """The active basis of the minor (large, small, side), as a mask in M's terms."""
         runs = _runs(large & ~small)
-        if (m, large, small, 0) not in memo:
-            memo[m, large, small, 0] = _minor(m, large, small)
-        if (m, large, small, side) not in memo:
-            memo[m, large, small, 1] = dual(memo[m, large, small, 0])
-        key = (memo[m, large, small, side], _squeeze(flip, runs), circuit_induction)
-        if key not in memo:
-            memo[key] = induction(large, small, side, runs, *key[:2])
-        return _unsqueeze(memo[key], runs)
+        if (m, large, small, 0) not in minors:
+            minors[m, large, small, 0] = _minor(m, large, small)
+        if (m, large, small, side) not in minors:
+            minors[m, large, small, 1] = dual(minors[m, large, small, 0])
+        key = (minors[m, large, small, side], _squeeze(flip, runs), circuit_induction)
+        if key not in bases:
+            bases[key] = induction(large, small, side, runs, *key[:2])
+        return _unsqueeze(bases[key], runs)
 
     def induction(large: int, small: int, side: int, runs, minor: OrientedMatroid, flipped: int) -> int:
         """The active basis of -_flipped minor, for the minor at (large, small, side) and
         its squeezed flip, as a mask of the minor; only a bounded one is reoriented."""
         if minor.n == 0:
             return 0
-        if (minor, flipped) not in memo:  # the scan, shared by both styles
-            memo[minor, flipped] = fully_optimal_basis_scan(minor, flipped)
-        if memo[minor, flipped] is not None:
-            return _mask(memo[minor, flipped])
+        if (minor, flipped) not in scans:  # shared by both styles
+            scans[minor, flipped] = fully_optimal_basis_scan(minor, flipped)
+        if scans[minor, flipped] is not None:
+            return _mask(scans[minor, flipped])
         full = (1 << minor.n) - 1
-        # the positive sets of -_flipped minor, by the oracle's own test: once the signs on
-        # the flip are swapped, one side is empty
-        signed_sets = minor.circuits if circuit_induction else minor.cocircuits
-        supports = [x | y for x, y in signed_sets if not x ^ (moved := (x | y) & flipped) or not y ^ moved]
+        supports = _positive_under(minor.circuits if circuit_induction else minor.cocircuits, flipped)
         if not supports:  # acyclic (circuit style) or totally cyclic: hop to the dual, same style
             return full ^ _squeeze(step(large, small, side ^ 1), runs)
         top = max(s & -s for s in supports)  # the greatest active (dual-active) element, as a bit

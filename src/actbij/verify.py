@@ -229,8 +229,7 @@ def check_active_duality_bounded(m, sweep):
 
 
 def check_recursive_definitions(m, sweep):
-    # -_A M = -_(E∖A) M: each pair goes in as its smaller mask, which the memo,
-    # shared by both induction styles apart in its key, computes once
+    # -_A M = -_(E∖A) M: each pair at its smaller mask, a memo hit the second time
     full, memo = (1 << m.n) - 1, {}
     for a in range(1 << m.n):
         pair, b = min(a, a ^ full), sweep.value(bijection.active_basis, a)

@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 from collections import defaultdict
 
 import pytest
@@ -196,7 +197,7 @@ def test_a_shared_recursion_memo_changes_no_result(m):
         for circuit_induction in (False, True):
             alone = active_basis_recursive(r, circuit_induction=circuit_induction)
             assert active_basis_recursive(r, circuit_induction=circuit_induction, memo=memo) == alone
-    assert {key[-1] for key in memo if len(key) == 3} == {False, True}  # (minor, squeezed flip, style)
+    assert {style for _, _, style in memo["bases"]} == {False, True}
 
 
 @pytest.mark.parametrize("m", [k3(), k4(), w4()], ids=["K3", "K4", "W4"])
@@ -236,13 +237,16 @@ def test_the_recursive_oracle_never_reads_the_serving_activities(monkeypatch):
     def planted(*args):
         raise AssertionError("the oracle read the serving positivity predicate")
 
-    monkeypatch.setattr(activities, "_positive_supports", planted)
-    monkeypatch.setattr(activities, "orientation_activities", planted)
+    # every binding of the serving predicates, in whichever module holds one
+    serving = (activities._positive_supports, activities.orientation_activities)
+    for module in [mod for name, mod in sys.modules.items() if name.startswith("actbij")]:
+        for name, value in vars(module).copy().items():
+            if any(value is f for f in serving):
+                monkeypatch.setattr(module, name, planted)
     for m in (k4(), w4()):
-        for a in subsets(m.n):
-            r = reorient(m, a)
-            active_basis_recursive(r)
-            active_basis_recursive(r, circuit_induction=True)
+        for a in range(1 << m.n):
+            for circuit_induction in (False, True):
+                active_basis_recursive(m, flip=a, circuit_induction=circuit_induction)
 
 
 def test_threshold_induction_variants(k4_om):

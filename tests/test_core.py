@@ -5,7 +5,7 @@ from collections import defaultdict, deque
 
 import pytest
 
-from actbij.activities import _interval_table, basis_pass
+from actbij.activities import _interval_table, _positive_supports, basis_pass
 from actbij.core import (
     InvalidOrientedMatroid,
     OrientedMatroid,
@@ -14,9 +14,10 @@ from actbij.core import (
     _bases,
     _basis_masks,
     _canonical_list,
+    _elements,
     _fundamentals,
     _mask,
-    _positive_supports,
+    _positive_under,
     bases,
     compose,
     contract,
@@ -261,8 +262,8 @@ def test_full_flip_is_global_negation(k3_om):
 
 def test_reorient_2_makes_k3_cyclic(k3_om):
     # no positive cocircuit, in -_{2} M built whole or in M's cocircuits read under the flip
-    assert not _positive_supports(reorient(k3_om, {2}).cocircuits, 0)
-    assert not _positive_supports(k3_om.cocircuits, 0b010)
+    assert not _positive_under(reorient(k3_om, {2}).cocircuits, 0)
+    assert not _positive_under(k3_om.cocircuits, 0b010)
 
 
 # ------------------------------------------------------------------ minors
@@ -306,8 +307,8 @@ def test_minor_commutation_and_duality():
 
 def test_positivity_fixtures(k3_om):
     # acyclic: no positive circuit; totally cyclic: no positive cocircuit
-    assert not _positive_supports(k3_om.circuits, 0) and _positive_supports(k3_om.cocircuits, 0)
-    assert not _positive_supports(u10().cocircuits, 0) and not _positive_supports(u11().circuits, 0)
+    assert not _positive_under(k3_om.circuits, 0) and _positive_under(k3_om.cocircuits, 0)
+    assert not _positive_under(u10().cocircuits, 0) and not _positive_under(u11().circuits, 0)
 
 
 def test_acyclic_iff_covered_by_positive_cocircuits():
@@ -318,10 +319,22 @@ def test_acyclic_iff_covered_by_positive_cocircuits():
         if loops or m.n == 0:
             continue
         covered = 0  # the union of the positive cocircuits, as a mask
-        for s in _positive_supports(m.cocircuits, 0):
+        for s in _positive_under(m.cocircuits, 0):
             covered |= s
-        assert (not _positive_supports(m.circuits, 0)) == (covered == (1 << m.n) - 1)
+        assert (not _positive_under(m.circuits, 0)) == (covered == (1 << m.n) - 1)
 
+
+
+def test_the_oracle_positivity_test_agrees_with_the_serving_one():
+    # two formulas for one notion, kept apart so a check never reads the route it checks;
+    # both against the stored-sign test on -_A M built whole
+    rng = random.Random(5)
+    for m in [k4(), w4()] + [random_om(rng, max_edges=7) for _ in range(10)]:
+        for a in range(1 << m.n):
+            r = reorient(m, _elements(a))
+            for mine, whole in ((m.circuits, r.circuits), (m.cocircuits, r.cocircuits)):
+                want = sorted(x | y for x, y in whole if not (x and y))
+                assert sorted(_positive_under(mine, a)) == sorted(_positive_supports(mine, a)) == want
 
 # ------------------------------------------------------------------- bases
 
