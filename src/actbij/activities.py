@@ -15,7 +15,8 @@ from __future__ import annotations
 from array import array
 from collections import namedtuple
 from functools import lru_cache, reduce
-from itertools import accumulate, pairwise
+from itertools import accumulate, pairwise, product
+from math import comb
 from operator import or_
 
 from .core import (
@@ -30,7 +31,6 @@ from .core import (
     _reoriented,
     _runs,
     _squeeze,
-    _submasks,
     is_connected_matroid,
     restrict_contract,
 )
@@ -265,24 +265,27 @@ def _interval_table(m: OrientedMatroid):
 def _interval_walk(m: OrientedMatroid):
     """One walk over every basis interval [B∖Int(B), B∪Ext(B)], which must
     partition 2^E (Crapo): the owner array, per subset mask the index of
-    its basis's record, and the counts of (|Int(A)|, |P(A)|, |Ext(A)|, |Q(A)|)."""
+    its basis's record, and the counts of (|Int(A)|, |P(A)|, |Ext(A)|, |Q(A)|):
+    in closed form, C(i, k)·C(e, l) at (k, i-k, e-l, l) per interval, i = |Int(B)|, e = |Ext(B)|."""
     table = _interval_table(m)  # first: the bases refuse n above the cap
     # the narrowest signed type that holds every record index
     typecode = "b" if len(table) < 1 << 7 else "h" if len(table) < 1 << 15 else "i"
     owner = array(typecode, [-1]) * (1 << m.n)
     counts: dict[tuple[int, int, int, int], int] = {}
-    bit_count = int.bit_count
     for index, (basis, f, _) in enumerate(table):
         internal, external = f.minima()
-        lo = basis & ~internal
-        for sub in _submasks(internal | external):
-            a = lo | sub
-            if owner[a] >= 0:
-                raise AssertionError(f"subset {a:b} lies in two basis intervals")
-            owner[a] = index
-            i, e = internal & a, external & a
-            key = (bit_count(i), bit_count(internal ^ i), bit_count(external ^ e), bit_count(e))
-            counts[key] = counts.get(key, 0) + 1
+        lo, free = basis & ~internal, internal | external
+        sub = free
+        while True:  # every submask of free, free first and 0 last
+            if owner[lo | sub] >= 0:
+                raise AssertionError(f"subset {lo | sub:b} lies in two basis intervals")
+            owner[lo | sub] = index
+            if not sub:
+                break
+            sub = (sub - 1) & free
+        i, e = internal.bit_count(), external.bit_count()
+        for k, l in product(range(i + 1), range(e + 1)):
+            counts[k, i - k, e - l, l] = counts.get((k, i - k, e - l, l), 0) + comb(i, k) * comb(e, l)
     if -1 in owner:
         raise AssertionError(f"subset {owner.index(-1):b} not covered by any basis interval")
     return owner, counts

@@ -18,6 +18,7 @@ from .activities import (
     Filtration,
     _flips,
     _interval_table,
+    _interval_walk,
     active_filtration_orientation,
 )
 from .bijection import active_basis, alpha_inverse_class
@@ -28,12 +29,7 @@ from .core import (
     is_basis,
 )
 from .graphs import ParseError, _format_mask, format_elements, parse_file, parse_reorientation
-from .tutte import (
-    four_var_reorientation_sum,
-    four_var_subset_sum,
-    tutte_from_bases,
-    tutte_from_orientations,
-)
+from .tutte import _reorientation_histogram, _shifted_coefficients, tutte_from_bases, tutte_from_orientations
 
 
 def _chain_string(f: Filtration) -> str:
@@ -73,15 +69,10 @@ def _cmd_tutte(m: OrientedMatroid, args, out) -> int:
     print(f"route\torientations\t{by_orientations}", file=out)
     if by_orientations == by_bases:
         agree += 1
-    grid = list(itertools.product(range(3), repeat=4))
-    for name, route in (
-        ("subset-sum", four_var_subset_sum),
-        ("reorientation-sum", four_var_reorientation_sum),
-    ):
-        ok = all(
-            route(m, x, u, y, v) == by_bases.evaluate(x + u, y + v)
-            for x, u, y, v in grid
-        )
+    want = _shifted_coefficients(by_bases)  # the counts of both sums, compared exactly
+    routes = (("subset-sum", _interval_walk(m)[1]), ("reorientation-sum", _reorientation_histogram(m)))
+    for name, counts in routes:
+        ok = counts == want
         agree += ok
         print(f"route\t{name}\t{'ok' if ok else 'mismatch'}", file=out)
     print(f"agree={agree}/4", file=out)

@@ -16,7 +16,8 @@ i-th new element is the i-th smallest kept original element, so the
 original identities are always recoverable via ``sorted(kept)``.
 The fundamental sets of one basis come from one pass over the signed
 sets; those of a whole list of bases from one pass bit-sliced over the
-bases, a set of bases being one int.
+bases, a set of bases being one int.  The bases themselves grow level by
+level, bit-sliced over each level in the same way.
 
 All values are immutable; every operation is a pure function of its
 inputs and safe for unrestricted concurrent use.
@@ -26,7 +27,8 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import and_, or_
 
 # Exhaustive operations are meant for desk-scale instances (soft cap
 # n <= 16); 2^n enumeration entry points refuse anything above this.
@@ -381,13 +383,27 @@ def _basis_masks(m: OrientedMatroid) -> tuple[int, ...]:
 
 @lru_cache(maxsize=4096)
 def _bases(n: int, rank: int, supports: tuple[int, ...]) -> tuple[int, ...]:
-    # the independent sets grow level by level; adding e tests the circuits whose largest element is e
+    """The basis masks in lexicographic order: the independent sets grown level by level,
+    each member by each larger e, read out member by member, e ascending.  A level is
+    bit-sliced, a set of members being one int with bit i for level[i]: e cannot join
+    those that hold an element from e up, or C - e for a circuit C whose top is e."""
     check_enumeration_cap(n)
-    by_top = [[s for s in supports if s.bit_length() == e + 1] for e in range(n)]
+    by_top = [[_positions(s ^ 1 << e) for s in supports if s.bit_length() == e + 1] for e in range(n)]
     level = [0]
-    for size in range(rank):  # e leaves room for the rank - size - 1 elements still to come
-        grown = ((b, e) for b in level for e in range(b.bit_length(), n - rank + size + 1))
-        level = [b | 1 << e for b, e in grown if all(s & ~(b | 1 << e) for s in by_top[e])]
+    for size in range(rank):
+        width, every = len(level), (1 << len(level)) - 1
+        rows = "".join(format(b, f"0{n}b") for b in reversed(level))  # as in _all_fundamentals
+        holds = [int(rows[n - 1 - x :: n] or "0", 2) for x in range(n)]  # holds[x]: the members holding bit x
+        high = list(itertools.accumulate(reversed(holds), or_))[::-1]  # high[e]: those holding a bit from e up
+        grown: list[list[int]] = [[] for _ in level]
+        for e in range(n - rank + size + 1):  # e leaves room for the rank - size - 1 elements still to come
+            taken = reduce(or_, (reduce(and_, [holds[x - 1] for x in c], every) for c in by_top[e]), high[e])
+            free, bit = format(every & ~taken, f"0{width}b")[::-1], 1 << e
+            i = free.find("1")
+            while i >= 0:
+                grown[i].append(level[i] | bit)
+                i = free.find("1", i + 1)
+        level = [b for members in grown for b in members]
     return tuple(level)
 
 

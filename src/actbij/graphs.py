@@ -32,7 +32,6 @@ from .core import (
     _basis_masks,
     _mask,
     _positions,
-    _submasks,
     check_enumeration_cap,
     om_from_lists,
 )
@@ -91,8 +90,8 @@ def om_from_digraph(edges) -> OrientedMatroid:
     A bond is the cut of a vertex set s holding the first vertex of its
     component, where s and the rest of the component both induce
     connected subgraphs; so each bond is found once and is minimal.  The
-    sides are the submasks of the component, and each is tested by one
-    flood fill (:func:`_reach`).
+    sides s are grown connected from that vertex, each once, and only the
+    rest is tested, by one flood fill (:func:`_reach`).
     """
     n = len(edges)
     check_enumeration_cap(n)
@@ -111,9 +110,14 @@ def om_from_digraph(edges) -> OrientedMatroid:
         comp = _reach(unreached, nbr)
         unreached ^= comp
         anchor = comp & -comp
-        for rest in _submasks(comp ^ anchor):
-            s, other = anchor | rest, comp ^ anchor ^ rest
-            if other and _reach(s, nbr) == s and _reach(other, nbr) == other:
+        stack = [(anchor, nbr[anchor.bit_length() - 1], 0)]  # (side, its frontier, barred vertices)
+        while stack:
+            s, frontier, barred = stack.pop()
+            v = frontier & -frontier
+            if v:  # s grows by its lowest frontier vertex v, or v is barred from it
+                stack.append((s, frontier ^ v, barred | v))
+                stack.append((s | v, (frontier | nbr[v.bit_length() - 1]) & ~(s | v | barred), barred))
+            elif (other := comp ^ s) and _reach(other, nbr) == other:
                 pos = sum(1 << k for k, (t, h) in enumerate(ends) if s >> t & 1 and other >> h & 1)
                 neg = sum(1 << k for k, (t, h) in enumerate(ends) if s >> h & 1 and other >> t & 1)
                 bonds.append(SignedSubset.from_masks(pos, neg))

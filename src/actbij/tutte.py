@@ -3,8 +3,8 @@
 Routes: basis activities, reorientation activities (all 2^n
 reorientations at once, each set of them one 2^n-bit int, with exact
 division of the class sizes), and two four-variable expansions (subset
-parameters and reorientation parameters).  All coefficients and
-evaluations are exact integers.
+parameters and reorientation parameters), whose counts must equal the
+coefficients of t(x+u, y+v).  All coefficients and evaluations are exact.
 
 The memoized sweeps cache per oriented matroid behind ``lru_cache``,
 whose internal lock makes concurrent readers safe in CPython.
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import groupby
+from math import comb
 
 from .activities import _interval_table, _interval_walk
 from .core import OrientedMatroid, _positions, check_enumeration_cap
@@ -143,17 +144,25 @@ def beta_star(m: OrientedMatroid) -> int:
     return tutte_from_bases(m).coefficient(0, 1)
 
 
+def _shifted_coefficients(t: TuttePolynomial) -> dict[tuple[int, int, int, int], int]:
+    """The coefficients of t(x+u, y+v) in x, u, y, v, by exponents: t_ij·C(i,k)·C(j,l)
+    at (k, i-k, l, j-l), what each four-variable sum must count."""
+    return {(k, i - k, l, j - l): c * comb(i, k) * comb(j, l)
+            for (i, j), c in t for k in range(i + 1) for l in range(j + 1)}
+
+
 def _four_var_sum(counts, x: int, u: int, y: int, v: int) -> int:
     return sum(c * x**i * u**p * y**e * v**q for (i, p, e, q), c in counts.items())
 
 
 def four_var_subset_sum(m: OrientedMatroid, x: int, u: int, y: int, v: int) -> int:
-    """Σ_A x^|Int(A)| u^|P(A)| y^|Ext(A)| v^|Q(A)| over all subsets;
-    equals t(x+u, y+v)."""
+    """The Tutte polynomial expression in refined activities for subsets:
+    Σ_A x^|Int(A)| u^|P(A)| y^|Ext(A)| v^|Q(A)| over all subsets; equals t(x+u, y+v)."""
     return _four_var_sum(_interval_walk(m)[1], x, u, y, v)
 
 
 def four_var_reorientation_sum(m_ref: OrientedMatroid, x: int, u: int, y: int, v: int) -> int:
-    """Σ_A x^|Θ*(A)| u^|Θ̄*(A)| y^|Θ(A)| v^|Θ̄(A)| over all reorientations;
+    """The Tutte polynomial expression in refined activities for reorientations:
+    Σ_A x^|Θ*(A)| u^|Θ̄*(A)| y^|Θ(A)| v^|Θ̄(A)| over all reorientations;
     equals t(x+u, y+v) for any reference orientation."""
     return _four_var_sum(_reorientation_histogram(m_ref), x, u, y, v)

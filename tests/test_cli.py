@@ -1,5 +1,6 @@
 import io
 import contextlib
+import itertools
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from actbij import activities, bijection, cli, core, verify
+from actbij import activities, bijection, cli, core, tutte, verify
 from actbij.cli import main
 from actbij.graphs import format_elements
 from conftest import refined_by_direct_route, refined_stdout, serialize_om, subsets, table_stdout
@@ -91,17 +92,40 @@ def test_tutte_check_agreement():
     assert "t(x,y) = x^3 + 3x^2 + 2x + 4xy + 2y + 3y^2 + y^3" in out
 
 
-@pytest.mark.parametrize("route, attr", [
-    ("subset-sum", "four_var_subset_sum"),
-    ("reorientation-sum", "four_var_reorientation_sum"),
-])
-def test_a_four_variable_sum_off_by_one_fails_tutte_check(monkeypatch, route, attr):
-    real = getattr(cli, attr)
-    monkeypatch.setattr(cli, attr, lambda *args: real(*args) + 1)
+def one_more_empty_subset(counts):
+    """The counts of a four-variable sum with one more A at (0, 0, 0, 0)."""
+    return {**counts, (0, 0, 0, 0): counts.get((0, 0, 0, 0), 0) + 1}
+
+
+@pytest.mark.parametrize("route, attr, fault", [
+    ("subset-sum", "_interval_walk", lambda real: lambda m: (real(m)[0], one_more_empty_subset(real(m)[1]))),
+    ("reorientation-sum", "_reorientation_histogram", lambda real: lambda m: one_more_empty_subset(real(m))),
+], ids=["subset-sum", "reorientation-sum"])
+def test_a_four_variable_sum_off_by_one_fails_tutte_check(monkeypatch, route, attr, fault):
+    # the routes compare the count tables behind the sums; only the CLI's reading is planted
+    monkeypatch.setattr(cli, attr, fault(getattr(cli, attr)))
     code, out = run(["tutte", str(DATA / "k3.graph"), "--check"])
     status = {"subset-sum": "ok", "reorientation-sum": "ok", route: "mismatch"}
     assert code == 1
     assert out.splitlines()[-3:] == [*(f"route\t{name}\t{s}" for name, s in status.items()), "agree=3/4"]
+
+
+# K4's subset counts with an error of degree 3 in x: t(x, 0) = x^3 + 3x^2 + 2x
+# becomes 2x^3 + 4x, which agrees with it at x = 0, 1, 2 and so at every point of {0,1,2}^4
+K4_DEGREE_3_PLANT = {(3, 0, 0, 0): 2, (2, 0, 0, 0): 0, (1, 0, 0, 0): 4}
+
+
+def test_an_error_of_degree_3_the_grid_misses_fails_tutte_check(monkeypatch):
+    real = cli._interval_walk
+    monkeypatch.setattr(cli, "_interval_walk", lambda m: (real(m)[0], {**real(m)[1], **K4_DEGREE_3_PLANT}))
+    m = k4()
+    planted, t = cli._interval_walk(m)[1], cli.tutte_from_bases(m)
+    grid = itertools.product(range(3), repeat=4)
+    assert all(tutte._four_var_sum(planted, x, u, y, v) == t.evaluate(x + u, y + v) for x, u, y, v in grid)
+    assert tutte._four_var_sum(planted, 3, 0, 0, 0) == 66 != 60 == t.evaluate(3, 0)
+    code, out = run(["tutte", str(DATA / "k4.graph"), "--check"])
+    assert code == 1
+    assert out.splitlines()[-3:] == ["route\tsubset-sum\tmismatch", "route\treorientation-sum\tok", "agree=3/4"]
 
 
 def test_table_matches_golden_files():
@@ -155,6 +179,22 @@ def test_verify_failure_exit_code(monkeypatch):
     code, out = run(["verify", str(DATA / "k3.graph")])
     assert code == 1
     assert out.splitlines() == ["FAIL structure: injected failure"]
+
+
+def test_a_library_fault_inside_verify_exits_1(monkeypatch, request):
+    # positivity without the sets whose negative side empties under the flip
+    monkeypatch.setattr(core, "_positive_under", lambda sets, flip: [x | y for x, y in sets if not (x & ~flip | y & flip)])
+    bijection.fully_optimal_basis.cache_clear()
+    request.addfinalizer(bijection.fully_optimal_basis.cache_clear)  # no entry made under the plant stays
+    code, out = run(["verify", str(DATA / "k4.graph")])
+    assert code == 1
+    assert out.splitlines()[-1] == "FAIL bijection: expected exactly one cocircuit inside [1], found 0"
+
+
+def test_verify_above_the_cap_still_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_load", lambda path: core.OrientedMatroid(core.ENUMERATION_CAP + 1, (), (), 0))
+    assert main(["verify", str(DATA / "k4.graph")]) == 2
+    assert capsys.readouterr().err.startswith("error: refusing 2^25 enumeration")
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

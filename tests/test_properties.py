@@ -5,7 +5,9 @@ the connected filtrations against every set partition and cyclic marking,
 the forward map on (M, A) against the same map on the reorientation
 -_A M itself, `refined` against the direct forward map, `table` against
 the per-basis class route, the bases against the scan of every
-rank-sized subset, the served fully optimal basis against the oracle
+rank-sized subset and, order included, against the level-by-level
+search they were bit-sliced from, the interval walk's counts against a
+per-subset tally, the served fully optimal basis against the oracle
 scan over all bases, and the served active basis against both induction
 styles of the recursive definition, and the active bijection onto the
 bases with 2^(|Int(B)|+|Ext(B)|) reorientations on each basis B, whose
@@ -24,6 +26,8 @@ from hypothesis import example, given, settings, strategies as st
 from actbij.activities import (
     Filtration,
     _connected_step,
+    _interval_table,
+    _interval_walk,
     active_filtration_basis,
     active_filtration_orientation,
     active_minors,
@@ -43,6 +47,7 @@ from actbij.core import (
     OrientedMatroid,
     SignedSubset,
     _all_fundamentals,
+    _basis_masks,
     _canonical_list,
     _elements,
     _fundamentals,
@@ -441,6 +446,47 @@ def test_bases_are_the_full_subset_scan(g):
     m = om_from_digraph(g)
     for x in (m, parse_om_file(serialize_om(dual(m)))):
         assert bases(x) == scanned_bases(x)
+
+
+def bases_level_by_level(n: int, rank: int, supports) -> tuple[int, ...]:
+    """The basis masks as the search before bit-slicing grew them: each
+    independent member of a level by each larger e, testing every circuit
+    whose largest element is e against the member plus e."""
+    by_top = [[s for s in supports if s.bit_length() == e + 1] for e in range(n)]
+    level = [0]
+    for size in range(rank):  # e leaves room for the rank - size - 1 elements still to come
+        grown = ((b, e) for b in level for e in range(b.bit_length(), n - rank + size + 1))
+        level = [b | 1 << e for b, e in grown if all(s & ~(b | 1 << e) for s in by_top[e])]
+    return tuple(level)
+
+
+@settings(steady, max_examples=200)
+@given(digraphs(max_edges=10))
+@example(())  # n = 0
+@example((("a", "a"), ("b", "b")))  # loops only: rank 0
+@example((("a", "b"), ("b", "c"), ("c", "d")))  # isthmuses only: rank n
+@example((("a", "b"), ("b", "a"), ("a", "b"), ("b", "b"), ("b", "c")))  # parallel edges, a loop, an isthmus
+@example(k4_digraph())
+def test_the_bit_sliced_bases_are_the_level_by_level_search(g):
+    # the tuple, order included, of the graph's matroid and of both om files
+    m = om_from_digraph(g)
+    for x in (m, parse_om_file(serialize_om(m)), parse_om_file(serialize_om(dual(m)))):
+        assert _basis_masks(x) == bases_level_by_level(x.n, x.rank, [c.pos | c.neg for c in x.circuits])
+
+
+@settings(steady, max_examples=100)
+@given(digraphs(max_edges=9))
+@example(())  # n = 0: one empty interval
+@example(k4_digraph())
+def test_the_interval_counts_are_the_per_subset_tally(g):
+    # each subset A counted at (|Int(A)|, |P(A)|, |Ext(A)|, |Q(A)|) for the basis that owns it
+    m = om_from_digraph(g)
+    owner, counts = _interval_walk(m)
+    table, tally = _interval_table(m), Counter()
+    for a in range(1 << m.n):
+        internal, external = table[owner[a]][1].minima()
+        tally[tuple(map(int.bit_count, (internal & a, internal & ~a, external & ~a, external & a)))] += 1
+    assert counts == dict(tally)
 
 
 @settings(steady, max_examples=60)

@@ -109,6 +109,8 @@ PAPER_NOTIONS = {
     "core.fundamental_cocircuit": "fundamental cocircuit",
     "tutte.beta": "beta invariant",
     "tutte.beta_star": "beta invariant",
+    "tutte.four_var_reorientation_sum": "refined activities for reorientations",
+    "tutte.four_var_subset_sum": "refined activities for subsets",
 }
 
 
@@ -449,6 +451,40 @@ def test_a_failed_self_test_inside_a_check_is_reported_as_its_failure(monkeypatc
             assert_fails_at("bijection", "FAIL bijection: planted")
 
 
+def one_x_for_u(counts):
+    """K3's counts of a four-variable sum with one A moved from x u to x^2: each
+    o_ij of the orientation route, a sum over i and j, stays as it was."""
+    return {**counts, (1, 1, 0, 0): counts[1, 1, 0, 0] - 1, (2, 0, 0, 0): counts[2, 0, 0, 0] + 1}
+
+
+def test_a_library_fault_inside_a_check_is_reported_as_its_failure(monkeypatch, request):
+    # positivity without the sets whose negative side empties under the flip: a
+    # fundamental-set self-test raises InvalidOrientedMatroid, a ValueError
+    monkeypatch.setattr(core, "_positive_under", lambda sets, flip: [x | y for x, y in sets if not (x & ~flip | y & flip)])
+    bijection.fully_optimal_basis.cache_clear()
+    request.addfinalizer(bijection.fully_optimal_basis.cache_clear)  # no entry made under the plant stays
+    lines: list[str] = []
+    assert not verify.run_all(k4(), report=lines.append)
+    assert lines[-1] == "FAIL bijection: expected exactly one cocircuit inside [1], found 0"
+
+
+def test_the_cap_check_still_raises():
+    with pytest.raises(core.GroundSetTooLarge):
+        verify.run_all(core.OrientedMatroid(core.ENUMERATION_CAP + 1, (), (), 0), report=lambda line: None)
+
+
+def test_an_error_of_degree_3_the_grid_misses_fails_tutte_routes(monkeypatch):
+    # K4's subset counts with t(x, 0) = x^3 + 3x^2 + 2x read as 2x^3 + 4x: equal at x = 0, 1, 2
+    real = activities._interval_walk
+    plant = {(3, 0, 0, 0): 2, (2, 0, 0, 0): 0, (1, 0, 0, 0): 4}
+    monkeypatch.setattr(activities, "_interval_walk", lambda m: (real(m)[0], {**real(m)[1], **plant}))
+    names, lines = [name for name, _ in verify.ALL_CHECKS], []
+    assert not verify.run_all(k4(), report=lines.append)
+    assert lines == [f"ok {name}" for name in names[: names.index("tutte-routes")]] + [
+        "FAIL tutte: subset sum coefficient (1, 0, 0, 0): 4 != 2"
+    ]
+
+
 def flips_2_as_well_off_the_first_om(real):
     """A reorient that also flips 2 unless its argument is the first OM it was given."""
     first = []
@@ -465,7 +501,7 @@ def flips_2_as_well_off_the_first_om(real):
 # a check than its PLANTED entry does.  No single fault reaches two clauses,
 # as earlier clauses of their checks imply them: refined-bijection's "not a
 # permutation" (refined_alpha_inverse undoes refined_alpha at every A) and
-# tutte's "t(2,2)" (the subset sum at (1, 1, 1, 1) counts all 2^n subsets)
+# tutte's "t(2,2)" (the subset counts, each subset owned once, add up to 2^n)
 PLANTED_ALONE = [
     (
         # tutte-routes reads tutte_from_bases before class-counts does
@@ -506,18 +542,18 @@ PLANTED_ALONE = [
     (
         "tutte-routes-subset-sum",
         verify.check_tutte_routes,
-        tutte,
-        "four_var_subset_sum",
-        lambda real: lambda *args: real(*args) + 1,
-        "tutte: subset sum at (0, 0, 0, 0)",
+        activities,
+        "_interval_walk",
+        lambda real: lambda m: (real(m)[0], one_x_for_u(real(m)[1])),
+        "tutte: subset sum coefficient (1, 1, 0, 0): 1 != 2",
     ),
     (
         "tutte-routes-reorientation-sum",
         verify.check_tutte_routes,
         tutte,
-        "four_var_reorientation_sum",
-        lambda real: lambda *args: real(*args) + 1,
-        "tutte: reorientation sum at (0, 0, 0, 0)",
+        "_reorientation_histogram",
+        lambda real: lambda m: one_x_for_u(real(m)),
+        "tutte: reorientation sum coefficient (1, 1, 0, 0): 1 != 2",
     ),
     (
         "bounded-minors-connected",
