@@ -26,13 +26,12 @@ from .core import (
     _all_fundamentals,
     _basis_masks,
     _fundamentals,
+    _minor,
     _new,
     _positions,
     _reoriented,
-    _runs,
     _squeeze,
     is_connected_matroid,
-    restrict_contract,
 )
 
 
@@ -153,11 +152,7 @@ def active_filtration_orientation(m: OrientedMatroid, a=()) -> Filtration:
     return Filtration.from_masks(cyclic + acyclic[::-1], len(cyclic))
 
 
-@lru_cache(maxsize=512)
-def _step_minor(m: OrientedMatroid, large: int, small: int):
-    """The minor M(G)/F of the chain masks F ⊂ G, built once per step,
-    with the runs of G∖F that squeeze a mask onto its ground set."""
-    return restrict_contract(m, _elements(large), _elements(small)), _runs(large & ~small)
+_step_minor = lru_cache(maxsize=512)(_minor)  # (M(G)/F, runs of G∖F) per chain step F ⊂ G, built once
 
 
 def active_minors(m: OrientedMatroid, f: Filtration, a=()) -> list[OrientedMatroid]:
@@ -165,11 +160,14 @@ def active_minors(m: OrientedMatroid, f: Filtration, a=()) -> list[OrientedMatro
     each re-indexed on 1..|part|; original identities are sorted(part).
     For the active filtration of -_A M these are bounded (upper), resp.
     dual-bounded (lower), w.r.t. their smallest element.  Each is the
-    cached M(G)/F reoriented by A ∩ (G∖F), squeezed onto it."""
-    a = _mask(a)
-    chain = accumulate(f.masks, or_, initial=0)
-    steps = (_step_minor(m, large, small) for small, large in pairwise(chain))
-    return [_reoriented(minor, _squeeze(a, runs)) for minor, runs in steps]
+    cached M(G)/F of ``core._minor`` reoriented by A ∩ (G∖F), squeezed onto it."""
+    return [minor for minor, _ in _active_steps(m, f, _mask(a))]
+
+
+def _active_steps(m: OrientedMatroid, f: Filtration, a: int) -> list[tuple[OrientedMatroid, tuple]]:
+    """Each minor of :func:`active_minors` under the mask a, with the runs that unsqueeze its masks."""
+    steps = (_step_minor(m, large, small) for small, large in pairwise(accumulate(f.masks, or_, initial=0)))
+    return [(_reoriented(minor, _squeeze(a, runs)), runs) for minor, runs in steps]
 
 
 def is_connected_filtration(m: OrientedMatroid, f: Filtration) -> bool:

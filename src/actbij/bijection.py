@@ -12,10 +12,10 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .activities import (
+    _active_steps,
     _flips,
     _owner,
     active_filtration_orientation,
-    active_minors,
     basis_pass,
     orientation_activities,
 )
@@ -27,6 +27,7 @@ from .core import (
     _fundamentals,
     _minor,
     _positions,
+    _unsqueeze,
     compose,
     dual,
     is_basis,
@@ -125,25 +126,18 @@ def fully_optimal_basis(m: OrientedMatroid) -> frozenset[int]:
     if m.n == 1:
         return frozenset({1})
     full, omega = (1 << m.n) - 1, 1 << (m.n - 1)
-    minors = ((_minor(m, full, omega), omega), (_minor(m, full ^ omega, 0), 0))
+    minors = ((_minor(m, full, omega)[0], omega), (_minor(m, full ^ omega, 0)[0], 0))
     candidates = [_mask(fully_optimal_basis(minor)) | top for minor, top in minors if is_bounded(minor)]
     return _elements(_only_passing(m, candidates, True))
 
 
 def active_basis(m: OrientedMatroid, a=()) -> frozenset[int]:
     """The active basis of -_A M: the disjoint union of the fully optimal
-    bases of its active minors, translated back to the original element
-    indices.  The minors are built from M once per chain step and
-    reoriented by A; -_A M is built whole only as its own one minor."""
-    f = active_filtration_orientation(m, a)
-    return frozenset().union(*(
-        _translated(fully_optimal_basis(minor), _positions(part))
-        for minor, part in zip(active_minors(m, f, a), f.masks)
-    ))
-
-
-def _translated(sub: frozenset[int], back: list[int]) -> frozenset[int]:
-    return frozenset(back[i - 1] for i in sub)
+    bases of its active minors, each unsqueezed back onto M's elements by
+    the runs its minor was built with.  The minors are built from M once per
+    chain step and reoriented by A; -_A M is built whole only as its own one minor."""
+    steps = _active_steps(m, active_filtration_orientation(m, a), _mask(a))
+    return _elements(sum(_unsqueeze(_mask(fully_optimal_basis(minor)), runs) for minor, runs in steps))
 
 
 def alpha_inverse_class(m_ref: OrientedMatroid, b: frozenset[int]) -> ReorientationClassResult:

@@ -10,10 +10,10 @@ function takes and returns element sets.
 
 An oriented matroid is stored by its full lists of signed circuits and
 signed cocircuits, one canonical representative per opposite pair (the
-smallest element of the support is positive).  A minor is built in one
-pass over the masks and re-indexed on 1..m by compressing bits: the
-i-th new element is the i-th smallest kept original element, so the
-original identities are always recoverable via ``sorted(kept)``.
+smallest element of the support is positive).  ``_minor`` builds M(G)/F
+in one pass over the masks, re-indexed on 1..|G∖F| by squeezing the runs
+of G∖F (the i-th new element is the i-th smallest kept one), and returns
+those runs, by which ``_unsqueeze`` maps its masks back onto M's elements.
 The fundamental sets of one basis come from one pass over the signed
 sets; those of a whole list of bases from one pass bit-sliced over the
 bases, a set of bases being one int.  The bases themselves grow level by
@@ -324,16 +324,16 @@ def restrict_contract(m: OrientedMatroid, keep, contracted) -> OrientedMatroid:
     to keep - contracted of the circuits inside keep, and dually the
     cocircuits are those of the cocircuits avoiding contracted.
     """
-    return _minor(m, _mask(keep), _mask(contracted))
+    return _minor(m, _mask(keep), _mask(contracted))[0]
 
 
-def _minor(m: OrientedMatroid, keep: int, contracted: int) -> OrientedMatroid:
-    """:func:`restrict_contract` on masks."""
+def _minor(m: OrientedMatroid, keep: int, contracted: int):
+    """:func:`restrict_contract` on masks, and the runs of keep - contracted it squeezed by."""
     ground = keep & ~contracted
     runs, size = _runs(ground), ground.bit_count()
     circuits = _minor_sets(m.circuits, ~keep, ground, runs)
     cocircuits = _minor_sets(m.cocircuits, contracted, ground, runs)
-    return OrientedMatroid(size, circuits, cocircuits, _greedy_rank(_supports(circuits), (1 << size) - 1))
+    return OrientedMatroid(size, circuits, cocircuits, _greedy_rank(_supports(circuits), (1 << size) - 1)), runs
 
 
 def delete(m: OrientedMatroid, removed) -> OrientedMatroid:

@@ -21,7 +21,6 @@ from .core import (
     _minor,
     _positive_under,
     _reoriented,
-    _runs,
     _squeeze,
     _submasks,
     _supports,
@@ -52,19 +51,20 @@ def active_basis_recursive(
     element (or greatest active element when ``circuit_induction``).  Each minor
     is (G, F, side) relative to M: M(G)/F, dualized when side is set after a dual
     hop, under flip ∩ (G∖F) squeezed.  ``memo`` holds three tables: "minors" maps
-    (M, G, F, side) to that unsigned minor, built once, "scans" (minor, squeezed
-    flip) to its scan and "bases" (minor, squeezed flip, style) to its basis mask,
-    so no reoriented OM; when not passed in it lives for this call."""
+    (M, G, F, side) to that unsigned minor and the runs of G∖F, built once, "scans"
+    (minor, squeezed flip) to its scan and "bases" (minor, squeezed flip, style) to
+    its basis mask, so no reoriented OM; when not passed in it lives for this call."""
     minors, scans, bases = ({} if memo is None else memo.setdefault(t, {}) for t in ("minors", "scans", "bases"))
 
     def step(large: int, small: int, side: int) -> int:
         """The active basis of the minor (large, small, side), as a mask in M's terms."""
-        runs = _runs(large & ~small)
         if (m, large, small, 0) not in minors:
             minors[m, large, small, 0] = _minor(m, large, small)
         if (m, large, small, side) not in minors:
-            minors[m, large, small, 1] = dual(minors[m, large, small, 0])
-        key = (minors[m, large, small, side], _squeeze(flip, runs), circuit_induction)
+            minor, runs = minors[m, large, small, 0]
+            minors[m, large, small, 1] = dual(minor), runs
+        minor, runs = minors[m, large, small, side]
+        key = (minor, _squeeze(flip, runs), circuit_induction)
         if key not in bases:
             bases[key] = induction(large, small, side, runs, *key[:2])
         return _unsqueeze(bases[key], runs)
@@ -130,7 +130,7 @@ def all_connected_filtrations(m: OrientedMatroid) -> list[Filtration]:
 
     def step_ok(small: int, large: int, cyclic: bool) -> bool:
         if (small, large, cyclic) not in memo:
-            memo[small, large, cyclic] = _connected_step(_minor(m, large, small), cyclic)
+            memo[small, large, cyclic] = _connected_step(_minor(m, large, small)[0], cyclic)
         return memo[small, large, cyclic]
 
     def acyclic(parts: list[int], placed: int, cyclic_index: int) -> None:

@@ -119,24 +119,16 @@ def _bounded_step(m, small: int, part: int, cyclic: bool, a: int) -> bool:
     return core._bounded_under(minor, core._squeeze(a, runs), cyclic)
 
 
-def _unbounded_part(m, f, a: int):
-    """The index of the first part of f that fails :func:`_bounded_step` at the mask a, else None."""
-    small = 0
-    for i, part in enumerate(f.masks):
-        if not _bounded_step(m, small, part, f.part_is_cyclic(i), a):
-            return i
-        small |= part
-    return None
-
-
 def check_bounded_minors(m, sweep):
     for a in range(1 << m.n):
         f = sweep.value(activities.active_filtration_orientation, a)
         if not activities.is_connected_filtration(m, f):
             _fail("bounded-minors", f"A={core._positions(a)}: filtration not connected")
-        i = _unbounded_part(m, f, a)
-        if i is not None:
-            _fail("bounded-minors", f"A={core._positions(a)}, part {i}")
+        small = 0
+        for i, part in enumerate(f.masks):
+            if not _bounded_step(m, small, part, f.part_is_cyclic(i), a):
+                _fail("bounded-minors", f"A={core._positions(a)}, part {i}")
+            small |= part
 
 
 def check_class_invariance(m, sweep):

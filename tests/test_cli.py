@@ -1,5 +1,6 @@
 import io
 import contextlib
+import functools
 import itertools
 import os
 import subprocess
@@ -126,6 +127,21 @@ def test_an_error_of_degree_3_the_grid_misses_fails_tutte_check(monkeypatch):
     code, out = run(["tutte", str(DATA / "k4.graph"), "--check"])
     assert code == 1
     assert out.splitlines()[-3:] == ["route\tsubset-sum\tmismatch", "route\treorientation-sum\tok", "agree=3/4"]
+
+
+def test_basis_intervals_that_fail_to_partition_fail_tutte_check(monkeypatch, request, capsys):
+    # every basis of K3 given the parts 1|2|3 above the cyclic flat: the intervals overlap
+    parts = activities.Filtration.from_masks((1, 2, 4), 0)
+    monkeypatch.setattr(activities, "basis_pass", lambda funds, basis: (parts, 0))
+    for cached in (activities._interval_table, activities._interval_walk):
+        cached.cache_clear()
+        request.addfinalizer(cached.cache_clear)  # no record made under the plant stays
+    code, out = run(["tutte", str(DATA / "k3.graph"), "--check"])
+    assert (code, capsys.readouterr().err) == (1, "")
+    assert out.splitlines()[-5:] == [
+        "route\tbases\t3x^3", "route\torientations\tx^2 + x + y",
+        "route\tsubset-sum\tmismatch", "route\treorientation-sum\tmismatch", "agree=1/4",
+    ]
 
 
 def test_table_matches_golden_files():
@@ -334,7 +350,8 @@ def test_refined_builds_no_minor_and_runs_no_scan(monkeypatch):
     want = refined_stdout(m)
     activities._interval_table.cache_clear()  # the records are built again below
     for module in (core, activities, bijection, cli):
-        for name in ("reorient", "restrict_contract", "active_basis", "fully_optimal_basis", "bases"):
+        for name in ("reorient", "restrict_contract", "_minor", "_step_minor", "active_basis",
+                     "fully_optimal_basis", "bases"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, planted)
     assert refined_stdout(m) == want
@@ -345,8 +362,8 @@ def test_table_builds_no_minor_and_runs_no_scan(monkeypatch):
     want = table_stdout(m)
     activities._interval_table.cache_clear()  # the records are built again below
     for module in (core, activities, bijection, cli):
-        for name in ("reorient", "restrict_contract", "active_basis", "fully_optimal_basis",
-                     "alpha_inverse_class", "basis_activities", "bases"):
+        for name in ("reorient", "restrict_contract", "_minor", "_step_minor", "active_basis",
+                     "fully_optimal_basis", "alpha_inverse_class", "basis_activities", "bases"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, planted)
     assert table_stdout(m) == want
@@ -390,17 +407,18 @@ def test_one_fundamental_pass_per_basis(monkeypatch, graph, commands):
 def test_alpha_builds_each_chain_step_once_and_never_reorients_m(monkeypatch):
     m = w4()
     built, reoriented = [], []
-    real = core.restrict_contract
 
     def counted(om, keep, contracted):
-        built.append((frozenset(keep), frozenset(contracted)))
-        return real(om, keep, contracted)
+        built.append((core._elements(keep), core._elements(contracted)))
+        return core._minor(om, keep, contracted)
 
+    # the step cache binds core._minor when it is made: count the builds behind a cache of its size
+    assert activities._step_minor.__wrapped__ is core._minor
+    step_cache = functools.lru_cache(**activities._step_minor.cache_parameters())
+    monkeypatch.setattr(activities, "_step_minor", step_cache(counted))
     for module in (core, activities, bijection, cli):
-        for name, fake in (("restrict_contract", counted), ("reorient", lambda *args: reoriented.append(args))):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, fake)
-    activities._step_minor.cache_clear()
+        if hasattr(module, "reorient"):
+            monkeypatch.setattr(module, "reorient", lambda *args: reoriented.append(args))
     steps = set()
     for a in subsets(m.n):
         chain = activities.active_filtration_orientation(m, a).chain

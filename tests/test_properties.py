@@ -51,6 +51,10 @@ from actbij.core import (
     _canonical_list,
     _elements,
     _fundamentals,
+    _mask,
+    _minor,
+    _squeeze,
+    _unsqueeze,
     bases,
     compose,
     dual,
@@ -142,7 +146,14 @@ def graph_minor(g, keep, contracted):
 def test_restrict_contract_is_the_graph_minor(case):
     g, keep, contracted = case
     want = om_from_digraph(graph_minor(g, keep, contracted))
-    assert restrict_contract(om_from_digraph(g), keep, contracted) == want
+    m = om_from_digraph(g)
+    assert restrict_contract(m, keep, contracted) == want
+    # the mask builder gives the same minor, and its runs re-index G∖F onto 1..|G∖F| ascending
+    minor, runs = _minor(m, _mask(keep), _mask(contracted))
+    assert minor == want
+    ground = sorted(keep - contracted)
+    assert [_squeeze(1 << (e - 1), runs) for e in ground] == [1 << i for i in range(len(ground))]
+    assert all(_unsqueeze(_squeeze(x, runs), runs) == x & _mask(ground) for x in range(1 << len(g)))
 
 
 def brute_force_circuit_supports(g) -> set[int]:
