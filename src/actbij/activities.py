@@ -15,8 +15,7 @@ from __future__ import annotations
 from array import array
 from collections import namedtuple
 from functools import lru_cache, reduce
-from itertools import accumulate, pairwise, product
-from math import comb
+from itertools import accumulate, pairwise
 from operator import or_
 
 from .core import (
@@ -263,13 +262,11 @@ def _interval_table(m: OrientedMatroid):
 def _interval_walk(m: OrientedMatroid):
     """One walk over every basis interval [B∖Int(B), B∪Ext(B)], which must
     partition 2^E (Crapo): the owner array, per subset mask the index of
-    its basis's record, and the counts of (|Int(A)|, |P(A)|, |Ext(A)|, |Q(A)|):
-    in closed form, C(i, k)·C(e, l) at (k, i-k, e-l, l) per interval, i = |Int(B)|, e = |Ext(B)|."""
+    its basis's record."""
     table = _interval_table(m)  # first: the bases refuse n above the cap
     # the narrowest signed type that holds every record index
     typecode = "b" if len(table) < 1 << 7 else "h" if len(table) < 1 << 15 else "i"
     owner = array(typecode, [-1]) * (1 << m.n)
-    counts: dict[tuple[int, int, int, int], int] = {}
     for index, (basis, f, _) in enumerate(table):
         internal, external = f.minima()
         lo, free = basis & ~internal, internal | external
@@ -281,19 +278,16 @@ def _interval_walk(m: OrientedMatroid):
             if not sub:
                 break
             sub = (sub - 1) & free
-        i, e = internal.bit_count(), external.bit_count()
-        for k, l in product(range(i + 1), range(e + 1)):
-            counts[k, i - k, e - l, l] = counts.get((k, i - k, e - l, l), 0) + comb(i, k) * comb(e, l)
     if -1 in owner:
         raise AssertionError(f"subset {owner.index(-1):b} not covered by any basis interval")
-    return owner, counts
+    return owner
 
 
 def _owner(m: OrientedMatroid, a: int):
     """The record of the basis whose interval contains the subset mask ``a``."""
     if a >> m.n:
         raise ValueError(f"{_positions(a)} is not a subset of the ground set")
-    return _interval_table(m)[_interval_walk(m)[0][a]]
+    return _interval_table(m)[_interval_walk(m)[a]]
 
 
 def basis_of_subset(m: OrientedMatroid, a) -> frozenset[int]:

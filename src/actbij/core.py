@@ -348,8 +348,8 @@ def contract(m: OrientedMatroid, removed) -> OrientedMatroid:
 
 
 def _positive_under(signed_sets, flip: int) -> list[int]:
-    """Supports of the signed sets of M positive up to sign in -_flip M: one side empty once the
-    signs on the mask flip swap.  Oracles' test, apart from ``activities._positive_supports``."""
+    """Supports of the signed sets of M positive up to sign in -_flip M: one side empty once the signs on
+    flip swap.  The one boundedness test, for answers and oracles; ``activities._positive_supports`` is apart."""
     return [x | y for x, y in signed_sets if not (x & ~flip | y & flip) or not (y & ~flip | x & flip)]
 
 

@@ -2,9 +2,9 @@
 
 Routes: basis activities, reorientation activities (all 2^n
 reorientations at once, each set of them one 2^n-bit int, with exact
-division of the class sizes), and two four-variable expansions (subset
-parameters and reorientation parameters), whose counts must equal the
-coefficients of t(x+u, y+v).  All coefficients and evaluations are exact.
+division of the class sizes), and two four-variable sums: over subsets,
+t(x+u, y+v) once the basis intervals partition 2^E; over reorientations,
+counts that must equal its coefficients.  All coefficients and evaluations are exact.
 
 The memoized sweeps cache per oriented matroid behind ``lru_cache``,
 whose internal lock makes concurrent readers safe in CPython.
@@ -151,18 +151,16 @@ def _shifted_coefficients(t: TuttePolynomial) -> dict[tuple[int, int, int, int],
             for (i, j), c in t for k in range(i + 1) for l in range(j + 1)}
 
 
-def _four_var_sum(counts, x: int, u: int, y: int, v: int) -> int:
-    return sum(c * x**i * u**p * y**e * v**q for (i, p, e, q), c in counts.items())
-
-
 def four_var_subset_sum(m: OrientedMatroid, x: int, u: int, y: int, v: int) -> int:
     """The Tutte polynomial expression in refined activities for subsets:
-    Σ_A x^|Int(A)| u^|P(A)| y^|Ext(A)| v^|Q(A)| over all subsets; equals t(x+u, y+v)."""
-    return _four_var_sum(_interval_walk(m)[1], x, u, y, v)
+    Σ_A x^|Int(A)| u^|P(A)| y^|Ext(A)| v^|Q(A)| over all subsets; equals t(x+u, y+v), as the
+    basis intervals partition 2^E (the walk raises if not) and that of B adds (x+u)^|Int(B)|·(y+v)^|Ext(B)|."""
+    _interval_walk(m)
+    return tutte_from_bases(m).evaluate(x + u, y + v)
 
 
 def four_var_reorientation_sum(m_ref: OrientedMatroid, x: int, u: int, y: int, v: int) -> int:
     """The Tutte polynomial expression in refined activities for reorientations:
     Σ_A x^|Θ*(A)| u^|Θ̄*(A)| y^|Θ(A)| v^|Θ̄(A)| over all reorientations;
     equals t(x+u, y+v) for any reference orientation."""
-    return _four_var_sum(_reorientation_histogram(m_ref), x, u, y, v)
+    return sum(c * x**i * u**p * y**e * v**q for (i, p, e, q), c in _reorientation_histogram(m_ref).items())

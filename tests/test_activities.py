@@ -394,10 +394,22 @@ def test_the_owner_array_holds_every_record_index(monkeypatch, n):
     table = (*pairs, *singles)
     assert len(table) == (1 << (n - 1)) + 2
     monkeypatch.setattr(activities, "_interval_table", lambda m: table)
-    owner, counts = activities._interval_walk.__wrapped__(SimpleNamespace(n=n))
+    owner = activities._interval_walk.__wrapped__(SimpleNamespace(n=n))
     assert len(owner) == 1 << n and min(owner) == 0 and max(owner) == len(table) - 1
     assert list(owner[-4:]) == list(range(len(table) - 4, len(table)))
-    assert counts == {(0, 0, 1, 0): len(pairs), (0, 0, 0, 1): len(pairs), (0, 0, 0, 0): len(singles)}
+    assert owner.typecode == {8: "h", 16: "i"}[n]  # and the narrowest that does
+
+
+def test_a_small_table_takes_a_byte_per_owner(k4_om):
+    assert activities._interval_walk(k4_om).typecode == "b"  # 16 records
+
+
+def test_an_interval_overlapping_record_0_fails_the_walks_self_test(monkeypatch):
+    # record 0 owns both subsets of a one-element ground set, then record 1 claims the empty one
+    table = ((0, StandInMinima((0, 1)), None), (0, StandInMinima((0, 0)), None))
+    monkeypatch.setattr(activities, "_interval_table", lambda m: table)
+    with pytest.raises(AssertionError, match="^subset 0 lies in two basis intervals$"):
+        activities._interval_walk.__wrapped__(SimpleNamespace(n=1))
 
 
 def test_a_filtration_missing_elements_fails_its_self_test():

@@ -6,14 +6,15 @@ the forward map on (M, A) against the same map on the reorientation
 -_A M itself, `refined` against the direct forward map, `table` against
 the per-basis class route, the bases against the scan of every
 rank-sized subset and, order included, against the level-by-level
-search they were bit-sliced from, the interval walk's counts against a
-per-subset tally, the served fully optimal basis against the oracle
-scan over all bases, and the served active basis against both induction
-styles of the recursive definition, and the active bijection onto the
-bases with 2^(|Int(B)|+|Ext(B)|) reorientations on each basis B, whose
-activities it keeps; then the three Tutte routes, the class and refined
-round trips, α and active duality, the four-variable sums and the unique
-connected filtration of each reorientation."""
+search they were bit-sliced from, the per-subset tally of the interval
+walk's owners against the coefficients of t(x+u, y+v), the served fully
+optimal basis against the oracle scan over all bases, and the served
+active basis against both induction styles of the recursive definition,
+and the active bijection onto the bases with 2^(|Int(B)|+|Ext(B)|)
+reorientations on each basis B, whose activities it keeps; then the
+three Tutte routes, the class and refined round trips, α and active
+duality, the four-variable sums and the unique connected filtration of
+each reorientation."""
 
 import copy
 import itertools
@@ -75,6 +76,7 @@ from actbij.oracles import (
 )
 from actbij.tutte import (
     _reorientation_histogram,
+    _shifted_coefficients,
     four_var_reorientation_sum,
     four_var_subset_sum,
     tutte_from_bases,
@@ -490,14 +492,14 @@ def test_the_bit_sliced_bases_are_the_level_by_level_search(g):
 @example(())  # n = 0: one empty interval
 @example(k4_digraph())
 def test_the_interval_counts_are_the_per_subset_tally(g):
-    # each subset A counted at (|Int(A)|, |P(A)|, |Ext(A)|, |Q(A)|) for the basis that owns it
+    # Crapo's identity subset by subset: each A counted at (|Int(A)|, |P(A)|, |Ext(A)|, |Q(A)|)
+    # for the basis that owns it gives the coefficients of t(x+u, y+v)
     m = om_from_digraph(g)
-    owner, counts = _interval_walk(m)
-    table, tally = _interval_table(m), Counter()
+    owner, table, tally = _interval_walk(m), _interval_table(m), Counter()
     for a in range(1 << m.n):
         internal, external = table[owner[a]][1].minima()
         tally[tuple(map(int.bit_count, (internal & a, internal & ~a, external & ~a, external & a)))] += 1
-    assert counts == dict(tally)
+    assert dict(tally) == _shifted_coefficients(tutte_from_bases(m))
 
 
 @settings(steady, max_examples=60)

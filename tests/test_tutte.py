@@ -4,8 +4,8 @@ from collections import defaultdict
 
 import pytest
 
-from actbij import tutte
-from actbij.activities import active_filtration_orientation, orientation_activities
+from actbij import activities, tutte
+from actbij.activities import Filtration, active_filtration_orientation, orientation_activities
 from actbij.bijection import active_basis
 from actbij.core import (
     GroundSetTooLarge,
@@ -150,6 +150,16 @@ def test_four_var_sums_on_grid(k3_om, k4_om):
             want = t.evaluate(x + u, y + v)
             assert four_var_subset_sum(m, x, u, y, v) == want
             assert four_var_reorientation_sum(m, x, u, y, v) == want
+
+
+def test_the_subset_sum_raises_where_the_basis_intervals_overlap(monkeypatch, request, k3_om):
+    # every basis of K3 given the parts 1|2|3 above the cyclic flat: each interval is all of 2^E
+    monkeypatch.setattr(activities, "basis_pass", lambda funds, basis: (Filtration.from_masks((1, 2, 4), 0), 0))
+    for cached in (activities._interval_table, activities._interval_walk):
+        cached.cache_clear()
+        request.addfinalizer(cached.cache_clear)  # no record made under the plant stays
+    with pytest.raises(AssertionError, match="^subset 111 lies in two basis intervals$"):
+        four_var_subset_sum(k3_om, 1, 0, 0, 0)
 
 
 def test_independent_and_spanning_counts(k4_om):

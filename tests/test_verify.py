@@ -51,6 +51,21 @@ def test_only_verify_imports_the_oracles():
     assert {name for name, path in modules.items() if imports_oracles(path)} == {"__init__", "verify"}
 
 
+def takes_binomials(path: Path) -> bool:
+    """Whether the module reads math.comb, imported by name or off math."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.module == "math" and "comb" in [a.name for a in node.names]:
+            return True
+        if isinstance(node, ast.Attribute) and node.attr == "comb" and getattr(node.value, "id", None) == "math":
+            return True
+    return False
+
+
+def test_only_tutte_imports_the_binomials():
+    # t(x+u, y+v) is expanded in one place, tutte._shifted_coefficients
+    assert {path.stem for path in SRC.glob("*.py") if takes_binomials(path)} == {"tutte"}
+
+
 def cache_sizes(path: Path) -> dict[str, object]:
     """The maxsize of every function decorated with lru_cache (128 when
     bare) or with functools.cache (None), by function name."""
@@ -474,14 +489,15 @@ def test_the_cap_check_still_raises():
 
 
 def test_an_error_of_degree_3_the_grid_misses_fails_tutte_routes(monkeypatch):
-    # K4's subset counts with t(x, 0) = x^3 + 3x^2 + 2x read as 2x^3 + 4x: equal at x = 0, 1, 2
-    real = activities._interval_walk
+    # K4's expansion of t(x+u, y+v) with t(x, 0) = x^3 + 3x^2 + 2x read as 2x^3 + 4x: equal at
+    # x = 0, 1, 2.  Planted in the expansion, as the orientation route reads the histogram too
+    real = tutte._shifted_coefficients
     plant = {(3, 0, 0, 0): 2, (2, 0, 0, 0): 0, (1, 0, 0, 0): 4}
-    monkeypatch.setattr(activities, "_interval_walk", lambda m: (real(m)[0], {**real(m)[1], **plant}))
+    monkeypatch.setattr(tutte, "_shifted_coefficients", lambda t: {**real(t), **plant})
     names, lines = [name for name, _ in verify.ALL_CHECKS], []
     assert not verify.run_all(k4(), report=lines.append)
     assert lines == [f"ok {name}" for name in names[: names.index("tutte-routes")]] + [
-        "FAIL tutte: subset sum coefficient (1, 0, 0, 0): 4 != 2"
+        "FAIL tutte: reorientation sum coefficient (1, 0, 0, 0): 2 != 4"
     ]
 
 
@@ -498,10 +514,10 @@ def flips_2_as_well_off_the_first_om(real):
 
 # faults planted under one check called alone on a fresh record: where an
 # earlier check would read the plant first, or to reach a later condition of
-# a check than its PLANTED entry does.  No single fault reaches two clauses,
-# as earlier clauses of their checks imply them: refined-bijection's "not a
-# permutation" (refined_alpha_inverse undoes refined_alpha at every A) and
-# tutte's "t(2,2)" (the subset counts, each subset owned once, add up to 2^n)
+# a check than its PLANTED entry does.  No single fault reaches one clause,
+# as an earlier clause of its check implies it: refined-bijection's "not a
+# permutation" (refined_alpha_inverse undoes refined_alpha at every A).
+# A fault in the basis intervals raises the walk's own AssertionError
 PLANTED_ALONE = [
     (
         # tutte-routes reads tutte_from_bases before class-counts does
@@ -540,12 +556,13 @@ PLANTED_ALONE = [
         "activity-duality: A=[]",
     ),
     (
+        # every basis of K3 given the parts 1|2|3 above the cyclic flat: the intervals overlap
         "tutte-routes-subset-sum",
         verify.check_tutte_routes,
         activities,
-        "_interval_walk",
-        lambda real: lambda m: (real(m)[0], one_x_for_u(real(m)[1])),
-        "tutte: subset sum coefficient (1, 1, 0, 0): 1 != 2",
+        "basis_pass",
+        lambda real: lambda funds, basis: (Filtration.from_masks((1, 2, 4), 0), 0),
+        "subset 111 lies in two basis intervals",
     ),
     (
         "tutte-routes-reorientation-sum",
@@ -554,6 +571,24 @@ PLANTED_ALONE = [
         "_reorientation_histogram",
         lambda real: lambda m: one_x_for_u(real(m)),
         "tutte: reorientation sum coefficient (1, 1, 0, 0): 1 != 2",
+    ),
+    (
+        # a key on one side only is compared too: here the histogram lacks it
+        "tutte-routes-expansion-only",
+        verify.check_tutte_routes,
+        tutte,
+        "_shifted_coefficients",
+        lambda real: lambda t: {**real(t), (0, 0, 0, 2): 1},
+        "tutte: reorientation sum coefficient (0, 0, 0, 2): 0 != 1",
+    ),
+    (
+        # and here the expansion lacks it; both sides read 1 where they hold it
+        "tutte-routes-histogram-only",
+        verify.check_tutte_routes,
+        tutte,
+        "_shifted_coefficients",
+        lambda real: lambda t: {key: c for key, c in real(t).items() if key != (2, 0, 0, 0)},
+        "tutte: reorientation sum coefficient (2, 0, 0, 0): 1 != 0",
     ),
     (
         "bounded-minors-connected",
@@ -632,6 +667,15 @@ PLANTED_ALONE = [
         "tutte: t(1,1) is not the number of bases",
     ),
     (
+        # no route evaluates the polynomial, and t(1,1) is left as it is
+        "tutte-routes-two-two",
+        verify.check_tutte_routes,
+        TuttePolynomial,
+        "evaluate",
+        lambda real: lambda self, x, y: real(self, x, y) + ((x, y) == (2, 2)),
+        "tutte: t(2,2) is not 2^n",
+    ),
+    (
         # no route reads a single coefficient
         "tutte-routes-constant-term",
         verify.check_tutte_routes,
@@ -670,11 +714,24 @@ PLANTED_ALONE = [
 
 
 @pytest.mark.parametrize("name, check, module, attr, fault, message", PLANTED_ALONE, ids=[p[0] for p in PLANTED_ALONE])
-def test_a_planted_fault_fails_its_check_called_alone(monkeypatch, name, check, module, attr, fault, message):
+def test_a_planted_fault_fails_its_check_called_alone(monkeypatch, request, name, check, module, attr, fault, message):
     monkeypatch.setattr(module, attr, fault(getattr(module, attr)))
+    for cached in (activities._interval_table, activities._interval_walk):
+        cached.cache_clear()  # records cached by earlier tests would hide a fault
+        request.addfinalizer(cached.cache_clear)  # and none made under the plant stays
     m = k3()
-    with pytest.raises(verify.VerificationFailure, match=f"^{re.escape(message)}$"):
+    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$") as raised:
         check(m, verify.Sweep(m))
+    # the walk's partition self-test, alone, is the library's own AssertionError
+    assert type(raised.value) is (AssertionError if name == "tutte-routes-subset-sum" else verify.VerificationFailure)
+
+
+def test_the_constant_term_is_checked_on_one_element(monkeypatch):
+    # an isthmus: the smallest nonempty ground set
+    m = core.om_from_lists(1, [], [core.SignedSubset(frozenset({1}), frozenset())])
+    monkeypatch.setattr(TuttePolynomial, "coefficient", lambda self, i, j: 1)
+    with pytest.raises(verify.VerificationFailure, match="^tutte: b_00 nonzero for a nonempty ground set$"):
+        verify.check_tutte_routes(m, verify.Sweep(m))
 
 
 def filtration_uniqueness_by_loop(m, sweep):
