@@ -347,6 +347,22 @@ def contract(m: OrientedMatroid, removed) -> OrientedMatroid:
     return restrict_contract(m, m.ground_set, removed)
 
 
+def _holding(n: int) -> tuple[int, list[int]]:
+    """All 2^n reorientations A as one 2^n-bit int, bit A set for each, and per bit x of
+    a mask the set of A holding x: runs of 2^x clear bits alternating with 2^x set bits."""
+    every = (1 << (1 << n)) - 1
+    return every, [every // ((1 << (2 << x)) - 1) * ((1 << (2 << x)) - (1 << (1 << x))) for x in range(n)]
+
+
+def _positive_flips(signed_sets, has: list[int], every: int) -> int:
+    """:func:`_positive_under` at every A of :func:`_holding` at once: the A making some set positive up to sign."""
+    out = 0
+    for pos, neg in signed_sets:
+        sides = [has[e - 1] for e in _positions(pos)] + [every ^ has[e - 1] for e in _positions(neg)]
+        out |= reduce(and_, sides, every) | reduce(and_, (every ^ side for side in sides), every)
+    return out
+
+
 def _positive_under(signed_sets, flip: int) -> list[int]:
     """Supports of the signed sets of M positive up to sign in -_flip M: one side empty once the signs on
     flip swap.  The one boundedness test, for answers and oracles; ``activities._positive_supports`` is apart."""

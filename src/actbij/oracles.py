@@ -1,5 +1,5 @@
 """Independent routes that ``actbij verify`` and the tests check the serving
-maps against: the fully optimal basis by scan over all bases, the recursive
+maps against: the fully optimal basis of every reorientation at once, the recursive
 active basis on minors of M under a flip mask, with positive sets from
 ``core._positive_under`` and not the serving test, the active duality identities,
 the connected filtrations by chain growth and deletion/contraction.  Exponential,
@@ -8,17 +8,19 @@ desk scale only; no serving module imports them, and each memo lasts one call or
 from __future__ import annotations
 
 from functools import reduce
-from operator import or_
+from operator import and_, or_
 
 from .activities import Filtration, _connected_step
 from .bijection import _only_passing
 from .core import (
     OrientedMatroid,
+    _all_fundamentals,
     _basis_masks,
-    _bounded_under,
     _elements,
-    _mask,
+    _holding,
     _minor,
+    _positions,
+    _positive_flips,
     _positive_under,
     _reoriented,
     _squeeze,
@@ -26,35 +28,69 @@ from .core import (
     _supports,
     _unsqueeze,
     dual,
-    is_bounded,
-    reorient,
 )
 from .tutte import TuttePolynomial
 
 
-def fully_optimal_basis_scan(m: OrientedMatroid, flip: int = 0) -> frozenset[int] | None:
-    """The fully optimal basis of -_flip M (n ≥ 1, flip a mask): the one basis passing
-    both criteria; None when it is neither bounded nor dual-bounded w.r.t. p = 1,
-    and then no reoriented OM is built."""
-    bounded = _bounded_under(m, flip, False)
-    if bounded or _bounded_under(m, flip, True):
-        return _elements(_only_passing(_reoriented(m, flip), _basis_masks(m), bounded))
-    return None
+def _optimal_table(m: OrientedMatroid) -> tuple[list, int]:
+    """The fully optimal basis mask of every -_A M at once (n ≥ 1), by the mask of A: None where -_A M is
+    neither bounded nor dual-bounded, -1 where the scan must run (no or several bases pass, or the
+    criteria disagree); then the A with -_A M bounded, as one 2^n-bit int from ``core._holding``.  Under
+    -_A M, f_e (M's fundamental set of e, e positive) has sign f_e(x) ⊕ [x∈A] ⊕ [e∈A] at x, so each
+    condition of either criterion on B is has[x] ^ has[e] or its complement."""
+    (every, has), full = _holding(m.n), (1 << m.n) - 1
+
+    # the A giving f_e the sign wanted at bit x: those where x and e are on opposite sides of A, or the rest
+    sign = lambda f, e, x, negative: has[x] ^ has[e] ^ (every if (f.neg >> x & 1) == negative else 0)
+    c0, c1, d0, d1 = (_positive_flips([x for x in sets if (x.pos | x.neg) & 1 == one], has, every)
+                      for sets in (m.circuits, m.cocircuits) for one in (0, 1))  # missing 1, through 1
+    bounded = every & ~(c0 | c1 | d0)
+    dual_bounded = every & ~(d0 | d1 | c0 | bounded)
+    masks, owners, disagree, once, twice = _basis_masks(m), [None] * (1 << m.n), 0, 0, 0
+    for b, funds in zip(masks, _all_fundamentals(m, masks)):
+        lows = [((f.pos | f.neg) & -(f.pos | f.neg)).bit_length() - 1 for f in funds]
+        if any(low == e for e, low in enumerate(lows) if e):
+            continue  # an active element besides 1: both criteria fail at every A
+        # the smallest element of f_e negative for e > 1, as no domain below tests f_1
+        by_signs, by_composition = reduce(and_, (sign(funds[e], e, lows[e], True) for e in range(1, m.n)), every), every
+        for side in (b, full ^ b):  # composed: all positive on the side of 1, negative on 1 only off it
+            covered = 0 if side else full
+            for e in _positions(side):
+                f = funds[e - 1]
+                for x in _positions((f.pos | f.neg) & ~covered):
+                    by_composition &= sign(f, e - 1, x - 1, x == 1 and not side & 1)
+                covered |= f.pos | f.neg
+            by_composition *= covered == full
+        domain = bounded if b & 1 else dual_bounded  # elsewhere both criteria fail, on f_1 first
+        hit = by_signs & by_composition & domain
+        disagree, twice, once = disagree | (by_signs ^ by_composition) & domain, twice | once & hit, once | hit
+        for a in _positions(hit):
+            owners[a - 1] = b
+    for a in _positions(disagree | twice | (bounded | dual_bounded) & ~once):
+        owners[a - 1] = -1
+    return owners, bounded
+
+
+def _optimal_at(m: OrientedMatroid, table, a: int) -> int | None:
+    """M's fully optimal basis mask under the mask a, from its :func:`_optimal_table`; where
+    that leaves a to the scan, every basis is tested on -_a M, raising as the scan did."""
+    owners, bounded = table
+    return owners[a] if owners[a] != -1 else _only_passing(_reoriented(m, a), _basis_masks(m), bounded >> a & 1)
 
 
 def active_basis_recursive(
     m: OrientedMatroid, *, flip: int = 0, circuit_induction: bool = False, memo=None
 ) -> frozenset[int]:
     """Alternate evaluator of the active basis of -_flip M (flip a mask) by the
-    recursive definition: fully optimal basis by scan in the bounded/dual-bounded
+    recursive definition: fully optimal basis from the table in the bounded/dual-bounded
     case, duality, and induction on the minor cut out by the greatest dual-active
     element (or greatest active element when ``circuit_induction``).  Each minor
     is (G, F, side) relative to M: M(G)/F, dualized when side is set after a dual
     hop, under flip ∩ (G∖F) squeezed.  ``memo`` holds three tables: "minors" maps
-    (M, G, F, side) to that unsigned minor and the runs of G∖F, built once, "scans"
-    (minor, squeezed flip) to its scan and "bases" (minor, squeezed flip, style) to
+    (M, G, F, side) to that unsigned minor and the runs of G∖F, built once, "tables"
+    the minor to its :func:`_optimal_table` and "bases" (minor, squeezed flip, style) to
     its basis mask, so no reoriented OM; when not passed in it lives for this call."""
-    minors, scans, bases = ({} if memo is None else memo.setdefault(t, {}) for t in ("minors", "scans", "bases"))
+    minors, tables, bases = ({} if memo is None else memo.setdefault(t, {}) for t in ("minors", "tables", "bases"))
 
     def step(large: int, small: int, side: int) -> int:
         """The active basis of the minor (large, small, side), as a mask in M's terms."""
@@ -71,13 +107,13 @@ def active_basis_recursive(
 
     def induction(large: int, small: int, side: int, runs, minor: OrientedMatroid, flipped: int) -> int:
         """The active basis of -_flipped minor, for the minor at (large, small, side) and
-        its squeezed flip, as a mask of the minor; only a bounded one is reoriented."""
+        its squeezed flip, as a mask of the minor; only a flip its table marks is reoriented."""
         if minor.n == 0:
             return 0
-        if (minor, flipped) not in scans:  # shared by both styles
-            scans[minor, flipped] = fully_optimal_basis_scan(minor, flipped)
-        if scans[minor, flipped] is not None:
-            return _mask(scans[minor, flipped])
+        if minor not in tables:  # shared by both styles and every flip
+            tables[minor] = _optimal_table(minor)
+        if (hit := _optimal_at(minor, tables[minor], flipped)) is not None:
+            return hit
         full = (1 << minor.n) - 1
         supports = _positive_under(minor.circuits if circuit_induction else minor.cocircuits, flipped)
         if not supports:  # acyclic (circuit style) or totally cyclic: hop to the dual, same style
@@ -97,23 +133,22 @@ def active_basis_recursive(
     return _elements(step((1 << m.n) - 1, 0, 0))
 
 
-def check_active_duality(m: OrientedMatroid) -> bool:
-    """Both duality identities on a bounded M (|E| > 1), w.r.t. p = 1:
-    the active basis of -_p M* complements α(M) up to swapping the two
-    smallest elements, and α(M*) = E ∖ α(M) for the dual-bounded M*.
-    False when -_p M* is neither bounded nor dual-bounded."""
+def check_active_duality(m: OrientedMatroid, flip: int = 0, tables=None) -> bool:
+    """Both duality identities on a bounded -_flip M (|E| > 1, flip a mask), w.r.t. p = 1:
+    the active basis of -_p M* complements α(M) up to swapping the two smallest elements,
+    and α(M*) = E ∖ α(M) for the dual-bounded M*.  False when -_p M* is neither bounded
+    nor dual-bounded.  Read from ``tables``, the :func:`_optimal_table` of M and of M*."""
     if m.n <= 1:
         raise ValueError("active duality needs at least two elements")
-    if not is_bounded(m):
+    md, full = dual(m), (1 << m.n) - 1
+    table, dual_table = tables or (_optimal_table(m), _optimal_table(md))
+    if not table[1] >> flip & 1:
         raise ValueError("active duality applies to a bounded oriented matroid")
-    ground = m.ground_set
-    lhs = fully_optimal_basis_scan(m)
-    companion = fully_optimal_basis_scan(reorient(dual(m), frozenset({1})))
+    lhs, companion = _optimal_at(m, table, flip), _optimal_at(md, dual_table, flip ^ 1)
     if companion is None:
         return False
-    via_active_duality = (ground - companion) - {2} | {1}
-    plain = fully_optimal_basis_scan(dual(m)) == ground - lhs
-    return lhs == via_active_duality and plain
+    plain = _optimal_at(md, dual_table, flip)
+    return lhs == full & ~companion & ~2 | 1 and plain == full ^ lhs
 
 
 def all_connected_filtrations(m: OrientedMatroid) -> list[Filtration]:

@@ -17,7 +17,7 @@ from itertools import groupby
 from math import comb
 
 from .activities import _interval_table, _interval_walk
-from .core import OrientedMatroid, _positions, check_enumeration_cap
+from .core import OrientedMatroid, _holding, _positive_flips, check_enumeration_cap
 
 
 class TuttePolynomial(tuple):
@@ -77,15 +77,8 @@ def _active_groups(signed_sets, has: list[int], every: int) -> dict[tuple[int, i
     groups = {(0, 0): every}
     minimum = lambda x: (x.pos | x.neg) & -(x.pos | x.neg)
     for low, sets in groupby(sorted(signed_sets, key=minimum), key=minimum):
-        active = 0
-        for pos, neg in sets:
-            plus = minus = every
-            for e in _positions(pos):
-                plus, minus = plus & has[e], minus & ~has[e]
-            for e in _positions(neg):
-                plus, minus = plus & ~has[e], minus & has[e]
-            active |= plus | minus
-        inside = active & has[low.bit_length()]
+        active = _positive_flips(sets, has, every)
+        inside = active & has[low.bit_length() - 1]
         outside = active ^ inside
         for o, i in sorted(groups, reverse=True):  # (o + 1, i) and (o, i + 1) first
             group = groups[o, i]
@@ -99,11 +92,9 @@ def _active_groups(signed_sets, has: list[int], every: int) -> dict[tuple[int, i
 def _reorientation_histogram(m: OrientedMatroid):
     """Counts of (|Θ*|, |Θ̄*|, |Θ|, |Θ̄|) over all 2^n reorientations, keyed
     in order of their first A.  A set of reorientations is one 2^n-bit int
-    with bit A set for each member A; ``has[e]``, the set of A holding e,
-    is runs of 2^(e-1) clear bits alternating with 2^(e-1) set bits."""
+    with bit A set for each member A; ``has[e - 1]`` is the set of A holding e."""
     check_enumeration_cap(m.n)
-    every = (1 << (1 << m.n)) - 1
-    has = [0] + [every // ((1 << (2 << i)) - 1) * ((1 << (2 << i)) - (1 << (1 << i))) for i in range(m.n)]
+    every, has = _holding(m.n)
     dual = _active_groups(m.cocircuits, has, every)
     primal = _active_groups(m.circuits, has, every)
     found = []

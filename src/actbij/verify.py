@@ -5,11 +5,15 @@ first counterexample.  Checks are exhaustive over all reorientations,
 bases and subsets, each A ⊆ E walked as its mask in ``range(1 << n)``, so
 they are meant for desk-scale inputs.  Above n = FILTRATION_UNIQUENESS_CAP
 filtration-uniqueness returns at once and still reports ``ok``.
+The oracle checks read fully optimal bases from one table per OM, built for
+the check (``oracles._optimal_table``); an A it leaves to the scan of every
+basis fails, if at all, with the scan's message.  ``run_all`` can time each check.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from time import perf_counter
 
 from . import activities, bijection, core, oracles, tutte
 
@@ -194,13 +198,14 @@ def check_refined_bijection(m, sweep):
 def check_full_optimality_uniqueness(m, sweep):
     if m.n == 0:
         return
+    table = oracles._optimal_table(m)
     for a in range(1 << m.n):
         try:  # None where -_A M is neither bounded nor dual-bounded
-            hit = oracles.fully_optimal_basis_scan(m, a)
+            hit = oracles._optimal_at(m, table, a)
         except AssertionError as exc:  # no or several optimal bases, or the criteria disagree
             _fail("full-optimality", f"A={core._positions(a)}: {exc}")
-        if hit is not None and hit != (served := sweep.value(bijection.active_basis, a)):
-            _fail("full-optimality", f"A={core._positions(a)}: scan {sorted(hit)} != served {sorted(served)}")
+        if hit is not None and hit != core._mask(served := sweep.value(bijection.active_basis, a)):
+            _fail("full-optimality", f"A={core._positions(a)}: scan {core._positions(hit)} != served {sorted(served)}")
 
 
 def check_duality_of_alpha(m, sweep):
@@ -214,8 +219,9 @@ def check_duality_of_alpha(m, sweep):
 def check_active_duality_bounded(m, sweep):
     if m.n <= 1:
         return
+    tables = oracles._optimal_table(m), oracles._optimal_table(core.dual(m))
     for a in range(1 << (m.n - 1)):  # -_A M = -_(E∖A) M: each pair at its mask without n
-        if core._bounded_under(m, a, False) and not oracles.check_active_duality(core._reoriented(m, a)):
+        if tables[0][1] >> a & 1 and not oracles.check_active_duality(m, a, tables):
             _fail("active-duality", f"A={core._positions(a)}")
 
 
@@ -342,15 +348,20 @@ ALL_CHECKS = [
 ]
 
 
-def run_all(m, report=print) -> bool:
-    """Run the whole suite on one :class:`Sweep` of M; report one line per check.  Returns success."""
+def run_all(m, report=print, times=None) -> bool:
+    """Run the whole suite on one :class:`Sweep` of M; report one line per check.  Returns
+    success.  ``times``, a dict when given, gets the wall time in seconds of each check run."""
     core.check_enumeration_cap(m.n)
     sweep = Sweep(m)
     for name, check in ALL_CHECKS:
+        start = perf_counter()
         try:
             check(m, sweep)
         except (AssertionError, ValueError) as exc:  # other than VerificationFailure: a library self-test
             report(f"FAIL {exc}" if isinstance(exc, VerificationFailure) else f"FAIL {name}: {exc}")
             return False
+        finally:
+            if times is not None:
+                times[name] = perf_counter() - start
         report(f"ok {name}")
     return True

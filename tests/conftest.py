@@ -4,9 +4,19 @@ import random
 import pytest
 
 from actbij.activities import active_filtration_orientation, active_minors, reorientation_params
-from actbij.bijection import alpha_inverse_class, refined_alpha
+from actbij.bijection import _only_passing, alpha_inverse_class, refined_alpha
 from actbij.cli import _cmd_refined, _cmd_table
-from actbij.core import bases, is_bounded, is_connected_matroid, is_dual_bounded, reorient
+from actbij.core import (
+    _basis_masks,
+    _bounded_under,
+    _elements,
+    _reoriented,
+    bases,
+    is_bounded,
+    is_connected_matroid,
+    is_dual_bounded,
+    reorient,
+)
 from actbij.graphs import format_elements, om_from_digraph
 from actbij.oracles import all_connected_filtrations
 from examples import diamond_doubled, digon, k3, k4
@@ -38,6 +48,16 @@ def random_connected_om(rng: random.Random, max_vertices=5, max_edges=8):
         m = om_from_digraph(tuple(edges))
         if m.n >= 2 and is_connected_matroid(m):
             return m
+
+
+def fully_optimal_basis_scan(m, flip: int = 0):
+    """The reference for the oracles' table: the fully optimal basis of -_flip M (n ≥ 1,
+    flip a mask) as the one basis passing both criteria, every basis tested at this flip
+    alone; None when it is neither bounded nor dual-bounded w.r.t. p = 1."""
+    bounded = _bounded_under(m, flip, False)
+    if bounded or _bounded_under(m, flip, True):
+        return _elements(_only_passing(_reoriented(m, flip), _basis_masks(m), bounded))
+    return None
 
 
 def to_string(x, n: int) -> str:

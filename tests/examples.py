@@ -69,3 +69,8 @@ def w5() -> OrientedMatroid:
     """The wheel on five rim vertices, in the edge order of :func:`w4_digraph`."""
     rim = ("r1", "r2", "r3", "r4", "r5")
     return om_from_digraph(tuple(("h", r) for r in rim) + tuple(zip(rim, rim[1:] + rim[:1])))
+
+
+def k5() -> OrientedMatroid:
+    """The complete graph on five vertices, its edges in the colex order of :func:`k4_digraph`."""
+    return om_from_digraph(tuple((v, w) for j, w in enumerate("abcde") for v in "abcde"[:j]))

@@ -1,7 +1,9 @@
+import argparse
 import io
 import contextlib
 import functools
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -9,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from actbij import activities, bijection, cli, core, verify
+from actbij import activities, bijection, cli, core, tutte, verify
 from actbij.cli import main
 from actbij.graphs import format_elements
 from conftest import refined_by_direct_route, refined_stdout, serialize_om, subsets, table_stdout
@@ -132,6 +134,18 @@ def test_an_error_of_degree_3_the_grid_misses_fails_tutte_check(monkeypatch):
     assert out.splitlines()[-3:] == ["route\tsubset-sum\tok", "route\treorientation-sum\tmismatch", "agree=3/4"]
 
 
+def test_a_failed_divisibility_self_test_fails_tutte_check(monkeypatch, capsys):
+    # K4's histogram with the degree-3 plant: o_(3,0) = 9 is not divisible by 2^3
+    real = tutte._reorientation_histogram
+    monkeypatch.setattr(tutte, "_reorientation_histogram", lambda m: {**real(m), **K4_DEGREE_3_PLANT})
+    code, out = run(["tutte", str(DATA / "k4.graph"), "--check"])
+    assert (code, capsys.readouterr().err) == (1, "")
+    assert out.splitlines()[-5:] == [
+        "route\tbases\tx^3 + 3x^2 + 2x + 4xy + 2y + 3y^2 + y^3", "route\torientations\tmismatch",
+        "route\tsubset-sum\tok", "route\treorientation-sum\tok", "agree=3/4",
+    ]
+
+
 def test_basis_intervals_that_fail_to_partition_fail_tutte_check(monkeypatch, request, capsys):
     # every basis of K3 given the parts 1|2|3 above the cyclic flat: the intervals overlap
     parts = activities.Filtration.from_masks((1, 2, 4), 0)
@@ -188,6 +202,41 @@ def test_verify_subcommand_passes(tmp_path):
         assert code == 0, path.read_text()
         assert all(line.startswith("ok ") for line in out.splitlines())
         assert len(out.splitlines()) == len(verify.ALL_CHECKS) == 19
+
+
+CACHES = {  # by name, as --stats lists them
+    "activities._interval_table": activities._interval_table,
+    "activities._interval_walk": activities._interval_walk,
+    "activities._step_minor": activities._step_minor,
+    "bijection.fully_optimal_basis": bijection.fully_optimal_basis,
+    "core._bases": core._bases,
+    "tutte._reorientation_histogram": tutte._reorientation_histogram,
+}
+
+
+def test_verify_stats_time_each_check_and_read_every_cache(capsys):
+    path = str(DATA / "k4.graph")
+    code, plain = run(["verify", path])
+    assert (code, capsys.readouterr().err) == (0, "")
+    stats = []
+    for _ in range(2):
+        for cached in CACHES.values():
+            cached.cache_clear()
+        code, out = run(["verify", path, "--stats"])
+        assert (code, out) == (0, plain)  # stdout as without the flag
+        stats.append(json.loads(capsys.readouterr().err))
+    names = [name for name, _ in verify.ALL_CHECKS]
+    assert len(names) == 19 and [*stats[0]["check_s"]] == names
+    assert all(type(t) is float and t >= 0 for t in stats[0]["check_s"].values())
+    assert [*stats[0]["caches"]] == [*CACHES] and stats[0]["caches"]["core._bases"]["misses"] > 0
+    assert stats[1]["caches"] == stats[0]["caches"]  # the counts repeat from empty caches
+
+
+def test_verify_runs_without_a_stats_attribute(capsys):
+    # the command body called with a bare Namespace, as by a caller that builds its own args
+    out = io.StringIO()
+    assert cli._cmd_verify(k3(), argparse.Namespace(), out) == 0
+    assert out.getvalue() == run(["verify", str(DATA / "k3.graph")])[1] and capsys.readouterr().err == ""
 
 
 def test_verify_failure_exit_code(monkeypatch):

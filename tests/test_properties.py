@@ -8,7 +8,8 @@ the per-basis class route, the bases against the scan of every
 rank-sized subset and, order included, against the level-by-level
 search they were bit-sliced from, the per-subset tally of the interval
 walk's owners against the coefficients of t(x+u, y+v), the served fully
-optimal basis against the oracle scan over all bases, and the served
+optimal basis against the oracle scan over all bases, the oracles' table of
+every fully optimal basis against that scan at every A, and the served
 active basis against both induction styles of the recursive definition,
 and the active bijection onto the bases with 2^(|Int(B)|+|Ext(B)|)
 reorientations on each basis B, whose activities it keeps; then the
@@ -49,6 +50,7 @@ from actbij.core import (
     SignedSubset,
     _all_fundamentals,
     _basis_masks,
+    _bounded_under,
     _canonical_list,
     _elements,
     _fundamentals,
@@ -68,10 +70,10 @@ from actbij.core import (
 )
 from actbij.graphs import om_from_digraph, parse_om_file
 from actbij.oracles import (
+    _optimal_table,
     active_basis_recursive,
     all_connected_filtrations,
     check_active_duality,
-    fully_optimal_basis_scan,
     tutte_delcon_oracle,
 )
 from actbij.tutte import (
@@ -85,6 +87,7 @@ from actbij.tutte import (
 from conftest import (
     assert_unique_decomposition,
     brute_force_reorientation_histogram,
+    fully_optimal_basis_scan,
     refined_by_direct_route,
     refined_stdout,
     serialize_om,
@@ -92,7 +95,7 @@ from conftest import (
     table_stdout,
     to_string,
 )
-from examples import diamond_doubled_digraph, k4_digraph, w4_digraph
+from examples import diamond_doubled, diamond_doubled_digraph, k3, k4, k4_digraph, k5, w4, w4_digraph, w5
 
 VERTICES = "abcde"
 N = 8  # ground set of the signed-set properties
@@ -518,6 +521,33 @@ def test_the_served_fully_optimal_basis_is_the_scan(g):
             assert scan == fully_optimal_basis(r), sorted(a)
         else:
             assert scan is None, sorted(a)
+
+
+def assert_the_table_is_the_scan(m: OrientedMatroid) -> None:
+    owners, bounded = _optimal_table(m)
+    for a in range(1 << m.n):
+        scan = fully_optimal_basis_scan(m, a)
+        assert owners[a] == (None if scan is None else _mask(scan)), a
+        assert bounded >> a & 1 == _bounded_under(m, a, False), a
+
+
+@pytest.mark.parametrize(
+    "make", [k3, k4, diamond_doubled, w4, k5, w5], ids=["K3", "K4", "diamond_doubled", "W4", "K5", "W5"]
+)
+def test_the_optimal_table_is_the_scan_at_every_a(make):
+    # the table of every A at once against the scan of every basis at each A, on M, its dual and a reorientation
+    m = make()
+    for om in (m, dual(m), reorient(m, {2, m.n})):
+        assert_the_table_is_the_scan(om)
+
+
+@settings(steady, max_examples=60)
+@given(connected_digraphs(max_edges=8), st.data())
+def test_the_optimal_table_is_the_scan_on_random_graphs(g, data):
+    m = om_from_digraph(g)
+    a = data.draw(st.frozensets(st.integers(1, m.n))) if m.n else frozenset()
+    for om in (m, dual(m), reorient(m, a)) if m.n else ():  # the scan needs n ≥ 1
+        assert_the_table_is_the_scan(om)
 
 
 @settings(steady, max_examples=100)

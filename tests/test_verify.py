@@ -6,7 +6,9 @@ reorientation of M once, makes one basis pass per served basis and calls
 ``reorient`` only on single elements, that recursive-definitions keeps no
 reoriented OM, that its named checks report a planted fault under their own names,
 that full-optimality-uniqueness fails when the served basis is not the
-scan's, and that filtration-uniqueness's product over parts fails where the
+scan's, that an A the fully optimal table leaves to the scan fails with the
+scan's own message, that check_active_duality on the tables gives the scans'
+verdict, and that filtration-uniqueness's product over parts fails where the
 A × filtration loop does."""
 
 import ast
@@ -22,7 +24,9 @@ import pytest
 from actbij import activities, bijection, core, oracles, tutte, verify
 from actbij.activities import Filtration
 from actbij.tutte import TuttePolynomial
-from examples import diamond_doubled, k3, k4, w4, w5
+import conftest
+from conftest import fully_optimal_basis_scan
+from examples import diamond_doubled, k3, k4, k5, w4, w5
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "actbij"
 BENCH = SRC.parent.parent / "bench"
@@ -393,11 +397,12 @@ PLANTED = [
         "refined-bijection: A=[]",
     ),
     (
-        # the check's scan takes the oracles' binding, which the serving recursion never reads
+        # every basis twice: the table owns no A once and leaves each to the scan, which
+        # takes the oracles' binding too; the serving recursion never reads it
         "full-optimality-uniqueness",
         oracles,
-        "_only_passing",
-        lambda real: lambda m, candidates, bounded: real(m, [*candidates] * 2, bounded),
+        "_basis_masks",
+        lambda real: lambda m: real(m) * 2,
         "full-optimality: A=[2]: expected exactly one fully optimal basis, found 2: [[2, 3], [2, 3]]",
     ),
     (
@@ -409,11 +414,11 @@ PLANTED = [
         "alpha-duality: A=[]",
     ),
     (
-        # the companion -_p M* of -_{1,2} M flips 2 as well: neither bounded nor dual-bounded
+        # the companion -_p M* of -_{1,2} M, M*'s entry at {2}, read as neither bounded nor dual-bounded
         "active-duality",
         oracles,
-        "reorient",
-        lambda real: lambda m, a: real(m, a | {2} if a == {1} else a),
+        "_optimal_table",
+        lambda real: lambda m: real(m) if m.rank == 2 else ([*real(m)[0][:2], None, *real(m)[0][3:]], real(m)[1]),
         "active-duality: A=[1, 2]",
     ),
     (
@@ -783,6 +788,125 @@ def test_full_optimality_fails_when_the_served_basis_is_not_the_scans(monkeypatc
     message = "full-optimality: A=[2]: scan [2, 3] != served [1, 2, 3]"
     with pytest.raises(verify.VerificationFailure, match=re.escape(message)):
         verify.check_full_optimality_uniqueness(m, verify.Sweep(m))
+
+
+def full_optimality_by_scan(m, sweep):
+    """full-optimality-uniqueness with no table: the scan of every basis at each A."""
+    for a in range(1 << m.n):
+        try:
+            hit = fully_optimal_basis_scan(m, a)
+        except AssertionError as exc:
+            raise verify.VerificationFailure(f"full-optimality: A={core._positions(a)}: {exc}") from None
+        if hit is not None and hit != (served := sweep.value(bijection.active_basis, a)):
+            message = f"full-optimality: A={core._positions(a)}: scan {sorted(hit)} != served {sorted(served)}"
+            raise verify.VerificationFailure(message)
+
+
+def plant_a_criteria_disagreement(patch, m):
+    """In the table's fundamental sets and the scan's alike, f_e of the owner B of M's first
+    bounded or dual-bounded A for e = min(B), the first set its covector composes, with the
+    sign of its top swapped: sign opposition, which reads minima only, cannot see it."""
+    b = next(x for x in oracles._optimal_table(m)[0] if x is not None)
+    low = (b & -b).bit_length() - 1
+
+    def swapped(funds):
+        f = funds[low]
+        top = 1 << (f.pos | f.neg).bit_length() - 1
+        return [*funds[:low], core.SignedSubset.from_masks(f.pos ^ top, f.neg ^ top), *funds[low + 1 :]]
+
+    every, one = oracles._all_fundamentals, bijection._fundamentals
+    patch.setattr(oracles, "_all_fundamentals", lambda om, masks: [
+        swapped(funds) if basis == b else funds for funds, basis in zip(every(om, masks), masks)
+    ])
+    patch.setattr(bijection, "_fundamentals", lambda om, basis: swapped(one(om, basis)) if basis == b else one(om, basis))
+
+
+def plant_a_doubled_owner(patch, m):
+    """M's bases with the owner of its first bounded or dual-bounded A listed twice, for the table and the scan."""
+    real, owner = oracles._basis_masks, next(x for x in oracles._optimal_table(m)[0] if x is not None)
+    for module in (oracles, conftest):
+        patch.setattr(module, "_basis_masks", lambda om: (*real(om), owner))
+
+
+def plant_a_missing_owner(patch, m):
+    """M's bases without the owner of its first bounded or dual-bounded A, for the table and the scan."""
+    real, owner = oracles._basis_masks, next(x for x in oracles._optimal_table(m)[0] if x is not None)
+    for module in (oracles, conftest):
+        patch.setattr(module, "_basis_masks", lambda om: tuple(b for b in real(om) if b != owner))
+
+
+def plant_borrowed_fundamental_sets(patch, m):
+    """In the table and the scan alike, the basis B after the owner B' of M's first bounded or
+    dual-bounded A, on the same side of 1, given the fundamental sets of B': at A, B passes
+    sign opposition with B' and, composing them on its own sides, fails composition."""
+    masks = oracles._basis_masks(m)
+    owner = next(x for x in oracles._optimal_table(m)[0] if x is not None)
+    b = next(x for x in masks[masks.index(owner) + 1 :] if x & 1 == owner & 1)
+    every, one = oracles._all_fundamentals, bijection._fundamentals
+    patch.setattr(oracles, "_all_fundamentals", lambda om, masks: [
+        every(om, [owner])[0] if basis == b else funds for funds, basis in zip(every(om, masks), masks)
+    ])
+    patch.setattr(bijection, "_fundamentals", lambda om, basis: one(om, owner if basis == b else basis))
+
+
+@pytest.mark.parametrize(
+    "plant, found",
+    [
+        (plant_a_criteria_disagreement, "full optimality criteria disagree"),
+        (plant_borrowed_fundamental_sets, "full optimality criteria disagree"),
+        (plant_a_doubled_owner, "found 2"),
+        (plant_a_missing_owner, "found 0"),
+    ],
+    ids=["criteria", "borrowed", "owner", "no-owner"],
+)
+def test_an_a_the_table_marks_fails_with_the_scans_message(monkeypatch, plant, found):
+    m = k4()
+    sweep = verify.Sweep(m)
+    for a in range(1 << m.n):  # the served bases, read before the plant
+        sweep.value(bijection.active_basis, a)
+    plant(monkeypatch, m)
+    with pytest.raises(verify.VerificationFailure) as by_scan:
+        full_optimality_by_scan(m, sweep)
+    only, scanned = oracles._only_passing, []
+    monkeypatch.setattr(oracles, "_only_passing", lambda om, *args: scanned.append(om) or only(om, *args))
+    with pytest.raises(verify.VerificationFailure) as by_table:
+        verify.check_full_optimality_uniqueness(m, sweep)
+    assert str(by_table.value) == str(by_scan.value) and found in str(by_table.value)
+    # the table read every A before it and left this one to the scan of -_A M
+    listed = re.match(r"full-optimality: A=(\[[\d, ]*\]): ", str(by_table.value))[1]
+    assert scanned == [core._reoriented(m, core._mask(ast.literal_eval(listed)))]
+
+
+def test_where_the_tables_leave_every_a_to_the_scans_the_scans_decide(monkeypatch):
+    real = oracles._optimal_table
+    monkeypatch.setattr(oracles, "_optimal_table", lambda m: ([x if x is None else -1 for x in real(m)[0]], real(m)[1]))
+    m = k3()
+    for check in (verify.check_active_duality_bounded, verify.check_recursive_definitions):
+        check(m, verify.Sweep(m))
+    # the scan of M* (rank 1) under any flip answers with 1 added: -_p M*'s basis no longer complements α(M)
+    only = oracles._only_passing
+    monkeypatch.setattr(oracles, "_only_passing", lambda om, *args: only(om, *args) | (om.rank == 1))
+    with pytest.raises(verify.VerificationFailure, match=r"^active-duality: A=\[1, 2\]$"):
+        verify.check_active_duality_bounded(m, verify.Sweep(m))
+
+
+def active_duality_by_scans(r) -> bool:
+    """Both active duality identities on the bounded OM r, by the scan of every basis of each OM built whole."""
+    lhs, companion = fully_optimal_basis_scan(r), fully_optimal_basis_scan(core.reorient(core.dual(r), {1}))
+    if companion is None:
+        return False
+    plain = fully_optimal_basis_scan(core.dual(r)) == r.ground_set - lhs
+    return lhs == (r.ground_set - companion) - {2} | {1} and plain
+
+
+@pytest.mark.parametrize("m", [k4(), w4(), k5()], ids=["K4", "W4", "K5"])
+def test_check_active_duality_gives_the_scans_verdict_at_every_bounded_a(m):
+    tables = oracles._optimal_table(m), oracles._optimal_table(core.dual(m))
+    bounded = [a for a in range(1 << m.n) if core._bounded_under(m, a, False)]
+    assert bounded and bounded == [a - 1 for a in core._positions(tables[0][1])]
+    for a in bounded:
+        r = core._reoriented(m, a)
+        assert oracles.check_active_duality(m, a, tables) == active_duality_by_scans(r) == oracles.check_active_duality(r)
 
 
 def assert_fails_at(check, fail_line):
