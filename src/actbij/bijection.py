@@ -2,8 +2,10 @@
 
 The map from a basis to its reorientation class is a cheap single pass;
 the map from a reorientation to its basis builds the fully optimal basis
-of each active minor by deletion/contraction of its greatest element, and
-both full optimality criteria check every step as a permanent self-test.
+of each active minor by deletion/contraction of its greatest element ω,
+building only those of M/ω and M∖ω that are bounded, as decided on M
+itself, and both full optimality criteria check every step as a
+permanent self-test.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
+from . import core
 from .activities import (
     _active_steps,
     _flips,
@@ -118,16 +121,21 @@ def _only_passing(m: OrientedMatroid, candidates, bounded: bool) -> int:
 def fully_optimal_basis(m: OrientedMatroid) -> frozenset[int]:
     """The unique basis passing :func:`is_fully_optimal`, cached per minor: E ∖ α(M*) for a
     dual-bounded M; for a bounded M, n ≥ 2 and ω = max(E), the one of α(M/ω) ∪ {ω} and α(M∖ω),
-    over the two minors that are bounded, that passes both criteria (zero or two raise)."""
+    over the two minors that are bounded, that passes both criteria (zero or two raise).
+    Which are bounded is decided on M before either minor is built."""
     if m.n == 0:
         return frozenset()
     if not _is_bounded_wrt(m):
         return m.ground_set - fully_optimal_basis(dual(m))
     if m.n == 1:
         return frozenset({1})
-    full, omega = (1 << m.n) - 1, 1 << (m.n - 1)
-    minors = ((_minor(m, full, omega)[0], omega), (_minor(m, full ^ omega, 0)[0], 0))
-    candidates = [_mask(fully_optimal_basis(minor)) | top for minor, top in minors if is_bounded(minor)]
+    full, omega, rest = (1 << m.n) - 1, 1 << (m.n - 1), (1 << (m.n - 1)) - 1
+    # M/ω is bounded iff no circuit is positive up to sign on E∖ω, M∖ω iff no cocircuit missing 1 is
+    # (read through core at call time, so that one positivity test decides here and in is_bounded alike)
+    contracted = not any(core._positive_under([(p & rest, q & rest) for p, q in m.circuits], 0))
+    deleted = not any(core._positive_under([(p & rest, q & rest) for p, q in m.cocircuits if not (p | q) & 1], 0))
+    minors = ((full, omega, contracted), (rest, 0, deleted))
+    candidates = [_mask(fully_optimal_basis(_minor(m, keep, top)[0])) | top for keep, top, bounded in minors if bounded]
     return _elements(_only_passing(m, candidates, True))
 
 

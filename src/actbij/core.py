@@ -14,6 +14,8 @@ smallest element of the support is positive).  ``_minor`` builds M(G)/F
 in one pass over the masks, re-indexed on 1..|G∖F| by squeezing the runs
 of G∖F (the i-th new element is the i-th smallest kept one), and returns
 those runs, by which ``_unsqueeze`` maps its masks back onto M's elements.
+When G∖F is a prefix 1..k that cuts none of the sets it keeps, the minor
+takes M's own sets as they are, in their order.
 The fundamental sets of one basis come from one pass over the signed
 sets; those of a whole list of bases from one pass bit-sliced over the
 bases, a set of bases being one int.  The bases themselves grow level by
@@ -35,6 +37,7 @@ from operator import and_, or_
 ENUMERATION_CAP = 24
 
 _new = tuple.__new__
+_minors_built = [0]  # calls of _minor in this process, read by ``verify --stats`` alone
 
 
 class InvalidOrientedMatroid(ValueError):
@@ -307,8 +310,12 @@ def _unsqueeze(mask: int, runs) -> int:
 
 def _minor_sets(signed_sets, avoid: int, ground: int, runs) -> tuple[SignedSubset, ...]:
     """The minimal nonzero restrictions to ``ground`` of the signed sets
-    missing ``avoid``, canonical, squeezed by the runs of ground."""
-    restricted = {(pos & ground, neg & ground) for pos, neg in signed_sets if not (pos | neg) & avoid}
+    missing ``avoid``, canonical, squeezed by the runs of ground.  When ground
+    is a prefix 1..k and cuts none of the kept sets, they are M's own sets."""
+    kept = [x for x in signed_sets if not (x.pos | x.neg) & avoid]
+    if runs == ((ground, 0),) and not any((x.pos | x.neg) & ~ground for x in kept):
+        return tuple(kept)  # already an antichain, canonical and sorted
+    restricted = {(pos & ground, neg & ground) for pos, neg in kept}
     minimal: set[int] = set()
     for support in sorted({pos | neg for pos, neg in restricted} - {0}, key=int.bit_count):
         if all(s & ~support for s in minimal):
@@ -329,6 +336,7 @@ def restrict_contract(m: OrientedMatroid, keep, contracted) -> OrientedMatroid:
 
 def _minor(m: OrientedMatroid, keep: int, contracted: int):
     """:func:`restrict_contract` on masks, and the runs of keep - contracted it squeezed by."""
+    _minors_built[0] += 1
     ground = keep & ~contracted
     runs, size = _runs(ground), ground.bit_count()
     circuits = _minor_sets(m.circuits, ~keep, ground, runs)

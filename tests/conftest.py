@@ -7,10 +7,16 @@ from actbij.activities import active_filtration_orientation, active_minors, reor
 from actbij.bijection import _only_passing, alpha_inverse_class, refined_alpha
 from actbij.cli import _cmd_refined, _cmd_table
 from actbij.core import (
+    OrientedMatroid,
     _basis_masks,
     _bounded_under,
+    _canonical_list,
     _elements,
+    _greedy_rank,
     _reoriented,
+    _runs,
+    _squeeze,
+    _supports,
     bases,
     is_bounded,
     is_connected_matroid,
@@ -58,6 +64,27 @@ def fully_optimal_basis_scan(m, flip: int = 0):
     if bounded or _bounded_under(m, flip, True):
         return _elements(_only_passing(_reoriented(m, flip), _basis_masks(m), bounded))
     return None
+
+
+def minor_sets_reference(signed_sets, avoid: int, ground: int, runs):
+    """The reference for ``core._minor_sets``: every kept set restricted to ground,
+    and each restriction tested for minimality against every smaller one."""
+    restricted = {(pos & ground, neg & ground) for pos, neg in signed_sets if not (pos | neg) & avoid}
+    minimal: set[int] = set()
+    for support in sorted({pos | neg for pos, neg in restricted} - {0}, key=int.bit_count):
+        if all(s & ~support for s in minimal):
+            minimal.add(support)
+    squeezed = ((_squeeze(pos, runs), _squeeze(neg, runs)) for pos, neg in restricted if pos | neg in minimal)
+    return _canonical_list(squeezed)
+
+
+def minor_reference(m, keep: int, contracted: int):
+    """The reference for ``core._minor``: M(keep)/contracted on masks, and the runs of keep - contracted."""
+    ground = keep & ~contracted
+    runs, size = _runs(ground), ground.bit_count()
+    circuits = minor_sets_reference(m.circuits, ~keep, ground, runs)
+    cocircuits = minor_sets_reference(m.cocircuits, contracted, ground, runs)
+    return OrientedMatroid(size, circuits, cocircuits, _greedy_rank(_supports(circuits), (1 << size) - 1)), runs
 
 
 def to_string(x, n: int) -> str:

@@ -74,3 +74,8 @@ def w5() -> OrientedMatroid:
 def k5() -> OrientedMatroid:
     """The complete graph on five vertices, its edges in the colex order of :func:`k4_digraph`."""
     return om_from_digraph(tuple((v, w) for j, w in enumerate("abcde") for v in "abcde"[:j]))
+
+
+def k6() -> OrientedMatroid:
+    """The complete graph on six vertices, its 15 edges in the colex order of :func:`k4_digraph`."""
+    return om_from_digraph(tuple((v, w) for j, w in enumerate("abcdef") for v in "abcdef"[:j]))

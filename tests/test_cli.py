@@ -228,8 +228,19 @@ def test_verify_stats_time_each_check_and_read_every_cache(capsys):
     names = [name for name, _ in verify.ALL_CHECKS]
     assert len(names) == 19 and [*stats[0]["check_s"]] == names
     assert all(type(t) is float and t >= 0 for t in stats[0]["check_s"].values())
+    assert [*stats[0]] == ["check_s", "caches", "minors"]
     assert [*stats[0]["caches"]] == [*CACHES] and stats[0]["caches"]["core._bases"]["misses"] > 0
     assert stats[1]["caches"] == stats[0]["caches"]  # the counts repeat from empty caches
+
+
+def test_verify_stats_count_the_minors_built_the_same_in_each_fresh_process():
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "actbij.cli", "verify", str(DATA / "k4.graph"), "--stats"]
+    runs = [subprocess.run(argv, env=env, capture_output=True, text=True, check=True) for _ in range(2)]
+    assert runs[0].stdout == runs[1].stdout == run(["verify", str(DATA / "k4.graph")])[1]
+    counts = [json.loads(done.stderr)["minors"] for done in runs]
+    assert counts[0] > 0 and counts[1] == counts[0]
 
 
 def test_verify_runs_without_a_stats_attribute(capsys):

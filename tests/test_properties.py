@@ -1,5 +1,6 @@
 """Property tests: graph circuits and cocircuits against a brute force,
-one-step minors against graph minors, the mask encoding of signed sets
+one-step minors against graph minors and against the reference builder,
+the minors of ω built exactly when bounded, the mask encoding of signed sets
 and of filtrations against the element-set formulas, the chain walk of
 the connected filtrations against every set partition and cyclic marking,
 the forward map on (M, A) against the same map on the reorientation
@@ -20,6 +21,7 @@ each reorientation."""
 import copy
 import itertools
 import pickle
+import random
 from collections import Counter
 
 import pytest
@@ -57,6 +59,7 @@ from actbij.core import (
     _mask,
     _minor,
     _squeeze,
+    _supports,
     _unsqueeze,
     bases,
     compose,
@@ -88,6 +91,7 @@ from conftest import (
     assert_unique_decomposition,
     brute_force_reorientation_histogram,
     fully_optimal_basis_scan,
+    minor_reference,
     refined_by_direct_route,
     refined_stdout,
     serialize_om,
@@ -95,7 +99,7 @@ from conftest import (
     table_stdout,
     to_string,
 )
-from examples import diamond_doubled, diamond_doubled_digraph, k3, k4, k4_digraph, k5, w4, w4_digraph, w5
+from examples import diamond_doubled, diamond_doubled_digraph, k3, k4, k4_digraph, k5, k6, w4, w4_digraph, w5
 
 VERTICES = "abcde"
 N = 8  # ground set of the signed-set properties
@@ -159,6 +163,40 @@ def test_restrict_contract_is_the_graph_minor(case):
     ground = sorted(keep - contracted)
     assert [_squeeze(1 << (e - 1), runs) for e in ground] == [1 << i for i in range(len(ground))]
     assert all(_unsqueeze(_squeeze(x, runs), runs) == x & _mask(ground) for x in range(1 << len(g)))
+
+
+@settings(steady, max_examples=300)
+@given(minors())
+def test_the_minor_builder_is_the_reference(case):
+    # M's own sets where a prefix ground set cuts none of them, else every restriction tested as before
+    g, keep, contracted = case
+    m = om_from_digraph(g)
+    for om in (m, dual(m)):
+        assert _minor(om, _mask(keep), _mask(contracted)) == minor_reference(om, _mask(keep), _mask(contracted))
+
+
+@pytest.mark.parametrize("make", [k4, w4, k5, w5, k6], ids=["K4", "W4", "K5", "W5", "K6"])
+def test_the_minor_builder_is_the_reference_on_complete_graphs_and_wheels(make):
+    rng, m = random.Random(29), make()
+    full = (1 << m.n) - 1
+    for om in (m, dual(m)):
+        for i in range(300):
+            # a deletion, a contraction, then any minor, in turn
+            keep = full if i % 3 == 1 else rng.randrange(full + 1)
+            contracted = 0 if i % 3 == 0 else rng.randrange(full + 1) & keep
+            assert _minor(om, keep, contracted) == minor_reference(om, keep, contracted), (keep, contracted)
+        for top in (1 << e for e in range(om.n)):  # M(1..e+1)/(e+1) and M(1..e), on ground sets from 1
+            for keep, contracted in ((2 * top - 1, top), (top - 1, 0)):
+                assert _minor(om, keep, contracted) == minor_reference(om, keep, contracted), (keep, contracted)
+
+
+def test_cut_restrictions_show_an_uncut_circuit_non_minimal():
+    # in 12, 23, 13, 13 with the first 13 contracted, the uncut circuit {1,2,4}
+    # holds {1,2} and {4}, the restrictions of the cut circuits {1,2,3} and {3,4}
+    m = om_from_digraph((("1", "2"), ("2", "3"), ("1", "3"), ("1", "3")))
+    minor, runs = _minor(m, 0b1111, 0b0100)
+    assert (minor, runs) == minor_reference(m, 0b1111, 0b0100)
+    assert _supports(minor.circuits) == [0b011, 0b100]
 
 
 def brute_force_circuit_supports(g) -> set[int]:
@@ -539,6 +577,38 @@ def test_the_optimal_table_is_the_scan_at_every_a(make):
     m = make()
     for om in (m, dual(m), reorient(m, {2, m.n})):
         assert_the_table_is_the_scan(om)
+
+
+def test_the_served_active_basis_is_the_optimal_table_on_k5():
+    # wherever -_A M is bounded or dual-bounded, its active basis is its fully optimal basis
+    m = k5()
+    owners, _ = _optimal_table(m)
+    for a in range(1 << m.n):
+        if owners[a] is not None:
+            assert active_basis(m, _elements(a)) == _elements(owners[a]), a
+
+
+@pytest.mark.parametrize("make", [k4, diamond_doubled, w4, k5], ids=["K4", "diamond_doubled", "W4", "K5"])
+def test_the_minors_built_are_the_bounded_ones(make, monkeypatch, request):
+    # the boundedness of M/ω and M∖ω decided on M, against is_bounded of both minors built,
+    # at every bounded minor that active_basis reaches on M and on its dual
+    import actbij.bijection as bijection
+
+    served, build = bijection.fully_optimal_basis, bijection._minor
+    reached, built = set(), set()
+    monkeypatch.setattr(bijection, "fully_optimal_basis", lambda m: reached.add(m) or served(m))
+    monkeypatch.setattr(bijection, "_minor", lambda m, keep, cut: built.add((m, keep, cut)) or build(m, keep, cut))
+    served.cache_clear()
+    request.addfinalizer(served.cache_clear)  # no entry made under the patch stays
+    for om in (make(), dual(make())):
+        for a in range(1 << om.n):
+            bijection.active_basis(om, _elements(a))
+    bounded = [m for m in reached if m.n >= 2 and is_bounded(m)]
+    assert len(bounded) > 10
+    for m in bounded:
+        full, omega = (1 << m.n) - 1, 1 << (m.n - 1)
+        for keep, cut in ((full, omega), (full ^ omega, 0)):
+            assert ((m, keep, cut) in built) == is_bounded(build(m, keep, cut)[0]), (m, keep, cut)
 
 
 @settings(steady, max_examples=60)
