@@ -10,12 +10,12 @@ function takes and returns element sets.
 
 An oriented matroid is stored by its full lists of signed circuits and
 signed cocircuits, one canonical representative per opposite pair (the
-smallest element of the support is positive).  ``_minor`` builds M(G)/F
-in one pass over the masks, re-indexed on 1..|G∖F| by squeezing the runs
-of G∖F (the i-th new element is the i-th smallest kept one), and returns
-those runs, by which ``_unsqueeze`` maps its masks back onto M's elements.
-When G∖F is a prefix 1..k that cuts none of the sets it keeps, the minor
-takes M's own sets as they are, in their order.
+smallest element of the support is positive), sorted by support mask.
+``_minor`` builds M(G)/F in one pass over the masks, re-indexed on 1..|G∖F|
+by squeezing the runs of G∖F (the i-th new element is the i-th smallest kept
+one), and returns those runs, by which ``_unsqueeze`` maps its masks back onto
+M's elements.  When G∖F is a prefix 1..k that cuts none of the sets it keeps,
+the minor takes M's own sets as they are, in their order.
 The fundamental sets of one basis come from one pass over the signed
 sets; those of a whole list of bases from one pass bit-sliced over the
 bases, a set of bases being one int.  The bases themselves grow level by
@@ -160,7 +160,7 @@ def _supports(signed_sets) -> list[int]:
 
 def _canonical_list(signed_sets) -> tuple[SignedSubset, ...]:
     """One representative per support, smallest element positive, sorted
-    by support as an ascending element list; conflicting signs raise."""
+    by support mask; conflicting signs raise."""
     out: dict[int, int] = {}
     for pos, neg in signed_sets:
         support = pos | neg
@@ -168,12 +168,12 @@ def _canonical_list(signed_sets) -> tuple[SignedSubset, ...]:
             pos = neg
         if out.setdefault(support, pos) != pos:
             raise InvalidOrientedMatroid(f"conflicting signatures on support {set(_elements(support))}")
-    return tuple(_new(SignedSubset, (out[s], s ^ out[s])) for s in sorted(out, key=_positions))
+    return tuple(_new(SignedSubset, (out[s], s ^ out[s])) for s in sorted(out))
 
 
 def _check_antichain(sets: tuple[SignedSubset, ...], kind: str) -> None:
-    for a, b in itertools.combinations(_supports(sets), 2):
-        if not a & ~b or not b & ~a:
+    for a, b in itertools.combinations(_supports(sets), 2):  # by mask, a subset comes first
+        if not a & ~b:
             raise InvalidOrientedMatroid(
                 f"{kind} supports are not an antichain: {set(_elements(a))} vs {set(_elements(b))}"
             )

@@ -1,13 +1,15 @@
 """The invariant suite behind the CLI ``verify`` subcommand.
 
 Each check returns quietly or raises :class:`VerificationFailure` with the
-first counterexample.  Checks are exhaustive over all reorientations,
-bases and subsets, each A ⊆ E walked as its mask in ``range(1 << n)``, so
-they are meant for desk-scale inputs.  Above n = FILTRATION_UNIQUENESS_CAP
-filtration-uniqueness returns at once and still reports ``ok``.
-The oracle checks read fully optimal bases from one table per OM, built for
-the check (``oracles._optimal_table``); an A it leaves to the scan of every
-basis fails, if at all, with the scan's message.  ``run_all`` can time each check.
+first counterexample.  Its name is its function's, ``check_`` dropped and ``_``
+read as ``-``; ``run_all`` can time each check and reports every failure, a
+library self-test tripped inside a check too, as ``FAIL <check>: <detail>``.
+Checks are exhaustive over all reorientations, bases and subsets, each A ⊆ E
+walked as its mask in ``range(1 << n)``, so they are meant for desk-scale
+inputs.  Above n = FILTRATION_UNIQUENESS_CAP filtration-uniqueness returns at
+once and still reports ``ok``.  The oracle checks read fully optimal bases
+from one table per OM, built for the check (``oracles._optimal_table``); an A
+it leaves to the scan of every basis fails, if at all, with the scan's message.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ class VerificationFailure(AssertionError):
     pass
 
 
-def _fail(name: str, detail: str):
-    raise VerificationFailure(f"{name}: {detail}")
+def _fail(detail: str):
+    raise VerificationFailure(detail)
 
 
 class Sweep:
@@ -64,10 +66,10 @@ def _interval(lo: int, hi: int) -> set[int]:
 def check_structure(m, sweep):
     core.om_from_lists(m.n, m.circuits, m.cocircuits)
     if core.dual(core.dual(m)) != m:
-        _fail("structure", "dual is not an involution")
+        _fail("dual is not an involution")
     # on a single element, as -_E M = M for signed sets stored up to sign
     if any(core.reorient(core.reorient(m, {e}), {e}) != m for e in m.ground_set):
-        _fail("structure", "reorientation is not an involution")
+        _fail("reorientation is not an involution")
 
 
 def check_pivot_property(m, sweep):
@@ -76,10 +78,10 @@ def check_pivot_property(m, sweep):
         for elt in core._positions(b):
             for e in core._positions(((1 << m.n) - 1) ^ b):
                 if (supports[elt - 1] >> (e - 1) & 1) != (supports[e - 1] >> (elt - 1) & 1):
-                    _fail("pivot", f"B={core._positions(b)}, b={elt}, e={e}")
+                    _fail(f"B={core._positions(b)}, b={elt}, e={e}")
 
 
-def check_compose_full_support(m, sweep):
+def check_compose_support(m, sweep):
     full = (1 << m.n) - 1
     loops, isthmuses = (sum(s for s in core._supports(sets) if not s & (s - 1)) for sets in (m.circuits, m.cocircuits))
     for b in core._basis_masks(m):
@@ -89,7 +91,7 @@ def check_compose_full_support(m, sweep):
             for e in core._positions(side):
                 composed = core.compose(composed, funds[e - 1])
             if composed.pos | composed.neg != full ^ zeros:
-                _fail("compose", f"{kind} support wrong for B={core._positions(b)}")
+                _fail(f"{kind} support wrong for B={core._positions(b)}")
 
 
 def check_activity_duality(m, sweep):
@@ -98,12 +100,12 @@ def check_activity_duality(m, sweep):
         internal, external = sweep.value(activities.basis_activities, b)
         co_internal, co_external = activities.basis_activities(md, m.ground_set - core._elements(b))
         if internal != co_external or external != co_internal:
-            _fail("activity-duality", f"B={core._positions(b)}")
+            _fail(f"B={core._positions(b)}")
     for a in range(1 << m.n):
         ostar, o = sweep.value(activities.orientation_activities, a)
         dstar, do = activities.orientation_activities(md, core._elements(a))
         if ostar != do or o != dstar:
-            _fail("activity-duality", f"A={core._positions(a)}")
+            _fail(f"A={core._positions(a)}")
 
 
 def check_filtration_duality(m, sweep):
@@ -112,7 +114,7 @@ def check_filtration_duality(m, sweep):
         f = sweep.value(activities.active_filtration_orientation, a)
         fd = activities.active_filtration_orientation(md, core._elements(a))
         if fd.masks != f.masks[::-1] or fd.cyclic_index != len(f.masks) - f.cyclic_index:
-            _fail("filtration-duality", f"A={core._positions(a)}")
+            _fail(f"A={core._positions(a)}")
 
 
 def _bounded_step(m, small: int, part: int, cyclic: bool, a: int) -> bool:
@@ -127,11 +129,11 @@ def check_bounded_minors(m, sweep):
     for a in range(1 << m.n):
         f = sweep.value(activities.active_filtration_orientation, a)
         if not activities.is_connected_filtration(m, f):
-            _fail("bounded-minors", f"A={core._positions(a)}: filtration not connected")
+            _fail(f"A={core._positions(a)}: filtration not connected")
         small = 0
         for i, part in enumerate(f.masks):
             if not _bounded_step(m, small, part, f.part_is_cyclic(i), a):
-                _fail("bounded-minors", f"A={core._positions(a)}, part {i}")
+                _fail(f"A={core._positions(a)}, part {i}")
             small |= part
 
 
@@ -140,7 +142,7 @@ def check_class_invariance(m, sweep):
     for a, members in sweep.classes():
         for member in members:
             if any(sweep.value(fn, member) != sweep.value(fn, a) for fn in invariants):
-                _fail("class-invariance", f"A={core._positions(a)}, member={core._positions(member)}")
+                _fail(f"A={core._positions(a)}, member={core._positions(member)}")
 
 
 def check_fixed_representative(m, sweep):
@@ -148,32 +150,31 @@ def check_fixed_representative(m, sweep):
         active = (sweep.value(activities.orientation_activities, x) for x in members)
         fixed = [x for x, (ostar, o) in zip(members, active) if not x & core._mask(ostar | o)]
         if len(fixed) != 1:
-            _fail("fixed-representative", f"A={core._positions(a)}: {len(fixed)} fixed members")
+            _fail(f"A={core._positions(a)}: {len(fixed)} fixed members")
 
 
 def check_bijection(m, sweep):
     preimages = defaultdict(set)
     for a in range(1 << m.n):
         preimages[sweep.value(bijection.active_basis, a)].add(a)
-    all_bases = set(core.bases(m))
-    if set(preimages) != all_bases:
-        _fail("bijection", "active basis map is not onto the bases")
+    if set(preimages) != set(core.bases(m)):
+        _fail("active basis map is not onto the bases")
     for b, pre in preimages.items():
         klass = bijection.alpha_inverse_class(m, b)  # one part per active element of B
         if len(pre) != 1 << len(klass.filtration.masks):
-            _fail("bijection", f"B={sorted(b)} has {len(pre)} preimages")
+            _fail(f"B={sorted(b)} has {len(pre)} preimages")
         if set(map(core._mask, klass.class_members)) != pre:
-            _fail("bijection", f"B={sorted(b)}: inverse class mismatch")
+            _fail(f"B={sorted(b)}: inverse class mismatch")
 
 
 def check_activity_preservation(m, sweep):
     for a in range(1 << m.n):
         b = core._mask(sweep.value(bijection.active_basis, a))
         if sweep.value(activities.basis_activities, b) != sweep.value(activities.orientation_activities, a):
-            _fail("activity-preservation", f"A={core._positions(a)}")
+            _fail(f"A={core._positions(a)}")
         f = sweep.value(activities.active_filtration_orientation, a)
         if sweep.value(activities.active_filtration_basis, b) != f:
-            _fail("activity-preservation", f"A={core._positions(a)}: filtrations differ")
+            _fail(f"A={core._positions(a)}: filtrations differ")
 
 
 def check_refined_bijection(m, sweep):
@@ -182,17 +183,17 @@ def check_refined_bijection(m, sweep):
         x = bijection.refined_alpha(m, core._elements(a))
         images.append(core._mask(x))
         if bijection.refined_alpha_inverse(m, x) != core._elements(a):
-            _fail("refined-bijection", f"A={core._positions(a)}")
+            _fail(f"A={core._positions(a)}")
         if activities.subset_params(m, x) != activities.reorientation_params(m, core._elements(a)):
-            _fail("refined-bijection", f"A={core._positions(a)}: parameter transport")
+            _fail(f"A={core._positions(a)}: parameter transport")
     if len(set(images)) != 1 << m.n:
-        _fail("refined-bijection", "not a permutation of the power set")
+        _fail("not a permutation of the power set")
     # activity classes map onto basis intervals
     for a, members in sweep.classes():
         b = sweep.value(bijection.active_basis, a)
         lo, hi = map(core._mask, activities.interval_of_basis(m, b))
         if {images[member] for member in members} != _interval(lo, hi):
-            _fail("refined-bijection", f"A={core._positions(a)}: class does not fill the interval")
+            _fail(f"A={core._positions(a)}: class does not fill the interval")
 
 
 def check_full_optimality_uniqueness(m, sweep):
@@ -203,26 +204,26 @@ def check_full_optimality_uniqueness(m, sweep):
         try:  # None where -_A M is neither bounded nor dual-bounded
             hit = oracles._optimal_at(m, table, a)
         except AssertionError as exc:  # no or several optimal bases, or the criteria disagree
-            _fail("full-optimality", f"A={core._positions(a)}: {exc}")
+            _fail(f"A={core._positions(a)}: {exc}")
         if hit is not None and hit != core._mask(served := sweep.value(bijection.active_basis, a)):
-            _fail("full-optimality", f"A={core._positions(a)}: scan {core._positions(hit)} != served {sorted(served)}")
+            _fail(f"A={core._positions(a)}: scan {core._positions(hit)} != served {sorted(served)}")
 
 
-def check_duality_of_alpha(m, sweep):
+def check_alpha_duality(m, sweep):
     md = core.dual(m)
     ground = m.ground_set
     for a in range(1 << m.n):
         if bijection.active_basis(md, core._elements(a)) != ground - sweep.value(bijection.active_basis, a):
-            _fail("alpha-duality", f"A={core._positions(a)}")
+            _fail(f"A={core._positions(a)}")
 
 
-def check_active_duality_bounded(m, sweep):
+def check_active_duality(m, sweep):
     if m.n <= 1:
         return
     tables = oracles._optimal_table(m), oracles._optimal_table(core.dual(m))
     for a in range(1 << (m.n - 1)):  # -_A M = -_(E∖A) M: each pair at its mask without n
         if tables[0][1] >> a & 1 and not oracles.check_active_duality(m, a, tables):
-            _fail("active-duality", f"A={core._positions(a)}")
+            _fail(f"A={core._positions(a)}")
 
 
 def check_recursive_definitions(m, sweep):
@@ -231,28 +232,28 @@ def check_recursive_definitions(m, sweep):
     for a in range(1 << m.n):
         pair, b = min(a, a ^ full), sweep.value(bijection.active_basis, a)
         if oracles.active_basis_recursive(m, flip=pair, memo=memo) != b:
-            _fail("recursive-alpha", f"A={core._positions(a)}: cocircuit induction")
+            _fail(f"A={core._positions(a)}: cocircuit induction")
         if oracles.active_basis_recursive(m, flip=pair, circuit_induction=True, memo=memo) != b:
-            _fail("recursive-alpha", f"A={core._positions(a)}: circuit induction")
+            _fail(f"A={core._positions(a)}: circuit induction")
 
 
 def check_tutte_routes(m, sweep):
     activities._interval_walk(m)  # the subset sum is t(x+u, y+v) iff the basis intervals partition 2^E
     by_bases = tutte.tutte_from_bases(m)
     if tutte.tutte_from_orientations(m) != by_bases:
-        _fail("tutte", "orientation route disagrees with basis route")
+        _fail("orientation route disagrees with basis route")
     if oracles.tutte_delcon_oracle(m) != by_bases:
-        _fail("tutte", "deletion/contraction oracle disagrees")
+        _fail("deletion/contraction oracle disagrees")
     want, counts = tutte._shifted_coefficients(by_bases), tutte._reorientation_histogram(m)
     for key in sorted(want.keys() | counts.keys()):
         if counts.get(key, 0) != want.get(key, 0):
-            _fail("tutte", f"reorientation sum coefficient {key}: {counts.get(key, 0)} != {want.get(key, 0)}")
+            _fail(f"reorientation sum coefficient {key}: {counts.get(key, 0)} != {want.get(key, 0)}")
     if by_bases.evaluate(1, 1) != len(core.bases(m)):
-        _fail("tutte", "t(1,1) is not the number of bases")
+        _fail("t(1,1) is not the number of bases")
     if by_bases.evaluate(2, 2) != 1 << m.n:
-        _fail("tutte", "t(2,2) is not 2^n")
+        _fail("t(2,2) is not 2^n")
     if m.n > 0 and by_bases.coefficient(0, 0) != 0:
-        _fail("tutte", "b_00 nonzero for a nonempty ground set")
+        _fail("b_00 nonzero for a nonempty ground set")
 
 
 def check_class_counts(m, sweep):
@@ -279,28 +280,25 @@ def check_class_counts(m, sweep):
     ]
     for got, want, label in expected:
         if got != want:
-            _fail("class-counts", f"{label}: {got} != {want}")
+            _fail(f"{label}: {got} != {want}")
 
 
 def check_interval_unions(m, sweep):
-    independents = set()
-    spanning = set()
-    supports = core._supports(m.circuits)
+    independents, spanning, lower_union, upper_union = set(), set(), set(), set()
     for a in range(1 << m.n):
-        if all(s & ~a for s in supports):
+        r = core.subset_rank(m, core._elements(a))
+        if r == a.bit_count():
             independents.add(a)
-        if core.subset_rank(m, core._elements(a)) == m.rank:
+        if r == m.rank:
             spanning.add(a)
-    lower_union = set()
-    upper_union = set()
     for basis in core._basis_masks(m):
         internal, external = map(core._mask, sweep.value(activities.basis_activities, basis))
         lower_union |= _interval(basis & ~internal, basis)
         upper_union |= _interval(basis, basis | external)
-    if lower_union != independents:
-        _fail("interval-unions", "lower intervals are not the independent sets")
     if upper_union != spanning:
-        _fail("interval-unions", "upper intervals are not the spanning sets")
+        _fail("upper intervals are not the spanning sets")
+    if lower_union != independents:
+        _fail("lower intervals are not the independent sets")
 
 
 def check_filtration_uniqueness(m, sweep):
@@ -322,29 +320,19 @@ def check_filtration_uniqueness(m, sweep):
             markers[a] = f
     for a in range(1 << m.n):
         if counts[a] != 1 or markers[a] != sweep.value(activities.active_filtration_orientation, a):
-            _fail("filtration-uniqueness", f"A={core._positions(a)}: {counts[a]} decompositions")
+            _fail(f"A={core._positions(a)}: {counts[a]} decompositions")
 
 
 ALL_CHECKS = [
-    ("structure", check_structure),
-    ("pivot-property", check_pivot_property),
-    ("compose-support", check_compose_full_support),
-    ("activity-duality", check_activity_duality),
-    ("filtration-duality", check_filtration_duality),
-    ("bounded-minors", check_bounded_minors),
-    ("class-invariance", check_class_invariance),
-    ("fixed-representative", check_fixed_representative),
-    ("bijection", check_bijection),
-    ("activity-preservation", check_activity_preservation),
-    ("refined-bijection", check_refined_bijection),
-    ("full-optimality-uniqueness", check_full_optimality_uniqueness),
-    ("alpha-duality", check_duality_of_alpha),
-    ("active-duality", check_active_duality_bounded),
-    ("recursive-definitions", check_recursive_definitions),
-    ("tutte-routes", check_tutte_routes),
-    ("class-counts", check_class_counts),
-    ("interval-unions", check_interval_unions),
-    ("filtration-uniqueness", check_filtration_uniqueness),
+    (fn.__name__[6:].replace("_", "-"), fn)
+    for fn in (
+        check_structure, check_pivot_property, check_compose_support, check_activity_duality,
+        check_filtration_duality, check_bounded_minors, check_class_invariance, check_fixed_representative,
+        check_bijection, check_activity_preservation, check_refined_bijection,
+        check_full_optimality_uniqueness, check_alpha_duality, check_active_duality,
+        check_recursive_definitions, check_tutte_routes, check_class_counts, check_interval_unions,
+        check_filtration_uniqueness,
+    )
 ]
 
 
@@ -357,8 +345,8 @@ def run_all(m, report=print, times=None) -> bool:
         start = perf_counter()
         try:
             check(m, sweep)
-        except (AssertionError, ValueError) as exc:  # other than VerificationFailure: a library self-test
-            report(f"FAIL {exc}" if isinstance(exc, VerificationFailure) else f"FAIL {name}: {exc}")
+        except (AssertionError, ValueError) as exc:  # VerificationFailure, or a library self-test
+            report(f"FAIL {name}: {exc}")
             return False
         finally:
             if times is not None:

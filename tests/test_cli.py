@@ -252,7 +252,7 @@ def test_verify_runs_without_a_stats_attribute(capsys):
 
 def test_verify_failure_exit_code(monkeypatch):
     def broken(m, sweep):
-        raise verify.VerificationFailure("structure: injected failure")
+        raise verify.VerificationFailure("injected failure")
 
     monkeypatch.setattr(verify, "ALL_CHECKS", [("structure", broken)])
     code, out = run(["verify", str(DATA / "k3.graph")])

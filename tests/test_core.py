@@ -187,7 +187,7 @@ def test_k3_matches_graph_fixture(k3_om):
 
 
 def test_rejects_comparable_supports():
-    # in support order the smaller set comes first, then last: each side of the antichain test
+    # given first, then last: sorted by support mask, the smaller set comes first either way
     for first, second in [((1, 2), (1, 2, 3)), ((1, 2, 3), (2, 3))]:
         sets = [ss(*first), ss(*second)]
         for kind, lists in (("circuit", (sets, [])), ("cocircuit", ([], sets))):

@@ -4,7 +4,8 @@ every public function, class, method, property or namedtuple field has a
 caller outside the tests or names a notion of the paper, that one run maps each
 reorientation of M once, makes one basis pass per served basis and calls
 ``reorient`` only on single elements, that recursive-definitions keeps no
-reoriented OM, that its named checks report a planted fault under their own names,
+reoriented OM, that each check is named once, by its function, and reports a planted
+fault or a library error inside it on one ``FAIL <check>: <detail>`` line,
 that full-optimality-uniqueness fails when the served basis is not the
 scan's, that an A the fully optimal table leaves to the scan fails with the
 scan's own message, that check_active_duality on the tables gives the scans'
@@ -329,14 +330,14 @@ PLANTED = [
         core,
         "_fundamentals",
         lambda real: lambda m, b: [core.SignedSubset.from_masks(1, 0), *real(m, b)[1:]],
-        "pivot: B=[1, 2], b=1, e=3",
+        "pivot-property: B=[1, 2], b=1, e=3",
     ),
     (
         "compose-support",
         core,
         "compose",
         lambda real: lambda x, y: x,
-        "compose: covector support wrong for B=[1, 2]",
+        "compose-support: covector support wrong for B=[1, 2]",
     ),
     (
         # only the dual's activities swap
@@ -403,7 +404,7 @@ PLANTED = [
         oracles,
         "_basis_masks",
         lambda real: lambda m: real(m) * 2,
-        "full-optimality: A=[2]: expected exactly one fully optimal basis, found 2: [[2, 3], [2, 3]]",
+        "full-optimality-uniqueness: A=[2]: expected exactly one fully optimal basis, found 2: [[2, 3], [2, 3]]",
     ),
     (
         # K3 has rank 2 and its dual rank 1: only the dual's bases change
@@ -426,14 +427,14 @@ PLANTED = [
         oracles,
         "active_basis_recursive",
         lambda real: lambda m, **kwargs: frozenset(),
-        "recursive-alpha: A=[]: cocircuit induction",
+        "recursive-definitions: A=[]: cocircuit induction",
     ),
     (
         "tutte-routes",
         oracles,
         "tutte_delcon_oracle",
         lambda real: lambda m: TuttePolynomial({}),
-        "tutte: deletion/contraction oracle disagrees",
+        "tutte-routes: deletion/contraction oracle disagrees",
     ),
     (
         "interval-unions",
@@ -488,6 +489,52 @@ def test_a_library_fault_inside_a_check_is_reported_as_its_failure(monkeypatch, 
     assert lines[-1] == "FAIL bijection: expected exactly one cocircuit inside [1], found 0"
 
 
+def test_the_check_names_are_the_listed_nineteen_in_order():
+    # read off the function names: a renamed function must not rename its check
+    assert [name for name, _ in verify.ALL_CHECKS] == [
+        "structure",
+        "pivot-property",
+        "compose-support",
+        "activity-duality",
+        "filtration-duality",
+        "bounded-minors",
+        "class-invariance",
+        "fixed-representative",
+        "bijection",
+        "activity-preservation",
+        "refined-bijection",
+        "full-optimality-uniqueness",
+        "alpha-duality",
+        "active-duality",
+        "recursive-definitions",
+        "tutte-routes",
+        "class-counts",
+        "interval-unions",
+        "filtration-uniqueness",
+    ]
+
+
+def invalid_oriented_matroid(*args):
+    raise core.InvalidOrientedMatroid("planted")
+
+
+@pytest.mark.parametrize(
+    "attr, fault, raised, detail",
+    [
+        ("dual", lambda real: lambda m: real(m) if m.rank == 2 else m, verify.VerificationFailure, "dual is not an involution"),
+        ("om_from_lists", lambda real: invalid_oriented_matroid, core.InvalidOrientedMatroid, "planted"),
+    ],
+    ids=["verification-failure", "library-value-error"],
+)
+def test_a_check_failure_and_a_library_error_in_one_check_print_one_format(monkeypatch, attr, fault, raised, detail):
+    monkeypatch.setattr(core, attr, fault(getattr(core, attr)))
+    m = k3()
+    with pytest.raises(raised) as exc:
+        verify.check_structure(m, verify.Sweep(m))
+    assert type(exc.value) is raised and str(exc.value) == detail
+    assert_fails_at("structure", f"FAIL structure: {detail}")
+
+
 def test_the_cap_check_still_raises():
     with pytest.raises(core.GroundSetTooLarge):
         verify.run_all(core.OrientedMatroid(core.ENUMERATION_CAP + 1, (), (), 0), report=lambda line: None)
@@ -502,7 +549,7 @@ def test_an_error_of_degree_3_the_grid_misses_fails_tutte_routes(monkeypatch):
     names, lines = [name for name, _ in verify.ALL_CHECKS], []
     assert not verify.run_all(k4(), report=lines.append)
     assert lines == [f"ok {name}" for name in names[: names.index("tutte-routes")]] + [
-        "FAIL tutte: reorientation sum coefficient (1, 0, 0, 0): 2 != 4"
+        "FAIL tutte-routes: reorientation sum coefficient (1, 0, 0, 0): 2 != 4"
     ]
 
 
@@ -531,7 +578,7 @@ PLANTED_ALONE = [
         tutte,
         "tutte_from_bases",
         lambda real: lambda m: TuttePolynomial({}),
-        "class-counts: class representatives: 3 != 0",
+        "class representatives: 3 != 0",
     ),
     (
         # the planted reorientation of M is M*, and that of M* is M* again
@@ -540,7 +587,7 @@ PLANTED_ALONE = [
         core,
         "reorient",
         lambda real: lambda m, a: core.dual(m) if m.rank == 2 else m,
-        "structure: reorientation is not an involution",
+        "reorientation is not an involution",
     ),
     (
         # reorienting M is right and only reorienting back is wrong: -_E M = M would hide it
@@ -549,7 +596,7 @@ PLANTED_ALONE = [
         core,
         "reorient",
         flips_2_as_well_off_the_first_om,
-        "structure: reorientation is not an involution",
+        "reorientation is not an involution",
     ),
     (
         # only the dual's orientation activities swap
@@ -558,7 +605,7 @@ PLANTED_ALONE = [
         activities,
         "orientation_activities",
         lambda real: lambda m, a=(): real(m, a) if m.rank == 2 else real(m, a)[::-1],
-        "activity-duality: A=[]",
+        "A=[]",
     ),
     (
         # every basis of K3 given the parts 1|2|3 above the cyclic flat: the intervals overlap
@@ -575,7 +622,7 @@ PLANTED_ALONE = [
         tutte,
         "_reorientation_histogram",
         lambda real: lambda m: one_x_for_u(real(m)),
-        "tutte: reorientation sum coefficient (1, 1, 0, 0): 1 != 2",
+        "reorientation sum coefficient (1, 1, 0, 0): 1 != 2",
     ),
     (
         # a key on one side only is compared too: here the histogram lacks it
@@ -584,7 +631,7 @@ PLANTED_ALONE = [
         tutte,
         "_shifted_coefficients",
         lambda real: lambda t: {**real(t), (0, 0, 0, 2): 1},
-        "tutte: reorientation sum coefficient (0, 0, 0, 2): 0 != 1",
+        "reorientation sum coefficient (0, 0, 0, 2): 0 != 1",
     ),
     (
         # and here the expansion lacks it; both sides read 1 where they hold it
@@ -593,7 +640,7 @@ PLANTED_ALONE = [
         tutte,
         "_shifted_coefficients",
         lambda real: lambda t: {key: c for key, c in real(t).items() if key != (2, 0, 0, 0)},
-        "tutte: reorientation sum coefficient (2, 0, 0, 0): 1 != 0",
+        "reorientation sum coefficient (2, 0, 0, 0): 1 != 0",
     ),
     (
         "bounded-minors-connected",
@@ -601,7 +648,7 @@ PLANTED_ALONE = [
         activities,
         "is_connected_filtration",
         lambda real: lambda m, f: False,
-        "bounded-minors: A=[]: filtration not connected",
+        "A=[]: filtration not connected",
     ),
     (
         "bijection-onto",
@@ -609,7 +656,7 @@ PLANTED_ALONE = [
         bijection,
         "active_basis",
         lambda real: lambda m, a=(): frozenset({1, 2}),
-        "bijection: active basis map is not onto the bases",
+        "active basis map is not onto the bases",
     ),
     (
         # the class of [1, 2] has one part where B has two active elements
@@ -618,7 +665,7 @@ PLANTED_ALONE = [
         bijection,
         "alpha_inverse_class",
         lambda real: lambda m, b: real(m, b)._replace(filtration=Filtration.from_masks([7], 0)),
-        "bijection: B=[1, 2] has 4 preimages",
+        "B=[1, 2] has 4 preimages",
     ),
     (
         # Int(B) and Ext(B) swapped: 1 is active in exactly one of them
@@ -627,7 +674,7 @@ PLANTED_ALONE = [
         activities,
         "basis_activities",
         lambda real: lambda m, b: real(m, b)[::-1],
-        "activity-preservation: A=[]",
+        "A=[]",
     ),
     (
         "refined-bijection-transport",
@@ -635,7 +682,7 @@ PLANTED_ALONE = [
         activities,
         "reorientation_params",
         lambda real: lambda m, a: (),
-        "refined-bijection: A=[]: parameter transport",
+        "A=[]: parameter transport",
     ),
     (
         # the interval's ends swapped: a single subset, while every class has at least two members
@@ -644,7 +691,7 @@ PLANTED_ALONE = [
         activities,
         "interval_of_basis",
         lambda real: lambda m, b: real(m, b)[::-1],
-        "refined-bijection: A=[]: class does not fill the interval",
+        "A=[]: class does not fill the interval",
     ),
     (
         "recursive-definitions-circuit",
@@ -652,7 +699,7 @@ PLANTED_ALONE = [
         oracles,
         "active_basis_recursive",
         lambda real: lambda m, **kwargs: frozenset() if kwargs.get("circuit_induction") else real(m, **kwargs),
-        "recursive-alpha: A=[]: circuit induction",
+        "A=[]: circuit induction",
     ),
     (
         "tutte-routes-orientations",
@@ -660,7 +707,7 @@ PLANTED_ALONE = [
         tutte,
         "tutte_from_orientations",
         lambda real: lambda m: TuttePolynomial({}),
-        "tutte: orientation route disagrees with basis route",
+        "orientation route disagrees with basis route",
     ),
     (
         # the routes count bases through core._basis_masks, not the public bases
@@ -669,7 +716,7 @@ PLANTED_ALONE = [
         core,
         "bases",
         lambda real: lambda m: real(m)[1:],
-        "tutte: t(1,1) is not the number of bases",
+        "t(1,1) is not the number of bases",
     ),
     (
         # no route evaluates the polynomial, and t(1,1) is left as it is
@@ -678,7 +725,7 @@ PLANTED_ALONE = [
         TuttePolynomial,
         "evaluate",
         lambda real: lambda self, x, y: real(self, x, y) + ((x, y) == (2, 2)),
-        "tutte: t(2,2) is not 2^n",
+        "t(2,2) is not 2^n",
     ),
     (
         # no route reads a single coefficient
@@ -687,7 +734,7 @@ PLANTED_ALONE = [
         TuttePolynomial,
         "coefficient",
         lambda real: lambda self, i, j: 1,
-        "tutte: b_00 nonzero for a nonempty ground set",
+        "b_00 nonzero for a nonempty ground set",
     ),
     (
         # the one acyclic part E is valid first at [1, 2], where -_A M is bounded
@@ -696,7 +743,7 @@ PLANTED_ALONE = [
         oracles,
         "all_connected_filtrations",
         lambda real: lambda m: [*real(m), real(m)[0]],
-        "filtration-uniqueness: A=[1, 2]: 2 decompositions",
+        "A=[1, 2]: 2 decompositions",
     ),
     (
         "filtration-uniqueness-served",
@@ -704,7 +751,7 @@ PLANTED_ALONE = [
         activities,
         "active_filtration_orientation",
         lambda real: lambda m, a=(): Filtration.from_masks([7], 0),
-        "filtration-uniqueness: A=[]: 1 decompositions",
+        "A=[]: 1 decompositions",
     ),
     (
         # Int(B) dropped: each lower interval is B alone
@@ -713,7 +760,7 @@ PLANTED_ALONE = [
         activities,
         "basis_activities",
         lambda real: lambda m, b: (frozenset(), real(m, b)[1]),
-        "interval-unions: lower intervals are not the independent sets",
+        "lower intervals are not the independent sets",
     ),
 ]
 
@@ -735,7 +782,7 @@ def test_the_constant_term_is_checked_on_one_element(monkeypatch):
     # an isthmus: the smallest nonempty ground set
     m = core.om_from_lists(1, [], [core.SignedSubset(frozenset({1}), frozenset())])
     monkeypatch.setattr(TuttePolynomial, "coefficient", lambda self, i, j: 1)
-    with pytest.raises(verify.VerificationFailure, match="^tutte: b_00 nonzero for a nonempty ground set$"):
+    with pytest.raises(verify.VerificationFailure, match="^b_00 nonzero for a nonempty ground set$"):
         verify.check_tutte_routes(m, verify.Sweep(m))
 
 
@@ -752,7 +799,7 @@ def filtration_uniqueness_by_loop(m, sweep):
             )
         ]
         if len(valid) != 1 or valid[0] != sweep.value(activities.active_filtration_orientation, a):
-            raise verify.VerificationFailure(f"filtration-uniqueness: A={core._positions(a)}: {len(valid)} decompositions")
+            raise verify.VerificationFailure(f"A={core._positions(a)}: {len(valid)} decompositions")
 
 
 @pytest.mark.parametrize("m", [k3(), k4(), diamond_doubled(), w4()], ids=["K3", "K4", "diamond_doubled", "W4"])
@@ -785,8 +832,8 @@ def test_full_optimality_fails_when_the_served_basis_is_not_the_scans(monkeypatc
     m = k3()
     real = bijection.active_basis
     monkeypatch.setattr(bijection, "active_basis", lambda m, a=(): real(m, a) ^ {1})
-    message = "full-optimality: A=[2]: scan [2, 3] != served [1, 2, 3]"
-    with pytest.raises(verify.VerificationFailure, match=re.escape(message)):
+    message = "A=[2]: scan [2, 3] != served [1, 2, 3]"
+    with pytest.raises(verify.VerificationFailure, match=f"^{re.escape(message)}$"):
         verify.check_full_optimality_uniqueness(m, verify.Sweep(m))
 
 
@@ -796,9 +843,9 @@ def full_optimality_by_scan(m, sweep):
         try:
             hit = fully_optimal_basis_scan(m, a)
         except AssertionError as exc:
-            raise verify.VerificationFailure(f"full-optimality: A={core._positions(a)}: {exc}") from None
+            raise verify.VerificationFailure(f"A={core._positions(a)}: {exc}") from None
         if hit is not None and hit != (served := sweep.value(bijection.active_basis, a)):
-            message = f"full-optimality: A={core._positions(a)}: scan {sorted(hit)} != served {sorted(served)}"
+            message = f"A={core._positions(a)}: scan {sorted(hit)} != served {sorted(served)}"
             raise verify.VerificationFailure(message)
 
 
@@ -873,7 +920,7 @@ def test_an_a_the_table_marks_fails_with_the_scans_message(monkeypatch, plant, f
         verify.check_full_optimality_uniqueness(m, sweep)
     assert str(by_table.value) == str(by_scan.value) and found in str(by_table.value)
     # the table read every A before it and left this one to the scan of -_A M
-    listed = re.match(r"full-optimality: A=(\[[\d, ]*\]): ", str(by_table.value))[1]
+    listed = re.match(r"A=(\[[\d, ]*\]): ", str(by_table.value))[1]
     assert scanned == [core._reoriented(m, core._mask(ast.literal_eval(listed)))]
 
 
@@ -881,13 +928,13 @@ def test_where_the_tables_leave_every_a_to_the_scans_the_scans_decide(monkeypatc
     real = oracles._optimal_table
     monkeypatch.setattr(oracles, "_optimal_table", lambda m: ([x if x is None else -1 for x in real(m)[0]], real(m)[1]))
     m = k3()
-    for check in (verify.check_active_duality_bounded, verify.check_recursive_definitions):
+    for check in (verify.check_active_duality, verify.check_recursive_definitions):
         check(m, verify.Sweep(m))
     # the scan of M* (rank 1) under any flip answers with 1 added: -_p M*'s basis no longer complements α(M)
     only = oracles._only_passing
     monkeypatch.setattr(oracles, "_only_passing", lambda om, *args: only(om, *args) | (om.rank == 1))
-    with pytest.raises(verify.VerificationFailure, match=r"^active-duality: A=\[1, 2\]$"):
-        verify.check_active_duality_bounded(m, verify.Sweep(m))
+    with pytest.raises(verify.VerificationFailure, match=r"^A=\[1, 2\]$"):
+        verify.check_active_duality(m, verify.Sweep(m))
 
 
 def active_duality_by_scans(r) -> bool:
