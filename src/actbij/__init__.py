@@ -50,7 +50,7 @@ from .graphs import (
     parse_om_file,
     parse_reorientation,
 )
-from .oracles import check_active_duality, tutte_delcon_oracle
+from .oracles import check_active_duality, tutte_rank_oracle
 from .tutte import (
     TuttePolynomial,
     beta,

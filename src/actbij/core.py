@@ -515,11 +515,6 @@ def fundamental_cocircuit(m: OrientedMatroid, b: frozenset[int], elt: int) -> Si
     return _fundamentals(m, _mask(b))[elt - 1]
 
 
-def subset_rank(m: OrientedMatroid, subset) -> int:
-    """Rank of a subset: greedy independence within it over circuit supports."""
-    return _greedy_rank(_supports(m.circuits), _mask(subset))
-
-
 def is_connected_matroid(m: OrientedMatroid) -> bool:
     """Connected: every pair of elements lies in a common circuit (n <= 1 counts)."""
     if m.n <= 1:

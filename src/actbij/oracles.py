@@ -2,15 +2,17 @@
 maps against: the fully optimal basis of every reorientation at once, the recursive
 active basis on minors of M under a flip mask, with positive sets from
 ``core._positive_under`` and not the serving test, the active duality identities,
-the connected filtrations by chain growth and deletion/contraction.  Exponential,
-desk scale only; no serving module imports them, and each memo lasts one call or one check."""
+and, from one rank table, the connected filtrations by chain growth and the
+rank-generating Tutte sum.  Exponential, desk scale only; no serving module imports
+them, and each table or memo lasts one call or one check."""
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import reduce
 from operator import and_, or_
 
-from .activities import Filtration, _connected_step
+from .activities import Filtration
 from .bijection import _only_passing
 from .core import (
     OrientedMatroid,
@@ -29,7 +31,7 @@ from .core import (
     _unsqueeze,
     dual,
 )
-from .tutte import TuttePolynomial
+from .tutte import TuttePolynomial, _shifted_coefficients
 
 
 def _optimal_table(m: OrientedMatroid) -> tuple[list, int]:
@@ -151,21 +153,37 @@ def check_active_duality(m: OrientedMatroid, flip: int = 0, tables=None) -> bool
     return lhs == full & ~companion & ~2 | 1 and plain == full ^ lhs
 
 
+def _rank_table(m: OrientedMatroid) -> bytearray:
+    """r(A) for every A ⊆ E, indexed by its mask: r(A) = r(A − e) + 1 for e = max(A), less 1 when
+    A − e holds C − e for a circuit C with top e; per e those A − e are an OR of ANDs of ``core._holding``."""
+    supports, (_, has), table = _supports(m.circuits), _holding(m.n), bytearray(1)
+    for e in range(m.n):
+        below = (1 << (1 << e)) - 1  # every mask under bit e
+        spanned = reduce(or_, (reduce(and_, (has[x - 1] for x in _positions(s ^ 1 << e)), below)
+                               for s in supports if s >> e == 1), 0)
+        table += bytes(r + (bit == "0") for r, bit in zip(table, format(spanned, f"0{1 << e}b")[::-1]))
+    return table
+
+
 def all_connected_filtrations(m: OrientedMatroid) -> list[Filtration]:
     """The connected filtrations of M, each chain grown from ∅ one part at
     a time: cyclic parts by decreasing minimum, the cyclic flat closed at
     any step, then acyclic parts each holding the smallest element left.
-    A chain is dropped at its first step whose minor is not connected;
-    each step's verdict is memoized for the duration of the call.
-    Exponential; desk scale only.
+    A chain is dropped at its first step whose minor M(G)/F is not connected,
+    read off the :func:`_rank_table`: a single element is a loop iff r(G) = r(F),
+    a larger part has no split X ⊔ Y with r(F∪X) + r(F∪Y) = r(G) + r(F).
+    Each step's verdict is memoized for the call.  Exponential; desk scale only.
     """
-    full = (1 << m.n) - 1
+    full, rank = (1 << m.n) - 1, _rank_table(m)
     memo: dict[tuple[int, int, bool], bool] = {}  # keyed on the chain masks F ⊂ G
     results = []
 
     def step_ok(small: int, large: int, cyclic: bool) -> bool:
         if (small, large, cyclic) not in memo:
-            memo[small, large, cyclic] = _connected_step(_minor(m, large, small)[0], cyclic)
+            part = large ^ small
+            rest = part & (part - 1)  # the part less its minimum
+            memo[small, large, cyclic] = (rank[large] == rank[small]) == cyclic if not rest else all(
+                rank[small | y] + rank[large ^ y] > rank[large] + rank[small] for y in _submasks(rest) if y)
         return memo[small, large, cyclic]
 
     def acyclic(parts: list[int], placed: int, cyclic_index: int) -> None:
@@ -189,32 +207,13 @@ def all_connected_filtrations(m: OrientedMatroid) -> list[Filtration]:
     return results
 
 
-def tutte_delcon_oracle(m: OrientedMatroid) -> TuttePolynomial:
-    """Independent loop/isthmus/deletion-contraction recursion over the
-    unsigned circuit supports, memoized for the duration of the call."""
-    memo: dict[tuple[int, frozenset[int]], TuttePolynomial] = {}
-
-    def delcon(ground: int, supports: frozenset[int]) -> TuttePolynomial:
-        if not ground:
-            return TuttePolynomial({(0, 0): 1})
-        if (ground, supports) in memo:
-            return memo[ground, supports]
-        e = ground & -ground
-        rest = ground ^ e
-        deleted = frozenset(s for s in supports if not s & e)
-        if e in supports:
-            poly = TuttePolynomial({(i, j + 1): c for (i, j), c in delcon(rest, deleted).items()})
-        elif deleted == supports:
-            poly = TuttePolynomial({(i + 1, j): c for (i, j), c in delcon(rest, deleted).items()})
-        else:
-            shrunk = {s & ~e for s in supports} - {0}
-            contracted = frozenset(s for s in shrunk if not any(t & ~s == 0 and t != s for t in shrunk))
-            coeffs: dict[tuple[int, int], int] = {}
-            for poly in (delcon(rest, deleted), delcon(rest, contracted)):
-                for key, c in poly.items():
-                    coeffs[key] = coeffs.get(key, 0) + c
-            poly = TuttePolynomial(coeffs)
-        memo[ground, supports] = poly
-        return poly
-
-    return delcon((1 << m.n) - 1, frozenset(_supports(m.circuits)))
+def tutte_rank_oracle(m: OrientedMatroid) -> TuttePolynomial:
+    """Crapo's rank-generating sum t(x, y) = Σ_A (x−1)^(r(E)−r(A)) (y−1)^(|A|−r(A)) over the
+    :func:`_rank_table`: the A counted by (r(A), |A|), then t(x+u, y+v) read at u = v = −1."""
+    table = _rank_table(m)
+    counts = Counter(zip(table, map(int.bit_count, range(1 << m.n))))
+    shifted = TuttePolynomial({(table[-1] - r, size - r): c for (r, size), c in counts.items()})
+    coeffs = Counter()
+    for (k, p, l, q), c in _shifted_coefficients(shifted).items():
+        coeffs[k, l] += c * (-1) ** (p + q)
+    return TuttePolynomial(coeffs)

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from actbij import activities
+from actbij import activities, core
 from actbij.activities import (
     Filtration,
     activity_class,
@@ -21,6 +21,9 @@ from actbij.activities import (
     subset_params,
 )
 from actbij.core import (
+    _greedy_rank,
+    _mask,
+    _supports,
     bases,
     fundamental_circuit,
     fundamental_cocircuit,
@@ -28,13 +31,12 @@ from actbij.core import (
     is_dual_bounded,
     om_from_lists,
     reorient,
-    subset_rank,
 )
 from actbij.graphs import om_from_digraph
 from actbij.oracles import all_connected_filtrations
 from actbij.tutte import beta, beta_star
 from conftest import random_om, subsets
-from examples import k4_missing_a_cocircuit, w4
+from examples import k4_missing_a_cocircuit, k5, w4, w5
 
 
 def fs(*elements):
@@ -460,7 +462,7 @@ def test_subset_params_cardinalities_and_minima():
         cosupports = tuple(d.support for d in m.cocircuits)
         for a in subsets(m.n):
             internal, p, external, q = subset_params(m, a)
-            ra = subset_rank(m, a)
+            ra = _greedy_rank(_supports(m.circuits), _mask(a))
             assert len(p) == m.rank - ra
             assert len(q) == len(a) - ra
             # the direct descriptions, without the owning basis
@@ -479,7 +481,15 @@ def test_reorientation_params_fixtures(k3_om):
 # --------------------------------------------- exhaustive filtration oracle
 
 def test_connected_filtration_counts(k4_om, diamond_om):
-    assert [len(all_connected_filtrations(m)) for m in (k4_om, diamond_om, w4())] == [14, 13, 40]
+    # as the walk counted when it built each step's minor
+    counts = [len(all_connected_filtrations(m)) for m in (k4_om, diamond_om, w4(), k5(), w5())]
+    assert counts == [14, 13, 40, 99, 112]
+
+
+def test_the_chain_walk_builds_no_minor():
+    m, built = w4(), core._minors_built[0]
+    assert len(all_connected_filtrations(m)) == 40
+    assert core._minors_built[0] == built
 
 
 def test_unique_connected_filtration_matches_formulas(k4_om):

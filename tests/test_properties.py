@@ -56,6 +56,7 @@ from actbij.core import (
     _canonical_list,
     _elements,
     _fundamentals,
+    _greedy_rank,
     _mask,
     _minor,
     _squeeze,
@@ -74,10 +75,11 @@ from actbij.core import (
 from actbij.graphs import om_from_digraph, parse_om_file
 from actbij.oracles import (
     _optimal_table,
+    _rank_table,
     active_basis_recursive,
     all_connected_filtrations,
     check_active_duality,
-    tutte_delcon_oracle,
+    tutte_rank_oracle,
 )
 from actbij.tutte import (
     _reorientation_histogram,
@@ -401,7 +403,8 @@ def exhaustive_connected_filtrations(m) -> list[Filtration]:
     """Every set partition of E times every cyclic marking of its blocks,
     as a filtration (cyclic blocks by decreasing minimum from ∅, then the
     others by increasing minimum), kept when every chain step's minor is
-    connected; each step's verdict is memoized for the call."""
+    connected; each step's verdict is memoized for the call.  It builds each
+    minor, so it is independent of the walk's rank table."""
     memo: dict[tuple[int, int, bool], bool] = {}
 
     def step_ok(small: int, large: int, cyclic: bool) -> bool:
@@ -668,14 +671,28 @@ def test_alpha_keeps_the_activities_of_every_reorientation(g):
 
 
 @settings(steady, max_examples=60)
+@given(digraphs(max_edges=8))
+@example(k4_digraph())
+@example(diamond_doubled_digraph())
+@example(w4_digraph())
+@example((("a", "a"),))  # U(1,0), a loop
+@example((("a", "b"),))  # U(1,1), an isthmus
+@example(())  # n = 0
+def test_the_rank_table_is_the_greedy_rank_at_every_subset(g):
+    m = om_from_digraph(g)
+    supports = _supports(m.circuits)
+    assert list(_rank_table(m)) == [_greedy_rank(supports, a) for a in range(1 << m.n)]
+
+
+@settings(steady, max_examples=60)
 @given(digraphs(max_edges=9))
 @example(k4_digraph())  # as in the seeded loop
-def test_the_bases_orientations_and_deletion_contraction_give_one_tutte_polynomial(g):
+def test_the_bases_orientations_and_rank_generating_sum_give_one_tutte_polynomial(g):
     # acceptance criterion 2, whose seeded loop stays in test_acceptance.py
     m = om_from_digraph(g)
     t = tutte_from_bases(m)
     assert tutte_from_orientations(m) == t
-    assert tutte_delcon_oracle(m) == t
+    assert tutte_rank_oracle(m) == t
 
 
 @settings(steady, max_examples=40)

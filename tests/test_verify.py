@@ -52,7 +52,7 @@ def test_only_verify_imports_the_oracles():
     modules = {path.stem: path for path in SRC.glob("*.py")}
     assert set(SERVING) <= set(modules)
     assert not [name for name in SERVING if imports_oracles(modules[name])]
-    # the package re-exports check_active_duality and tutte_delcon_oracle
+    # the package re-exports check_active_duality and tutte_rank_oracle
     assert {name for name, path in modules.items() if imports_oracles(path)} == {"__init__", "verify"}
 
 
@@ -315,6 +315,18 @@ def test_reorienting_a_single_element_changes_m_and_twice_restores_it(m):
         assert r != m and core.reorient(r, {e}) == m
 
 
+def zero_off_the_first_call(real):
+    """A rank table of zeros from its second call on: the first is tutte-routes', whose
+    rank-generating route would catch it before interval-unions reads one."""
+    calls = []
+
+    def planted(m):
+        calls.append(m)
+        return real(m) if len(calls) == 1 else bytearray(1 << m.n)
+
+    return planted
+
+
 PLANTED = [
     (
         # K3 has rank 2 and its dual rank 1: the planted dual of M* is M* itself
@@ -432,15 +444,16 @@ PLANTED = [
     (
         "tutte-routes",
         oracles,
-        "tutte_delcon_oracle",
+        "tutte_rank_oracle",
         lambda real: lambda m: TuttePolynomial({}),
-        "tutte-routes: deletion/contraction oracle disagrees",
+        "tutte-routes: rank-generating route disagrees",
     ),
     (
+        # all-zero ranks once tutte-routes has read its table
         "interval-unions",
-        core,
-        "subset_rank",
-        lambda real: lambda m, a: 0,
+        oracles,
+        "_rank_table",
+        zero_off_the_first_call,
         "interval-unions: upper intervals are not the spanning sets",
     ),
     (
@@ -804,7 +817,6 @@ def filtration_uniqueness_by_loop(m, sweep):
 
 @pytest.mark.parametrize("m", [k3(), k4(), diamond_doubled(), w4()], ids=["K3", "K4", "diamond_doubled", "W4"])
 def test_the_product_over_parts_fails_where_the_filtration_loop_does(monkeypatch, m):
-    monkeypatch.setattr(verify, "FILTRATION_UNIQUENESS_CAP", 8)  # W4 has n = 8
     filtrations, served = oracles.all_connected_filtrations, activities.active_filtration_orientation
     faults = [
         (oracles, "all_connected_filtrations", filtrations),
@@ -826,6 +838,21 @@ def test_the_product_over_parts_fails_where_the_filtration_loop_does(monkeypatch
             assert by_route[0] == by_route[1]
             outcomes.append(by_route[0])
     assert outcomes[0] is None and all(outcomes[1:])
+
+
+def test_filtration_uniqueness_above_its_cap_is_reported_as_skipped(monkeypatch):
+    monkeypatch.setattr(verify, "FILTRATION_UNIQUENESS_CAP", 5)  # K4 has n = 6
+    lines: list[str] = []
+    assert verify.run_all(k4(), report=lines.append)
+    assert lines == [f"ok {name}" for name, _ in verify.ALL_CHECKS[:-1]] + ["skip filtration-uniqueness (n > 5)"]
+
+
+def test_filtration_uniqueness_runs_on_w4_at_the_default_cap(monkeypatch):
+    # n = 8: above the cap of 7 the check once returned at once and still printed ok
+    monkeypatch.setattr(oracles, "all_connected_filtrations", lambda m: [])
+    lines: list[str] = []
+    assert not verify.run_all(w4(), report=lines.append)
+    assert lines[-1] == "FAIL filtration-uniqueness: A=[]: 0 decompositions"
 
 
 def test_full_optimality_fails_when_the_served_basis_is_not_the_scans(monkeypatch):
