@@ -139,13 +139,17 @@ def fully_optimal_basis(m: OrientedMatroid) -> frozenset[int]:
     return _elements(_only_passing(m, candidates, True))
 
 
+def _active_basis(m: OrientedMatroid, f, a: int) -> int:
+    """The mask of the active basis of -_A M, for the mask a and the active filtration f of -_A M."""
+    return sum(_unsqueeze(_mask(fully_optimal_basis(minor)), runs) for minor, runs in _active_steps(m, f, a))
+
+
 def active_basis(m: OrientedMatroid, a=()) -> frozenset[int]:
     """The active basis of -_A M: the disjoint union of the fully optimal
     bases of its active minors, each unsqueezed back onto M's elements by
     the runs its minor was built with.  The minors are built from M once per
     chain step and reoriented by A; -_A M is built whole only as its own one minor."""
-    steps = _active_steps(m, active_filtration_orientation(m, a), _mask(a))
-    return _elements(sum(_unsqueeze(_mask(fully_optimal_basis(minor)), runs) for minor, runs in steps))
+    return _elements(_active_basis(m, active_filtration_orientation(m, a), _mask(a)))
 
 
 def alpha_inverse_class(m_ref: OrientedMatroid, b: frozenset[int]) -> ReorientationClassResult:
@@ -169,9 +173,13 @@ def refined_alpha(m_ref: OrientedMatroid, a) -> frozenset[int]:
     reoriented dual-active elements removed and the reoriented active
     elements added."""
     a = frozenset(a)
-    b = active_basis(m_ref, a)
     ostar, o = orientation_activities(m_ref, a)
-    return (b - (a & ostar)) | (a & o)
+    return _elements(_refine(_mask(a), _mask(active_basis(m_ref, a)), _mask(ostar), _mask(o)))
+
+
+def _refine(a: int, b: int, ostar: int, o: int) -> int:
+    """The refined image, as a mask, of the mask a with active basis b and orientation activities (ostar, o)."""
+    return (b & ~(a & ostar)) | (a & o)
 
 
 def refined_alpha_inverse(m_ref: OrientedMatroid, x) -> frozenset[int]:

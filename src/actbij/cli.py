@@ -147,12 +147,13 @@ def _cache_stats() -> dict[str, dict]:
 
 def _cmd_verify(m: OrientedMatroid, args, out) -> int:
     times: dict[str, float] = {}
-    built = core._minors_built[0]
-    ok = verify.run_all(m, report=lambda line: print(line, file=out), times=times)
+    built, sweep = core._minors_built[0], verify.Sweep(m)
+    ok = verify.run_all(m, report=lambda line: print(line, file=out), times=times, sweep=sweep)
     if getattr(args, "stats", False):  # a caller's args may lack the flag
         import json  # off the start-up of every other command
 
-        stats = {"check_s": times, "caches": _cache_stats(), "minors": core._minors_built[0] - built}
+        stats = {"check_s": times, "caches": _cache_stats(), "minors": core._minors_built[0] - built,
+                 "values": sweep.counts()}
         print(json.dumps(stats), file=sys.stderr)
     return 0 if ok else 1
 
@@ -175,7 +176,7 @@ def main(argv=None) -> int:
         ("table", _cmd_table, "the canonical active bijection, one row per basis", None),
         ("refined", _cmd_refined, "the refined bijection over all 2^n reorientations", None),
         ("verify", _cmd_verify, "run the full invariant suite",
-         ("--stats", {"action": "store_true", "help": "write check times, cache and minor counts to stderr as JSON"})),
+         ("--stats", {"action": "store_true", "help": "write check times and counts to stderr as JSON"})),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file")

@@ -140,13 +140,12 @@ def _header(text: str, kind: str, count: str, noun: str):
     parts = header.split()
     if len(parts) != 2 or parts[0] != kind:
         raise ParseError(f"expected '{kind} <{count}>', got {header!r}", lineno)
-    try:
-        value = int(parts[1])
-    except ValueError:
-        raise ParseError(f"bad {noun} {parts[1]!r}", lineno) from None
-    if value < 0:
+    token = parts[1]
+    if not (token.isascii() and token.removeprefix("-").isdigit()):  # int() would also read 1_0, +1 and １
+        raise ParseError(f"bad {noun} {token!r}", lineno)
+    if token[0] == "-":
         raise ParseError(f"{noun} must be nonnegative", lineno)
-    return lines[1:], value
+    return lines[1:], int(token)
 
 
 def parse_graph_file(text: str) -> tuple[tuple[str, str], ...]:
@@ -210,10 +209,10 @@ def parse_reorientation(token: str, n: int) -> frozenset[int]:
         if len(bits) != n or any(c not in "01" for c in bits):
             raise ParseError(f"expected a length-{n} bitstring, got {bits!r}")
         return frozenset(i for i, c in enumerate(bits, start=1) if c == "1")
-    try:
-        elements = [int(t) for t in token.split(",")]
-    except ValueError:
-        raise ParseError(f"bad reorientation token {token!r}") from None
+    items = token.split(",")
+    if not all(t.isascii() and t.isdigit() for t in items):  # int() would also read 1_0, +1 and １
+        raise ParseError(f"bad reorientation token {token!r}")
+    elements = list(map(int, items))
     for e in elements:
         if not 1 <= e <= n:
             raise ParseError(f"element {e} out of range 1..{n}")

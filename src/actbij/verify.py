@@ -1,15 +1,14 @@
 """The invariant suite behind the CLI ``verify`` subcommand.
 
-Each check returns quietly or raises :class:`VerificationFailure` with the
-first counterexample.  Its name is its function's, ``check_`` dropped and ``_``
-read as ``-``; ``run_all`` can time each check and reports every failure, a
-library self-test tripped inside a check too, as ``FAIL <check>: <detail>``.
-Checks are exhaustive over all reorientations, bases and subsets, each A ⊆ E
-walked as its mask in ``range(1 << n)``, so they are meant for desk-scale
-inputs; above n = FILTRATION_UNIQUENESS_CAP filtration-uniqueness returns why
-and reports ``skip``.  The oracle checks build their fully optimal bases and
-ranks as one table per OM (``oracles._optimal_table``, ``oracles._rank_table``);
-an A left to the scan of every basis fails, if at all, with the scan's message.
+Each check returns quietly or raises :class:`VerificationFailure` with the first counterexample.  Its name
+is its function's, ``check_`` dropped and ``_`` read as ``-``; ``run_all`` can time each check and reports
+every failure, a library self-test tripped inside a check too, as ``FAIL <check>: <detail>``.  Checks are
+exhaustive over all reorientations, bases and subsets, each A ⊆ E walked as its mask in ``range(1 << n)``,
+so they are meant for desk-scale inputs; above n = FILTRATION_UNIQUENESS_CAP filtration-uniqueness returns
+why and reports ``skip``.  A run computes each served value of M and of M* once, in one :class:`Sweep` and
+the record of M* it makes, the active basis of -_A M as a mask from the record's own active filtration.
+The oracle checks build their fully optimal bases and ranks as one table per OM (``oracles._optimal_table``,
+``oracles._rank_table``); an A left to the scan of every basis fails, if at all, with the scan's message.
 """
 
 from __future__ import annotations
@@ -31,20 +30,33 @@ def _fail(detail: str):
 
 
 class Sweep:
-    """M's values for one ``run_all`` call: ``value(fn, a)`` is fn(M, A) for
-    the mask a of a reorientation or a basis, computed once and kept in a
-    list per function indexed by a.  Checks look fn up at call time, so a
-    planted or failing one fails in the check that first asks, at the same A."""
+    """M's values for one ``run_all`` call: ``value(fn, a)`` is fn(M, A) for the mask a of a reorientation
+    or a basis, computed once and kept in a list per function indexed by a; for ``bijection._active_basis``,
+    the mask of the active basis of -_A M read off the record's own active filtration.  ``dual()`` is the
+    record of M*, made on first use.  Checks look fn up at call time, so a planted or failing one fails in
+    the check that first asks, at the same A."""
 
     def __init__(self, m):
-        self.m, self._classes = m, None
+        self.m, self._classes, self._dual = m, None, None
         self._tables = defaultdict(lambda: [None] * (1 << m.n))
 
     def value(self, fn, a):
         table = self._tables[fn]
         if table[a] is None:
-            table[a] = fn(self.m, core._elements(a))
+            if fn is bijection._active_basis:
+                table[a] = fn(self.m, self.value(activities.active_filtration_orientation, a), a)
+            else:
+                table[a] = fn(self.m, core._elements(a))
         return table[a]
+
+    def dual(self):
+        self._dual = self._dual or Sweep(core.dual(self.m))
+        return self._dual
+
+    def counts(self) -> dict[str, dict[str, int]]:
+        """Per side, M and M*, the number of values computed per function name."""
+        return {side: {fn.__name__: len(t) - t.count(None) for fn, t in (s._tables.items() if s else ())}
+                for side, s in (("M", self), ("M*", self._dual))}
 
     def classes(self):
         """Each activity class once, as masks: (its smallest member, its members)."""
@@ -95,7 +107,7 @@ def check_compose_support(m, sweep):
 
 
 def check_activity_duality(m, sweep):
-    md = core.dual(m)
+    md = sweep.dual().m
     for b in core._basis_masks(m):
         internal, external = sweep.value(activities.basis_activities, b)
         co_internal, co_external = activities.basis_activities(md, m.ground_set - core._elements(b))
@@ -109,10 +121,10 @@ def check_activity_duality(m, sweep):
 
 
 def check_filtration_duality(m, sweep):
-    md = core.dual(m)
+    dual = sweep.dual()
     for a in range(1 << m.n):
         f = sweep.value(activities.active_filtration_orientation, a)
-        fd = activities.active_filtration_orientation(md, core._elements(a))
+        fd = dual.value(activities.active_filtration_orientation, a)
         if fd.masks != f.masks[::-1] or fd.cyclic_index != len(f.masks) - f.cyclic_index:
             _fail(f"A={core._positions(a)}")
 
@@ -156,20 +168,20 @@ def check_fixed_representative(m, sweep):
 def check_bijection(m, sweep):
     preimages = defaultdict(set)
     for a in range(1 << m.n):
-        preimages[sweep.value(bijection.active_basis, a)].add(a)
-    if set(preimages) != set(core.bases(m)):
+        preimages[sweep.value(bijection._active_basis, a)].add(a)
+    if set(preimages) != set(core._basis_masks(m)):
         _fail("active basis map is not onto the bases")
     for b, pre in preimages.items():
-        klass = bijection.alpha_inverse_class(m, b)  # one part per active element of B
+        klass = bijection.alpha_inverse_class(m, core._elements(b))  # one part per active element of B
         if len(pre) != 1 << len(klass.filtration.masks):
-            _fail(f"B={sorted(b)} has {len(pre)} preimages")
+            _fail(f"B={core._positions(b)} has {len(pre)} preimages")
         if set(map(core._mask, klass.class_members)) != pre:
-            _fail(f"B={sorted(b)}: inverse class mismatch")
+            _fail(f"B={core._positions(b)}: inverse class mismatch")
 
 
 def check_activity_preservation(m, sweep):
     for a in range(1 << m.n):
-        b = core._mask(sweep.value(bijection.active_basis, a))
+        b = sweep.value(bijection._active_basis, a)
         if sweep.value(activities.basis_activities, b) != sweep.value(activities.orientation_activities, a):
             _fail(f"A={core._positions(a)}")
         f = sweep.value(activities.active_filtration_orientation, a)
@@ -180,17 +192,20 @@ def check_activity_preservation(m, sweep):
 def check_refined_bijection(m, sweep):
     images = []  # by mask, the mask of the refined image
     for a in range(1 << m.n):
-        x = bijection.refined_alpha(m, core._elements(a))
-        images.append(core._mask(x))
+        ostar, o = map(core._mask, sweep.value(activities.orientation_activities, a))
+        images.append(bijection._refine(a, sweep.value(bijection._active_basis, a), ostar, o))
+        x = core._elements(images[a])
         if bijection.refined_alpha_inverse(m, x) != core._elements(a):
             _fail(f"A={core._positions(a)}")
         if activities.subset_params(m, x) != activities.reorientation_params(m, core._elements(a)):
             _fail(f"A={core._positions(a)}: parameter transport")
     if len(set(images)) != 1 << m.n:
         _fail("not a permutation of the power set")
-    # activity classes map onto basis intervals
+    # the public map at one member of each class; activity classes map onto basis intervals
     for a, members in sweep.classes():
-        b = sweep.value(bijection.active_basis, a)
+        if core._mask(bijection.refined_alpha(m, core._elements(a))) != images[a]:
+            _fail(f"A={core._positions(a)}: public refined map differs")
+        b = core._elements(sweep.value(bijection._active_basis, a))
         lo, hi = map(core._mask, activities.interval_of_basis(m, b))
         if {images[member] for member in members} != _interval(lo, hi):
             _fail(f"A={core._positions(a)}: class does not fill the interval")
@@ -205,15 +220,14 @@ def check_full_optimality_uniqueness(m, sweep):
             hit = oracles._optimal_at(m, table, a)
         except AssertionError as exc:  # no or several optimal bases, or the criteria disagree
             _fail(f"A={core._positions(a)}: {exc}")
-        if hit is not None and hit != core._mask(served := sweep.value(bijection.active_basis, a)):
-            _fail(f"A={core._positions(a)}: scan {core._positions(hit)} != served {sorted(served)}")
+        if hit is not None and hit != (served := sweep.value(bijection._active_basis, a)):
+            _fail(f"A={core._positions(a)}: scan {core._positions(hit)} != served {core._positions(served)}")
 
 
 def check_alpha_duality(m, sweep):
-    md = core.dual(m)
-    ground = m.ground_set
+    dual, full = sweep.dual(), (1 << m.n) - 1
     for a in range(1 << m.n):
-        if bijection.active_basis(md, core._elements(a)) != ground - sweep.value(bijection.active_basis, a):
+        if dual.value(bijection._active_basis, a) != full ^ sweep.value(bijection._active_basis, a):
             _fail(f"A={core._positions(a)}")
 
 
@@ -230,7 +244,7 @@ def check_recursive_definitions(m, sweep):
     # -_A M = -_(E∖A) M: each pair at its smaller mask, a memo hit the second time
     full, memo = (1 << m.n) - 1, {}
     for a in range(1 << m.n):
-        pair, b = min(a, a ^ full), sweep.value(bijection.active_basis, a)
+        pair, b = min(a, a ^ full), core._elements(sweep.value(bijection._active_basis, a))
         if oracles.active_basis_recursive(m, flip=pair, memo=memo) != b:
             _fail(f"A={core._positions(a)}: cocircuit induction")
         if oracles.active_basis_recursive(m, flip=pair, circuit_induction=True, memo=memo) != b:
@@ -332,11 +346,12 @@ ALL_CHECKS = [
 ]
 
 
-def run_all(m, report=print, times=None) -> bool:
-    """Run the whole suite on one :class:`Sweep` of M; report one line per check, ``skip`` if it returns
-    a reason.  Returns success.  ``times``, a dict when given, gets the wall time in seconds of each check run."""
+def run_all(m, report=print, times=None, sweep=None) -> bool:
+    """Run the whole suite on one :class:`Sweep` of M, the caller's when given; report one line per check,
+    ``skip`` if it returns a reason.  Returns success.  ``times``, a dict when given, gets the wall time
+    in seconds of each check run."""
     core.check_enumeration_cap(m.n)
-    sweep = Sweep(m)
+    sweep = sweep or Sweep(m)
     for name, check in ALL_CHECKS:
         start = perf_counter()
         try:

@@ -26,6 +26,7 @@ from actbij.bijection import (
 )
 from actbij.core import (
     _elements,
+    _mask,
     bases,
     dual,
     is_bounded,
@@ -373,6 +374,19 @@ def test_representative_maps_to_its_basis(k4_om):
         b = active_basis(r)
         ostar, o = orientation_activities(r)
         assert (refined_alpha(k4_om, a) == b) == (not (a & (ostar | o)))
+
+
+@pytest.mark.parametrize("m", [k3(), k4(), diamond_doubled(), w4()], ids=["K3", "K4", "diamond_doubled", "W4"])
+def test_the_public_maps_equal_the_mask_routes_verify_reads(m):
+    # verify reads the active basis off its own filtrations and the refined image off its
+    # own activities, and calls refined_alpha once per activity class
+    for om in (m, dual(m)):
+        for mask in range(1 << om.n):
+            a = _elements(mask)
+            b = active_basis(om, a)
+            assert b == _elements(bijection._active_basis(om, active_filtration_orientation(om, a), mask))
+            ostar, o = orientation_activities(om, a)
+            assert refined_alpha(om, a) == _elements(bijection._refine(mask, _mask(b), _mask(ostar), _mask(o)))
 
 
 def test_activity_parameters_of_one_reorientation(k4_om):

@@ -228,9 +228,14 @@ def test_verify_stats_time_each_check_and_read_every_cache(capsys):
     names = [name for name, _ in verify.ALL_CHECKS]
     assert len(names) == 19 and [*stats[0]["check_s"]] == names
     assert all(type(t) is float and t >= 0 for t in stats[0]["check_s"].values())
-    assert [*stats[0]] == ["check_s", "caches", "minors"]
+    assert [*stats[0]] == ["check_s", "caches", "minors", "values"]
     assert [*stats[0]["caches"]] == [*CACHES] and stats[0]["caches"]["core._bases"]["misses"] > 0
     assert stats[1]["caches"] == stats[0]["caches"]  # the counts repeat from empty caches
+    # the values the run's record computed, per side and function: each at most once per A or B
+    values = stats[0]["values"]
+    assert [*values] == ["M", "M*"] and values["M"]["_active_basis"] == values["M*"]["_active_basis"] == 1 << 6
+    assert all(0 < count <= 1 << 6 for side in values.values() for count in side.values())
+    assert stats[1]["values"] == values
 
 
 def test_verify_stats_count_the_minors_built_the_same_in_each_fresh_process():
@@ -292,6 +297,10 @@ def test_parse_error_exit_code(tmp_path, capsys):
     ("negative.graph", b"graph -1\n", "error: line 1: vertex count must be nonnegative\n"),
     ("bare.om", b"om\n", "error: line 1: expected 'om <n>', got 'om'\n"),
     ("letter.om", b"om x\n", "error: line 1: bad ground set size 'x'\n"),
+    # a count is ASCII digits alone: int() would read om 1_0 as n = 10, +3 and a fullwidth ３ as 3
+    ("underscore.om", b"om 1_0\n", "error: line 1: bad ground set size '1_0'\n"),
+    ("plus.graph", b"graph +3\na b\n", "error: line 1: bad vertex count '+3'\n"),
+    ("fullwidth.om", "om ３\n".encode(), "error: line 1: bad ground set size '３'\n"),
     ("big.om", b"om 25\n", "error: refusing 2^25 enumeration: ground set size 25 exceeds cap 24\n"),
     ("positive.om", b"om 2\nC ++\nD ++\n",
      "error: orthogonality fails for circuit SignedSubset(+1,+2) and cocircuit SignedSubset(+1,+2)\n"),
@@ -332,6 +341,14 @@ def test_repeated_indices_are_a_usage_error(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: repeated element")
+
+
+@pytest.mark.parametrize("token", ["1_0", "+1", "１", "1, 2", "-1"])
+def test_a_reorientation_item_is_ascii_digits_alone(token, capsys):
+    # int() would read 1_0 as 10, and +1 and a fullwidth １ as 1
+    assert main(["alpha", str(DATA / "k4.graph"), "--reorient", token]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: bad reorientation token {token!r}\n"
 
 
 def without_line(text: str, i: int) -> str:

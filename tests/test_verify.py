@@ -251,8 +251,8 @@ def test_an_unread_namedtuple_field_is_reported():
 
 
 def test_a_run_maps_each_reorientation_once(monkeypatch):
-    # per A: the record of M, refined_alpha and the dual side of alpha-duality
-    # call the forward map; the two inductions share minors through the memo
+    # per A: the records of M and M* call the forward map, and the public map runs
+    # once per activity class (16 on K4); the two inductions share minors through the memo
     calls: Counter = Counter()
 
     def counted(module, attr):
@@ -265,9 +265,10 @@ def test_a_run_maps_each_reorientation_once(monkeypatch):
         monkeypatch.setattr(module, attr, wrapper)
 
     counted(bijection, "active_basis")
+    counted(bijection, "_active_basis")
     counted(oracles, "_minor")
     assert verify.run_all(k4(), report=lambda line: None)
-    assert calls["active_basis"] <= 3 << 6
+    assert calls["active_basis"] <= 16 and calls["_active_basis"] <= (2 << 6) + 16
     assert calls["_minor"] <= 183  # 168 filtration steps, 15 for the recursion relative to M
 
 
@@ -276,7 +277,7 @@ def test_the_recursive_check_keeps_no_reoriented_om():
     m = w5()
     sweep = verify.Sweep(m)
     for a in range(1 << m.n):
-        sweep.value(bijection.active_basis, a)
+        sweep.value(bijection._active_basis, a)
     tracemalloc.start()
     try:
         verify.check_recursive_definitions(m, sweep)
@@ -422,8 +423,8 @@ PLANTED = [
         # K3 has rank 2 and its dual rank 1: only the dual's bases change
         "alpha-duality",
         bijection,
-        "active_basis",
-        lambda real: lambda m, a=(): real(m, a) ^ {1} if m.rank == 1 else real(m, a),
+        "_active_basis",
+        lambda real: lambda m, f, a: real(m, f, a) ^ 1 if m.rank == 1 else real(m, f, a),
         "alpha-duality: A=[]",
     ),
     (
@@ -479,7 +480,7 @@ def test_a_failed_self_test_inside_a_check_is_reported_as_its_failure(monkeypatc
         raise AssertionError("planted")
 
     # bijection is the first check to ask the run's record for an active basis
-    for attr in ("alpha_inverse_class", "active_basis"):
+    for attr in ("alpha_inverse_class", "_active_basis"):
         with monkeypatch.context() as patch:
             patch.setattr(bijection, attr, planted)
             assert_fails_at("bijection", "FAIL bijection: planted")
@@ -667,8 +668,8 @@ PLANTED_ALONE = [
         "bijection-onto",
         verify.check_bijection,
         bijection,
-        "active_basis",
-        lambda real: lambda m, a=(): frozenset({1, 2}),
+        "_active_basis",
+        lambda real: lambda m, f, a: 0b11,
         "active basis map is not onto the bases",
     ),
     (
@@ -696,6 +697,15 @@ PLANTED_ALONE = [
         "reorientation_params",
         lambda real: lambda m, a: (),
         "A=[]: parameter transport",
+    ),
+    (
+        # the check's images come through bijection._refine: only the public map, asked once per class, sees this
+        "refined-bijection-public",
+        verify.check_refined_bijection,
+        bijection,
+        "refined_alpha",
+        lambda real: lambda m, a: real(m, a) ^ {1},
+        "A=[]: public refined map differs",
     ),
     (
         # the interval's ends swapped: a single subset, while every class has at least two members
@@ -857,8 +867,8 @@ def test_filtration_uniqueness_runs_on_w4_at_the_default_cap(monkeypatch):
 
 def test_full_optimality_fails_when_the_served_basis_is_not_the_scans(monkeypatch):
     m = k3()
-    real = bijection.active_basis
-    monkeypatch.setattr(bijection, "active_basis", lambda m, a=(): real(m, a) ^ {1})
+    real = bijection._active_basis
+    monkeypatch.setattr(bijection, "_active_basis", lambda m, f, a: real(m, f, a) ^ 1)
     message = "A=[2]: scan [2, 3] != served [1, 2, 3]"
     with pytest.raises(verify.VerificationFailure, match=f"^{re.escape(message)}$"):
         verify.check_full_optimality_uniqueness(m, verify.Sweep(m))
@@ -871,7 +881,7 @@ def full_optimality_by_scan(m, sweep):
             hit = fully_optimal_basis_scan(m, a)
         except AssertionError as exc:
             raise verify.VerificationFailure(f"A={core._positions(a)}: {exc}") from None
-        if hit is not None and hit != (served := sweep.value(bijection.active_basis, a)):
+        if hit is not None and hit != (served := core._elements(sweep.value(bijection._active_basis, a))):
             message = f"A={core._positions(a)}: scan {sorted(hit)} != served {sorted(served)}"
             raise verify.VerificationFailure(message)
 
@@ -937,7 +947,7 @@ def test_an_a_the_table_marks_fails_with_the_scans_message(monkeypatch, plant, f
     m = k4()
     sweep = verify.Sweep(m)
     for a in range(1 << m.n):  # the served bases, read before the plant
-        sweep.value(bijection.active_basis, a)
+        sweep.value(bijection._active_basis, a)
     plant(monkeypatch, m)
     with pytest.raises(verify.VerificationFailure) as by_scan:
         full_optimality_by_scan(m, sweep)
