@@ -160,13 +160,9 @@ def active_minors(m: OrientedMatroid, f: Filtration, a=()) -> list[OrientedMatro
     For the active filtration of -_A M these are bounded (upper), resp.
     dual-bounded (lower), w.r.t. their smallest element.  Each is the
     cached M(G)/F of ``core._minor`` reoriented by A ∩ (G∖F), squeezed onto it."""
-    return [minor for minor, _ in _active_steps(m, f, _mask(a))]
-
-
-def _active_steps(m: OrientedMatroid, f: Filtration, a: int) -> list[tuple[OrientedMatroid, tuple]]:
-    """Each minor of :func:`active_minors` under the mask a, with the runs that unsqueeze its masks."""
-    steps = (_step_minor(m, large, small) for small, large in pairwise(accumulate(f.masks, or_, initial=0)))
-    return [(_reoriented(minor, _squeeze(a, runs)), runs) for minor, runs in steps]
+    a, chain = _mask(a), pairwise(accumulate(f.masks, or_, initial=0))
+    steps = (_step_minor(m, large, small) for small, large in chain)
+    return [_reoriented(minor, _squeeze(a, runs)) for minor, runs in steps]
 
 
 def is_connected_filtration(m: OrientedMatroid, f: Filtration) -> bool:

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from itertools import accumulate, pairwise
+from operator import or_
 
-from . import core
+from . import activities, core
 from .activities import (
-    _active_steps,
     _flips,
     _owner,
     active_filtration_orientation,
@@ -117,7 +118,7 @@ def _only_passing(m: OrientedMatroid, candidates, bounded: bool) -> int:
     return hits[0]
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=4096)
 def fully_optimal_basis(m: OrientedMatroid) -> frozenset[int]:
     """The unique basis passing :func:`is_fully_optimal`, cached per minor: E ∖ α(M*) for a
     dual-bounded M; for a bounded M, n ≥ 2 and ω = max(E), the one of α(M/ω) ∪ {ω} and α(M∖ω),
@@ -139,16 +140,25 @@ def fully_optimal_basis(m: OrientedMatroid) -> frozenset[int]:
     return _elements(_only_passing(m, candidates, True))
 
 
+@lru_cache(maxsize=4096)
+def _step_basis(m: OrientedMatroid, large: int, small: int, flip: int) -> int:
+    """The fully optimal basis of (-_flip M)(large)/small, flip ⊆ large∖small, as a mask on M's elements:
+    the step's minor from ``activities._step_minor``, read at call time, reoriented by flip squeezed."""
+    minor, runs = activities._step_minor(m, large, small)
+    return _unsqueeze(_mask(fully_optimal_basis(core._reoriented(minor, core._squeeze(flip, runs)))), runs)
+
+
 def _active_basis(m: OrientedMatroid, f, a: int) -> int:
     """The mask of the active basis of -_A M, for the mask a and the active filtration f of -_A M."""
-    return sum(_unsqueeze(_mask(fully_optimal_basis(minor)), runs) for minor, runs in _active_steps(m, f, a))
+    chain = pairwise(accumulate(f.masks, or_, initial=0))
+    return sum(_step_basis(m, large, small, a & (large ^ small)) for small, large in chain)
 
 
 def active_basis(m: OrientedMatroid, a=()) -> frozenset[int]:
     """The active basis of -_A M: the disjoint union of the fully optimal
     bases of its active minors, each unsqueezed back onto M's elements by
-    the runs its minor was built with.  The minors are built from M once per
-    chain step and reoriented by A; -_A M is built whole only as its own one minor."""
+    the runs its minor was built with, cached per chain step F ⊂ G and flip
+    A ∩ (G∖F); -_A M is built whole only as its own one minor."""
     return _elements(_active_basis(m, active_filtration_orientation(m, a), _mask(a)))
 
 

@@ -34,20 +34,27 @@ from .core import (
 from .tutte import TuttePolynomial, _shifted_coefficients
 
 
+def _bounded_flips(m: OrientedMatroid) -> tuple[int, int]:
+    """:func:`core._bounded_under` at every A: the A with -_A M bounded, and those with it dual-bounded, each
+    one 2^n-bit int over ``core._holding``, from the A making a circuit (c) or cocircuit (d) missing 1 (0) or
+    through 1 (1) positive up to sign."""
+    every, has = _holding(m.n)
+    c0, c1, d0, d1 = (_positive_flips([x for x in sets if (x.pos | x.neg) & 1 == one], has, every)
+                      for sets in (m.circuits, m.cocircuits) for one in (0, 1))
+    return every & ~(c0 | c1 | d0), every & ~(d0 | d1 | c0)
+
+
 def _optimal_table(m: OrientedMatroid) -> tuple[list, int]:
     """The fully optimal basis mask of every -_A M at once (n ≥ 1), by the mask of A: None where -_A M is
     neither bounded nor dual-bounded, -1 where the scan must run (no or several bases pass, or the
-    criteria disagree); then the A with -_A M bounded, as one 2^n-bit int from ``core._holding``.  Under
+    criteria disagree); then the A with -_A M bounded, from :func:`_bounded_flips`.  Under
     -_A M, f_e (M's fundamental set of e, e positive) has sign f_e(x) ⊕ [x∈A] ⊕ [e∈A] at x, so each
     condition of either criterion on B is has[x] ^ has[e] or its complement."""
     (every, has), full = _holding(m.n), (1 << m.n) - 1
 
     # the A giving f_e the sign wanted at bit x: those where x and e are on opposite sides of A, or the rest
     sign = lambda f, e, x, negative: has[x] ^ has[e] ^ (every if (f.neg >> x & 1) == negative else 0)
-    c0, c1, d0, d1 = (_positive_flips([x for x in sets if (x.pos | x.neg) & 1 == one], has, every)
-                      for sets in (m.circuits, m.cocircuits) for one in (0, 1))  # missing 1, through 1
-    bounded = every & ~(c0 | c1 | d0)
-    dual_bounded = every & ~(d0 | d1 | c0 | bounded)
+    bounded, dual_bounded = _bounded_flips(m)
     masks, owners, disagree, once, twice = _basis_masks(m), [None] * (1 << m.n), 0, 0, 0
     for b, funds in zip(masks, _all_fundamentals(m, masks)):
         lows = [((f.pos | f.neg) & -(f.pos | f.neg)).bit_length() - 1 for f in funds]

@@ -8,7 +8,8 @@ so they are meant for desk-scale inputs; above n = FILTRATION_UNIQUENESS_CAP fil
 why and reports ``skip``.  A run computes each served value of M and of M* once, in one :class:`Sweep` and
 the record of M* it makes, the active basis of -_A M as a mask from the record's own active filtration.
 The oracle checks build their fully optimal bases and ranks as one table per OM (``oracles._optimal_table``,
-``oracles._rank_table``); an A left to the scan of every basis fails, if at all, with the scan's message.
+``oracles._rank_table``), and the bounded flips of each chain step's minor as one int (``oracles._bounded_flips``);
+an A left to the scan of every basis fails, if at all, with the scan's message.
 """
 
 from __future__ import annotations
@@ -129,22 +130,20 @@ def check_filtration_duality(m, sweep):
             _fail(f"A={core._positions(a)}")
 
 
-def _bounded_step(m, small: int, part: int, cyclic: bool, a: int) -> bool:
-    """Whether the minor (-_A M)(F ∪ part)/F, for the masks F = small and A = a, is
-    dual-bounded (cyclic part) or bounded w.r.t. its smallest element: M's step
-    minor tested under A ∩ part squeezed, with no reoriented minor built."""
-    minor, runs = activities._step_minor(m, small | part, small)
-    return core._bounded_under(minor, core._squeeze(a, runs), cyclic)
-
-
 def check_bounded_minors(m, sweep):
+    steps, connected = {}, set()  # per chain step F ⊂ F ∪ part, the bounded flips of its minor; the filtrations seen
     for a in range(1 << m.n):
         f = sweep.value(activities.active_filtration_orientation, a)
-        if not activities.is_connected_filtration(m, f):
+        if f not in connected and not activities.is_connected_filtration(m, f):
             _fail(f"A={core._positions(a)}: filtration not connected")
+        connected.add(f)
         small = 0
         for i, part in enumerate(f.masks):
-            if not _bounded_step(m, small, part, f.part_is_cyclic(i), a):
+            if (small, part) not in steps:  # M's step minor, not that of -_A M: a bit per A ∩ part squeezed
+                minor, runs = activities._step_minor(m, small | part, small)
+                steps[small, part] = oracles._bounded_flips(minor), runs
+            flips, runs = steps[small, part]
+            if not flips[f.part_is_cyclic(i)] >> core._squeeze(a, runs) & 1:
                 _fail(f"A={core._positions(a)}, part {i}")
             small |= part
 
@@ -321,8 +320,10 @@ def check_filtration_uniqueness(m, sweep):
         valid, small = [0], 0
         for i, part in enumerate(f.masks):
             step = (small, part, f.part_is_cyclic(i))
-            if step not in flips:
-                flips[step] = [x for x in core._submasks(part) if _bounded_step(m, *step, x)]
+            if step not in flips:  # the set bits of the step minor's bounded flips, unsqueezed
+                minor, runs = activities._step_minor(m, small | part, small)
+                bits = oracles._bounded_flips(minor)[f.part_is_cyclic(i)]
+                flips[step] = [core._unsqueeze(x - 1, runs) for x in core._positions(bits)]
             valid = [a | x for a in valid for x in flips[step]]
             small |= part
         for a in valid:

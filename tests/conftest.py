@@ -4,7 +4,7 @@ import random
 import pytest
 
 from actbij.activities import active_filtration_orientation, active_minors, reorientation_params
-from actbij.bijection import _only_passing, alpha_inverse_class, refined_alpha
+from actbij.bijection import _only_passing, alpha_inverse_class, fully_optimal_basis, refined_alpha
 from actbij.cli import _cmd_refined, _cmd_table
 from actbij.core import (
     OrientedMatroid,
@@ -13,10 +13,13 @@ from actbij.core import (
     _canonical_list,
     _elements,
     _greedy_rank,
+    _mask,
+    _minor,
     _reoriented,
     _runs,
     _squeeze,
     _supports,
+    _unsqueeze,
     bases,
     is_bounded,
     is_connected_matroid,
@@ -64,6 +67,18 @@ def fully_optimal_basis_scan(m, flip: int = 0):
     if bounded or _bounded_under(m, flip, True):
         return _elements(_only_passing(_reoriented(m, flip), _basis_masks(m), bounded))
     return None
+
+
+def active_basis_by_steps(m, a: int) -> int:
+    """The reference for ``bijection._active_basis``: the active basis mask of -_a M (a a mask) as the
+    sum over the chain steps F ⊂ G of its active filtration of the fully optimal basis of M(G)/F,
+    built afresh and reoriented by a squeezed onto it, unsqueezed back onto M's elements."""
+    chain = active_filtration_orientation(m, _elements(a)).chain
+    total = 0
+    for small, large in zip(chain, chain[1:]):
+        minor, runs = _minor(m, _mask(large), _mask(small))
+        total += _unsqueeze(_mask(fully_optimal_basis(_reoriented(minor, _squeeze(a, runs)))), runs)
+    return total
 
 
 def minor_sets_reference(signed_sets, avoid: int, ground: int, runs):

@@ -5,7 +5,7 @@ from collections import defaultdict
 
 import pytest
 
-from actbij import activities, bijection
+from actbij import activities, bijection, core
 from actbij.activities import (
     active_filtration_basis,
     active_filtration_orientation,
@@ -37,8 +37,8 @@ from actbij.core import (
     SignedSubset,
 )
 from actbij.oracles import active_basis_recursive, check_active_duality
-from conftest import positive, random_om, subsets
-from examples import diamond_doubled, k3, k4, w4
+from conftest import active_basis_by_steps, positive, random_om, subsets
+from examples import diamond_doubled, k3, k4, k5, w4
 
 
 def fs(*elements):
@@ -387,6 +387,33 @@ def test_the_public_maps_equal_the_mask_routes_verify_reads(m):
             assert b == _elements(bijection._active_basis(om, active_filtration_orientation(om, a), mask))
             ostar, o = orientation_activities(om, a)
             assert refined_alpha(om, a) == _elements(bijection._refine(mask, _mask(b), _mask(ostar), _mask(o)))
+
+
+@pytest.mark.parametrize("make", [k4, diamond_doubled, w4, k5], ids=["K4", "diamond_doubled", "W4", "K5"])
+def test_the_cached_step_bases_are_the_bases_of_the_reoriented_step_minors(make):
+    # each step's basis looked up on (step, A ∩ (G∖F)) against its minor built and reoriented by A
+    for m in (make(), dual(make())):
+        for a in range(1 << m.n):
+            f = active_filtration_orientation(m, _elements(a))
+            assert bijection._active_basis(m, f, a) == active_basis_by_steps(m, a), a
+
+
+def test_a_second_pass_over_w4_reorients_no_minor(monkeypatch):
+    # one miss per chain step and flip within it, then every step basis a hit
+    m, keys = w4(), set()
+    filtrations = [active_filtration_orientation(m, _elements(a)) for a in range(1 << m.n)]
+    bijection._step_basis.cache_clear()
+    for a, f in enumerate(filtrations):
+        chain = list(map(_mask, f.chain))
+        keys |= {(large, small, a & (large ^ small)) for small, large in zip(chain, chain[1:])}
+        bijection._active_basis(m, f, a)
+    assert bijection._step_basis.cache_info().misses == len(keys)
+    reoriented, real = [], core._reoriented
+    for module in (core, activities):  # the step bases read it through core
+        monkeypatch.setattr(module, "_reoriented", lambda om, flip: reoriented.append(flip) or real(om, flip))
+    for a, f in enumerate(filtrations):
+        bijection._active_basis(m, f, a)
+    assert reoriented == []
 
 
 def test_activity_parameters_of_one_reorientation(k4_om):

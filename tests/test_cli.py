@@ -208,6 +208,7 @@ CACHES = {  # by name, as --stats lists them
     "activities._interval_table": activities._interval_table,
     "activities._interval_walk": activities._interval_walk,
     "activities._step_minor": activities._step_minor,
+    "bijection._step_basis": bijection._step_basis,
     "bijection.fully_optimal_basis": bijection.fully_optimal_basis,
     "core._bases": core._bases,
     "tutte._reorientation_histogram": tutte._reorientation_histogram,
@@ -268,8 +269,9 @@ def test_verify_failure_exit_code(monkeypatch):
 def test_a_library_fault_inside_verify_exits_1(monkeypatch, request):
     # positivity without the sets whose negative side empties under the flip
     monkeypatch.setattr(core, "_positive_under", lambda sets, flip: [x | y for x, y in sets if not (x & ~flip | y & flip)])
-    bijection.fully_optimal_basis.cache_clear()
-    request.addfinalizer(bijection.fully_optimal_basis.cache_clear)  # no entry made under the plant stays
+    for cached in (bijection.fully_optimal_basis, bijection._step_basis):
+        cached.cache_clear()
+        request.addfinalizer(cached.cache_clear)  # no entry made under the plant stays
     code, out = run(["verify", str(DATA / "k4.graph")])
     assert code == 1
     assert out.splitlines()[-1] == "FAIL bijection: expected exactly one cocircuit inside [1], found 0"
@@ -496,6 +498,7 @@ def test_alpha_builds_each_chain_step_once_and_never_reorients_m(monkeypatch):
     assert activities._step_minor.__wrapped__ is core._minor
     step_cache = functools.lru_cache(**activities._step_minor.cache_parameters())
     monkeypatch.setattr(activities, "_step_minor", step_cache(counted))
+    bijection._step_basis.cache_clear()
     for module in (core, activities, bijection, cli):
         if hasattr(module, "reorient"):
             monkeypatch.setattr(module, "reorient", lambda *args: reoriented.append(args))

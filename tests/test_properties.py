@@ -10,7 +10,8 @@ rank-sized subset and, order included, against the level-by-level
 search they were bit-sliced from, the per-subset tally of the interval
 walk's owners against the coefficients of t(x+u, y+v), the served fully
 optimal basis against the oracle scan over all bases, the oracles' table of
-every fully optimal basis against that scan at every A, and the served
+every fully optimal basis against that scan at every A, its bounded flips
+against the per-A boundedness test, and the served
 active basis against both induction styles of the recursive definition,
 and the active bijection onto the bases with 2^(|Int(B)|+|Ext(B)|)
 reorientations on each basis B, whose activities it keeps; then the
@@ -74,6 +75,7 @@ from actbij.core import (
 )
 from actbij.graphs import om_from_digraph, parse_om_file
 from actbij.oracles import (
+    _bounded_flips,
     _optimal_table,
     _rank_table,
     active_basis_recursive,
@@ -601,8 +603,9 @@ def test_the_minors_built_are_the_bounded_ones(make, monkeypatch, request):
     reached, built = set(), set()
     monkeypatch.setattr(bijection, "fully_optimal_basis", lambda m: reached.add(m) or served(m))
     monkeypatch.setattr(bijection, "_minor", lambda m, keep, cut: built.add((m, keep, cut)) or build(m, keep, cut))
-    served.cache_clear()
-    request.addfinalizer(served.cache_clear)  # no entry made under the patch stays
+    for cached in (served, bijection._step_basis):
+        cached.cache_clear()
+        request.addfinalizer(cached.cache_clear)  # no entry made under the patch stays
     for om in (make(), dual(make())):
         for a in range(1 << om.n):
             bijection.active_basis(om, _elements(a))
@@ -621,6 +624,21 @@ def test_the_optimal_table_is_the_scan_on_random_graphs(g, data):
     a = data.draw(st.frozensets(st.integers(1, m.n))) if m.n else frozenset()
     for om in (m, dual(m), reorient(m, a)) if m.n else ():  # the scan needs n ≥ 1
         assert_the_table_is_the_scan(om)
+
+
+@settings(steady, max_examples=80)
+@given(digraphs(max_edges=8))
+@example(k4_digraph())
+@example(w4_digraph())
+def test_the_bounded_flips_are_the_per_a_test_at_every_a(g):
+    # every A at once against core._bounded_under at each A, on M and its dual
+    m = om_from_digraph(g)
+    for om in (m, dual(m)) if m.n else ():  # one bit per A of a 2^n-bit int, n ≥ 1
+        bounded, dual_bounded = _bounded_flips(om)
+        assert not (bounded | dual_bounded) >> (1 << om.n)
+        for a in range(1 << om.n):
+            assert bounded >> a & 1 == _bounded_under(om, a, False), a
+            assert dual_bounded >> a & 1 == _bounded_under(om, a, True), a
 
 
 @settings(steady, max_examples=100)

@@ -368,11 +368,11 @@ PLANTED = [
         "filtration-duality: A=[]",
     ),
     (
-        # the check tests M's step minors under the flip, without building -_A M
+        # the check reads M's step minors' bounded flips, without building -_A M
         "bounded-minors",
-        core,
-        "_bounded_under",
-        lambda real: lambda m, flip, dual: False,
+        oracles,
+        "_bounded_flips",
+        lambda real: lambda m: (0, 0),
         "bounded-minors: A=[], part 0",
     ),
     (
@@ -471,6 +471,7 @@ PLANTED = [
 def test_a_planted_fault_fails_its_check(monkeypatch, check, module, attr, fault, message):
     monkeypatch.setattr(module, attr, fault(getattr(module, attr)))
     bijection.fully_optimal_basis.cache_clear()  # results cached by earlier tests would hide a fault
+    bijection._step_basis.cache_clear()
     activities._step_minor.cache_clear()
     assert_fails_at(check, f"FAIL {message}")
 
@@ -496,8 +497,9 @@ def test_a_library_fault_inside_a_check_is_reported_as_its_failure(monkeypatch, 
     # positivity without the sets whose negative side empties under the flip: a
     # fundamental-set self-test raises InvalidOrientedMatroid, a ValueError
     monkeypatch.setattr(core, "_positive_under", lambda sets, flip: [x | y for x, y in sets if not (x & ~flip | y & flip)])
-    bijection.fully_optimal_basis.cache_clear()
-    request.addfinalizer(bijection.fully_optimal_basis.cache_clear)  # no entry made under the plant stays
+    for cached in (bijection.fully_optimal_basis, bijection._step_basis):
+        cached.cache_clear()
+        request.addfinalizer(cached.cache_clear)  # no entry made under the plant stays
     lines: list[str] = []
     assert not verify.run_all(k4(), report=lines.append)
     assert lines[-1] == "FAIL bijection: expected exactly one cocircuit inside [1], found 0"
