@@ -146,13 +146,12 @@ def _cache_stats() -> dict[str, dict]:
 
 
 def _cmd_verify(m: OrientedMatroid, args, out) -> int:
-    times: dict[str, float] = {}
     built, sweep = core._minors_built[0], verify.Sweep(m)
-    ok = verify.run_all(m, report=lambda line: print(line, file=out), times=times, sweep=sweep)
+    ok = verify.run_all(m, report=lambda line: print(line, file=out), sweep=sweep)
     if getattr(args, "stats", False):  # a caller's args may lack the flag
         import json  # off the start-up of every other command
 
-        stats = {"check_s": times, "caches": _cache_stats(), "minors": core._minors_built[0] - built,
+        stats = {"check_s": sweep.times, "caches": _cache_stats(), "minors": core._minors_built[0] - built,
                  "values": sweep.counts()}
         print(json.dumps(stats), file=sys.stderr)
     return 0 if ok else 1

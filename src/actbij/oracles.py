@@ -93,53 +93,50 @@ def active_basis_recursive(
     """Alternate evaluator of the active basis of -_flip M (flip a mask) by the
     recursive definition: fully optimal basis from the table in the bounded/dual-bounded
     case, duality, and induction on the minor cut out by the greatest dual-active
-    element (or greatest active element when ``circuit_induction``).  Each minor
-    is (G, F, side) relative to M: M(G)/F, dualized when side is set after a dual
-    hop, under flip ∩ (G∖F) squeezed.  ``memo`` holds three tables: "minors" maps
-    (M, G, F, side) to that unsigned minor and the runs of G∖F, built once, "tables"
-    the minor to its :func:`_optimal_table` and "bases" (minor, squeezed flip, style) to
-    its basis mask, so no reoriented OM; when not passed in it lives for this call."""
-    minors, tables, bases = ({} if memo is None else memo.setdefault(t, {}) for t in ("minors", "tables", "bases"))
+    element (or greatest active element when ``circuit_induction``).  Each minor is
+    (N, G, F): N(G)/F for N one of M and M*, under flip ∩ (G∖F) squeezed; a dual hop is a
+    step of the other OM, as (N(G)/F)* = N*(E∖F)/(E∖G).  ``memo`` holds four tables:
+    "duals" maps M ↔ M*, "minors" (N, G, F) to that unsigned minor and the runs of G∖F,
+    built once per step and its mirror, "tables" the minor to its :func:`_optimal_table`
+    and "bases" (minor, squeezed flip, style) to its basis mask, so no reoriented OM;
+    when not passed in it lives for this call."""
+    duals, minors, tables, bases = (
+        {} if memo is None else memo.setdefault(t, {}) for t in ("duals", "minors", "tables", "bases"))
+    md = duals.get(m) or dual(m)
+    duals.update({m: md, md: m})
+    full = (1 << m.n) - 1
 
-    def step(large: int, small: int, side: int) -> int:
-        """The active basis of the minor (large, small, side), as a mask in M's terms."""
-        if (m, large, small, 0) not in minors:
-            minors[m, large, small, 0] = _minor(m, large, small)
-        if (m, large, small, side) not in minors:
-            minor, runs = minors[m, large, small, 0]
-            minors[m, large, small, 1] = dual(minor), runs
-        minor, runs = minors[m, large, small, side]
+    def step(om: OrientedMatroid, large: int, small: int) -> int:
+        """The active basis of om(large)/small, om one of M and M*, as a mask in M's terms."""
+        if (om, large, small) not in minors:  # the dual of its mirror, when that is built
+            mirror = minors.get((duals[om], full ^ small, full ^ large))
+            minors[om, large, small] = (dual(mirror[0]), mirror[1]) if mirror else _minor(om, large, small)
+        minor, runs = minors[om, large, small]
         key = (minor, _squeeze(flip, runs), circuit_induction)
         if key not in bases:
-            bases[key] = induction(large, small, side, runs, *key[:2])
+            bases[key] = induction(om, large, small, runs, *key[:2])
         return _unsqueeze(bases[key], runs)
 
-    def induction(large: int, small: int, side: int, runs, minor: OrientedMatroid, flipped: int) -> int:
-        """The active basis of -_flipped minor, for the minor at (large, small, side) and
-        its squeezed flip, as a mask of the minor; only a flip its table marks is reoriented."""
+    def induction(om: OrientedMatroid, large: int, small: int, runs, minor: OrientedMatroid, flipped: int) -> int:
+        """The active basis of -_flipped minor, for the minor om(large)/small and its
+        squeezed flip, as a mask of the minor; only a flip its table marks is reoriented."""
         if minor.n == 0:
             return 0
         if minor not in tables:  # shared by both styles and every flip
             tables[minor] = _optimal_table(minor)
         if (hit := _optimal_at(minor, tables[minor], flipped)) is not None:
             return hit
-        full = (1 << minor.n) - 1
         supports = _positive_under(minor.circuits if circuit_induction else minor.cocircuits, flipped)
         if not supports:  # acyclic (circuit style) or totally cyclic: hop to the dual, same style
-            return full ^ _squeeze(step(large, small, side ^ 1), runs)
+            return _squeeze(large ^ small ^ step(duals[om], full ^ small, full ^ large), runs)
         top = max(s & -s for s in supports)  # the greatest active (dual-active) element, as a bit
-        part = reduce(or_, (s for s in supports if s & -s == top))
+        part = _unsqueeze(reduce(or_, (s for s in supports if s & -s == top)), runs)
         if not circuit_induction:
-            part ^= full
-        part, rest = _unsqueeze(part, runs), _unsqueeze(full ^ part, runs)
-        # the restriction to the part and the contraction of the part; on the dual
-        # side, restricting (M(G)/F)* contracts M(G)/F, and contracting it deletes
-        inside, outside = (large, small | rest), (large ^ part, small)
-        if not side:
-            inside, outside = (small | part, small), (large, small | part)
-        return _squeeze(step(*inside, side) | step(*outside, side), runs)
+            part ^= large ^ small
+        # the restriction to the part and the contraction of the part, one rule on M and on M*
+        return _squeeze(step(om, small | part, small) | step(om, large, small | part), runs)
 
-    return _elements(step((1 << m.n) - 1, 0, 0))
+    return _elements(step(m, full, 0))
 
 
 def check_active_duality(m: OrientedMatroid, flip: int = 0, tables=None) -> bool:

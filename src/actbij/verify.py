@@ -34,11 +34,11 @@ class Sweep:
     """M's values for one ``run_all`` call: ``value(fn, a)`` is fn(M, A) for the mask a of a reorientation
     or a basis, computed once and kept in a list per function indexed by a; for ``bijection._active_basis``,
     the mask of the active basis of -_A M read off the record's own active filtration.  ``dual()`` is the
-    record of M*, made on first use.  Checks look fn up at call time, so a planted or failing one fails in
-    the check that first asks, at the same A."""
+    record of M*, made on first use; ``times`` the wall time in seconds of each check run on it.  Checks look
+    fn up at call time, so a planted or failing one fails in the check that first asks, at the same A."""
 
     def __init__(self, m):
-        self.m, self._classes, self._dual = m, None, None
+        self.m, self._classes, self._dual, self.times = m, None, None, {}
         self._tables = defaultdict(lambda: [None] * (1 << m.n))
 
     def value(self, fn, a):
@@ -347,10 +347,9 @@ ALL_CHECKS = [
 ]
 
 
-def run_all(m, report=print, times=None, sweep=None) -> bool:
-    """Run the whole suite on one :class:`Sweep` of M, the caller's when given; report one line per check,
-    ``skip`` if it returns a reason.  Returns success.  ``times``, a dict when given, gets the wall time
-    in seconds of each check run."""
+def run_all(m, report=print, sweep=None) -> bool:
+    """Run the whole suite on one :class:`Sweep` of M, the caller's when given, which keeps each check's
+    wall time; report one line per check, ``skip`` if it returns a reason.  Returns success."""
     core.check_enumeration_cap(m.n)
     sweep = sweep or Sweep(m)
     for name, check in ALL_CHECKS:
@@ -361,7 +360,6 @@ def run_all(m, report=print, times=None, sweep=None) -> bool:
             report(f"FAIL {name}: {exc}")
             return False
         finally:
-            if times is not None:
-                times[name] = perf_counter() - start
+            sweep.times[name] = perf_counter() - start
         report(f"skip {name} ({skipped})" if skipped else f"ok {name}")
     return True

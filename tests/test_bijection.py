@@ -201,6 +201,19 @@ def test_a_shared_recursion_memo_changes_no_result(m):
     assert {style for _, _, style in memo["bases"]} == {False, True}
 
 
+@pytest.mark.parametrize("m", [k4(), diamond_doubled(), w4()], ids=["K4", "diamond_doubled", "W4"])
+def test_a_recursion_memo_shared_with_the_dual_builds_no_minor_for_it(m):
+    # a dual hop is a step of M*, keyed as M*'s own steps are: after both styles at every A on M,
+    # the pass over M* finds each minor or its mirror built, and its bases are the complements
+    memo, md = {}, dual(m)
+    on_m = {(a, style): active_basis_recursive(m, flip=a, circuit_induction=style, memo=memo)
+            for a in range(1 << m.n) for style in (False, True)}
+    built = core._minors_built[0]
+    for (a, style), b in on_m.items():
+        assert active_basis_recursive(md, flip=a, circuit_induction=style, memo=memo) == m.ground_set - b, a
+    assert core._minors_built[0] == built
+
+
 @pytest.mark.parametrize("m", [k3(), k4(), w4()], ids=["K3", "K4", "W4"])
 def test_the_recursion_under_a_flip_is_the_recursion_on_the_reoriented_om(m):
     # minors of M relative to M, reoriented by the squeezed flip, against minors of -_A M

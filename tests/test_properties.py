@@ -179,6 +179,17 @@ def test_the_minor_builder_is_the_reference(case):
         assert _minor(om, _mask(keep), _mask(contracted)) == minor_reference(om, _mask(keep), _mask(contracted))
 
 
+@settings(steady, max_examples=300)
+@given(minors())
+def test_the_dual_of_a_minor_is_the_mirror_minor_of_the_dual(case):
+    # (M(G)/F)* = M*(E∖F)/(E∖G) on the same runs of G∖F: the recursive oracle's dual hop is a step of M*
+    g, keep, contracted = case
+    m = om_from_digraph(g)
+    full, large, small = (1 << m.n) - 1, _mask(keep), _mask(contracted)
+    minor, runs = _minor(m, large, small)
+    assert _minor(dual(m), full ^ small, full ^ large) == (dual(minor), runs)
+
+
 @pytest.mark.parametrize("make", [k4, w4, k5, w5, k6], ids=["K4", "W4", "K5", "W5", "K6"])
 def test_the_minor_builder_is_the_reference_on_complete_graphs_and_wheels(make):
     rng, m = random.Random(29), make()
